@@ -94,13 +94,7 @@ PYCODE = register_backend(Backend(
 def _build_c(func, **opts):
     from ..codegen.ccode import compile_func_native
 
-    native = compile_func_native(func, **opts)
-
-    def run(env):
-        native(env)
-
-    run.__ft_source__ = native.__ft_source__
-    return run
+    return compile_func_native(func, **opts)
 
 
 def _caps_c(target):

@@ -139,8 +139,9 @@ class Executable:
     the plan; one wins the store).
     """
 
-    #: distinct call signatures memoized per Executable before the plan
-    #: cache resets (mirrors _BUILD_CACHE_LIMIT's wholesale clearing)
+    #: distinct call signatures memoized per Executable; past it the
+    #: oldest plan is evicted (a served batched program sees every batch
+    #: size as its own signature, so wholesale clearing would thrash)
     _PLAN_LIMIT = 64
 
     def __init__(self, func: Func, run_fn, backend: str,
@@ -178,7 +179,9 @@ class Executable:
         calls whose scalars defy hashing (then every call re-validates).
         """
         try:
-            return (tuple((a.shape, a.dtype.str) for a in converted),
+            # dtype objects, as in StackStrategy.bucket_key: equal dtypes
+            # hash equal and .str builds a new string on every call
+            return (tuple((a.shape, a.dtype) for a in converted),
                     tuple(sorted((k, int(v)) for k, v in scalars.items())))
         except (TypeError, ValueError):
             return None
@@ -219,8 +222,9 @@ class Executable:
         env, plan = self._bind_slow(converted, scalars)
         if key is not None:
             with self._plans_lock:
-                if len(self._plans) >= self._PLAN_LIMIT:
-                    self._plans.clear()
+                if key not in self._plans and \
+                        len(self._plans) >= self._PLAN_LIMIT:
+                    del self._plans[next(iter(self._plans))]
                 self._plans[key] = plan
         return env
 

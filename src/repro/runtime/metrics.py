@@ -21,6 +21,7 @@ exactly.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
@@ -375,6 +376,12 @@ _SERVING_LATENCY_CAP = 4096
 #: tenant -> {"submitted": n, "completed": n, "rejected": n, "failed": n}
 _SERVING_TENANTS: Dict[str, Dict[str, int]] = {}
 
+#: guards every read-modify-write of the serving family above: dispatcher
+#: threads record outside Server._lock and several Servers may share the
+#: process. Callers record in bulk, so it is taken once per batch (or per
+#: submission call), never once per request of a batch.
+_SERVING_LOCK = threading.Lock()
+
 
 def _tenant_row(tenant: str) -> Dict[str, int]:
     row = _SERVING_TENANTS.get(tenant)
@@ -389,56 +396,51 @@ def record_serving_submit(tenant: str, outcome: str, n: int = 1):
     ``admitted`` / ``rejected_quota`` / ``rejected_queue``. The count
     parameter lets the server's wave-submission path record a whole
     batch of decisions in one call."""
-    _SERVING_STATS["submitted"] += n
-    _SERVING_STATS[outcome] += n
-    row = _tenant_row(tenant)
-    row["submitted"] += n
-    if outcome != "admitted":
-        row["rejected"] += n
+    with _SERVING_LOCK:
+        _SERVING_STATS["submitted"] += n
+        _SERVING_STATS[outcome] += n
+        row = _tenant_row(tenant)
+        row["submitted"] += n
+        if outcome != "admitted":
+            row["rejected"] += n
 
 
 _RESPONSE_KEY = {"ok": "completed", "failed": "failed",
                  "timeout": "timed_out"}
 
 
-def record_serving_response(tenant: str, status: str, latency_s: float):
-    """Account one terminal response; ``status`` is ``ok`` / ``failed``
-    / ``timeout``."""
-    _SERVING_STATS[_RESPONSE_KEY[status]] += 1
-    row = _tenant_row(tenant)
-    row["completed" if status == "ok" else "failed"] += 1
-    if len(_SERVING_LATENCIES) < _SERVING_LATENCY_CAP:
-        _SERVING_LATENCIES.append(float(latency_s))
-
-
 def record_serving_responses(tenant: str, status: str,
                              latencies: List[float]):
-    """Bulk form of :func:`record_serving_response` for one batch whose
-    requests share a tenant and terminal status."""
+    """Account the terminal responses of one batch whose requests share
+    a tenant and ``status`` (``ok`` / ``failed`` / ``timeout``)."""
     n = len(latencies)
-    _SERVING_STATS[_RESPONSE_KEY[status]] += n
-    row = _tenant_row(tenant)
-    row["completed" if status == "ok" else "failed"] += n
-    room = _SERVING_LATENCY_CAP - len(_SERVING_LATENCIES)
-    if room > 0:
-        _SERVING_LATENCIES.extend(float(x) for x in latencies[:room])
+    with _SERVING_LOCK:
+        _SERVING_STATS[_RESPONSE_KEY[status]] += n
+        row = _tenant_row(tenant)
+        row["completed" if status == "ok" else "failed"] += n
+        room = _SERVING_LATENCY_CAP - len(_SERVING_LATENCIES)
+        if room > 0:
+            _SERVING_LATENCIES.extend(float(x) for x in latencies[:room])
 
 
 def record_serving_batch(size: int, pad_elements: int = 0):
-    _SERVING_STATS["batches"] += 1
-    _SERVING_STATS["batched_requests"] += int(size)
-    _SERVING_STATS["pad_elements"] += int(pad_elements)
-    _SERVING_BATCH_HIST[int(size)] = \
-        _SERVING_BATCH_HIST.get(int(size), 0) + 1
+    with _SERVING_LOCK:
+        _SERVING_STATS["batches"] += 1
+        _SERVING_STATS["batched_requests"] += int(size)
+        _SERVING_STATS["pad_elements"] += int(pad_elements)
+        _SERVING_BATCH_HIST[int(size)] = \
+            _SERVING_BATCH_HIST.get(int(size), 0) + 1
 
 
 def record_serving_queue_depth(depth: int):
-    _SERVING_STATS["queue_depth_peak"] = max(
-        _SERVING_STATS["queue_depth_peak"], int(depth))
+    with _SERVING_LOCK:
+        _SERVING_STATS["queue_depth_peak"] = max(
+            _SERVING_STATS["queue_depth_peak"], int(depth))
 
 
 def record_serving_respawn():
-    _SERVING_STATS["worker_respawns"] += 1
+    with _SERVING_LOCK:
+        _SERVING_STATS["worker_respawns"] += 1
 
 
 def _percentile(samples: List[float], q: float) -> float:
@@ -455,22 +457,25 @@ def serving_stats() -> Dict[str, object]:
     request latency (seconds, over a bounded reservoir) and per-tenant
     usage rows. Follows the other ``*_stats()`` conventions in this
     module (plain dict snapshot; reset via ``reset_serving_stats``)."""
-    out: Dict[str, object] = dict(_SERVING_STATS)
-    out["batch_size_hist"] = dict(sorted(_SERVING_BATCH_HIST.items()))
-    out["latency_p50_s"] = _percentile(_SERVING_LATENCIES, 0.50)
-    out["latency_p99_s"] = _percentile(_SERVING_LATENCIES, 0.99)
-    out["latency_samples"] = len(_SERVING_LATENCIES)
-    out["per_tenant"] = {t: dict(r) for t, r in
-                         sorted(_SERVING_TENANTS.items())}
+    with _SERVING_LOCK:
+        out: Dict[str, object] = dict(_SERVING_STATS)
+        out["batch_size_hist"] = dict(sorted(_SERVING_BATCH_HIST.items()))
+        latencies = list(_SERVING_LATENCIES)
+        out["per_tenant"] = {t: dict(r) for t, r in
+                             sorted(_SERVING_TENANTS.items())}
+    out["latency_p50_s"] = _percentile(latencies, 0.50)
+    out["latency_p99_s"] = _percentile(latencies, 0.99)
+    out["latency_samples"] = len(latencies)
     return out
 
 
 def reset_serving_stats():
-    for k in _SERVING_STATS:
-        _SERVING_STATS[k] = 0
-    _SERVING_BATCH_HIST.clear()
-    _SERVING_LATENCIES.clear()
-    _SERVING_TENANTS.clear()
+    with _SERVING_LOCK:
+        for k in _SERVING_STATS:
+            _SERVING_STATS[k] = 0
+        _SERVING_BATCH_HIST.clear()
+        _SERVING_LATENCIES.clear()
+        _SERVING_TENANTS.clear()
 
 
 class MetricsCollector:

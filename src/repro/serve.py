@@ -45,8 +45,7 @@ def run_batched(endpoints, traffic, args) -> Dict[str, object]:
     if args.quota is not None:
         quotas = {f"tenant{t}": args.quota for t in range(args.tenants)}
     srv = Server(endpoints, mode=args.mode, workers=args.workers,
-                 max_batch=args.max_batch,
-                 max_wait_s=args.max_wait_ms / 1e3, quotas=quotas)
+                 max_batch=args.max_batch, quotas=quotas)
     t0 = time.perf_counter()
     pendings = []
     for i, (name, arrays, scalars) in enumerate(traffic):
@@ -71,7 +70,9 @@ def main(argv: List[str] = None) -> int:
                     default="thread")
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--max-batch", type=int, default=8)
-    ap.add_argument("--max-wait-ms", type=float, default=2.0)
+    ap.add_argument("--max-wait-ms", type=float, default=None,
+                    help="deprecated, ignored: dispatcher threads flush "
+                         "as soon as one is idle (no batching window)")
     ap.add_argument("--backend", default="pycode")
     ap.add_argument("--no-optimize", action="store_true")
     ap.add_argument("--tenants", type=int, default=1)
@@ -90,7 +91,7 @@ def main(argv: List[str] = None) -> int:
         for arrays, scalars in ep.gen_requests(args.requests,
                                                seed=args.seed):
             traffic.append((name, arrays, scalars))
-        ep.warm()
+        ep.warm()  # neither timed region below pays for a compile
 
     serial = run_serial(endpoints, traffic)
     batched = run_batched(endpoints, traffic, args)
@@ -123,8 +124,7 @@ def main(argv: List[str] = None) -> int:
     else:
         print(f"{n} requests over {len(endpoints)} endpoint(s) "
               f"[{args.mode} mode, {args.workers} workers, "
-              f"max_batch={args.max_batch}, "
-              f"window={args.max_wait_ms}ms]")
+              f"max_batch={args.max_batch}, work-conserving flush]")
         print(f"  serial : {report['serial_s']:8.3f}s  "
               f"({report['serial_rps']:.0f} req/s)")
         print(f"  batched: {report['batched_s']:8.3f}s  "

@@ -3,14 +3,14 @@
 The paper's compiler produces one fast executable per program; this
 subsystem turns those executables into a *service*: concurrent clients
 submit (workload, arrays, tenant) requests, a dynamic batcher coalesces
-compatible ones within a bounded wait window — stacking dense requests,
-pad-and-masking variable-length ones, concatenating variable-size
-graphs — and a worker pool executes the batches with per-request
-deadlines, crash isolation and per-tenant admission control.
+the compatible ones that queued while its workers were busy — stacking
+dense requests, pad-and-masking variable-length ones, concatenating
+variable-size graphs — and a worker pool executes the batches with
+per-request deadlines, crash isolation and per-tenant admission control.
 
 Layering::
 
-    server.Server          admission, bucketing, batching windows
+    server.Server          admission, bucketing, work-conserving flush
       endpoints.ServedWorkload   program variants + build config
         strategies / ragged      stack | pad | concat collation
         batching.batch_axis_prepend   the IR-level batched variant

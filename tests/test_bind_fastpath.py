@@ -119,3 +119,78 @@ def test_concurrent_calls_are_thread_safe(backend):
     assert not errors
     for x, out in zip(inputs, results):
         np.testing.assert_allclose(out, x * 2.0 + 1.0, rtol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# plan memo eviction
+# ---------------------------------------------------------------------------
+
+def test_plan_memo_evicts_oldest_instead_of_clearing():
+    """Overflowing the memo drops the oldest signature only: the most
+    recent ``_PLAN_LIMIT`` signatures still hit (a served batched
+    program sees every batch size as its own signature)."""
+    exe = build(make_program(), backend="pycode")
+    limit = exe._PLAN_LIMIT
+    shapes = [(n, 2) for n in range(1, limit + 7)]
+    for shape in shapes:                      # first cycle overflows
+        exe(np.ones(shape, np.float32))
+    assert len(exe._plans) == limit
+    before = bind_cache_stats()["plan_hits"]
+    for shape in reversed(shapes):            # second cycle
+        exe(np.ones(shape, np.float32))
+    assert bind_cache_stats()["plan_hits"] - before >= limit // 2
+    assert len(exe._plans) <= limit
+
+
+# ---------------------------------------------------------------------------
+# the pointer contract of the c backend: the binder establishes dtype
+# and contiguity, the run function re-checks a hand-built environment
+# ---------------------------------------------------------------------------
+
+def make_inout_program():
+    @ft.transform
+    def bump(x: ft.Tensor[("n", "m"), "f32", "input"],
+             acc: ft.Tensor[("n", "m"), "f32", "inout"]):
+        for i in range(x.shape(0)):
+            for j in range(x.shape(1)):
+                acc[i, j] = acc[i, j] + x[i, j] * 2.0
+
+    return bump
+
+
+def test_c_call_normalizes_layout_and_dtype():
+    exe = build(make_program(), backend="c")
+    base = np.random.default_rng(2).standard_normal((8, 6))
+    variants = {
+        "sliced": base.astype(np.float32)[::2, 1:5],
+        "fortran": np.asfortranarray(base.astype(np.float32)),
+        "float64": base,
+        "int": (base * 10).astype(np.int64),
+        "readonly": base.astype(np.float32),
+    }
+    variants["readonly"].setflags(write=False)
+    for label, x in variants.items():
+        np.testing.assert_allclose(
+            exe(x), x.astype(np.float32) * 2.0 + 1.0, rtol=1e-6,
+            err_msg=label)
+
+
+def test_c_run_env_rejects_wrong_dtype_before_the_kernel():
+    exe = build(make_inout_program(), backend="c")
+    acc = np.full((3, 4), 7.0, np.float32)
+    env = {"x": np.ones((3, 4), np.float64),   # declared f32
+           "acc": acc, "n": 3, "m": 4}
+    with pytest.raises(TypeError, match="'x'"):
+        exe.run_env(env)
+    np.testing.assert_array_equal(acc, 7.0)    # kernel never ran
+
+
+def test_c_run_env_writes_back_noncontiguous_inout():
+    exe = build(make_inout_program(), backend="c")
+    x = np.arange(12, dtype=np.float32).reshape(3, 4)
+    backing = np.zeros((3, 8), np.float32)
+    acc = backing[:, ::2]                      # non-contiguous view
+    assert not acc.flags.c_contiguous
+    exe.run_env({"x": x, "acc": acc, "n": 3, "m": 4})
+    np.testing.assert_allclose(acc, x * 2.0)
+    np.testing.assert_array_equal(backing[:, 1::2], 0.0)

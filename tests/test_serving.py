@@ -9,13 +9,15 @@
 - batch composition is deterministic under a fixed clock.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.runtime import metrics
-from repro.serving import (BatchingUnsupported, Server,
+from repro.serving import (BatchingUnsupported, Server, StackStrategy,
                            batch_axis_prepend, default_endpoints)
 from repro.workloads import gat, longformer, softras, subdivnet
 
@@ -386,3 +388,216 @@ def test_asubmit_resolves_in_event_loop():
         np.testing.assert_allclose(
             r.value, reference_for("subdivnet", arrays, scalars),
             rtol=1e-3, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# work-conserving flush: an idle dispatcher never sits out the window,
+# batches form while every dispatcher is busy
+# ---------------------------------------------------------------------------
+
+class GatedStack(StackStrategy):
+    """StackStrategy whose first ``collate`` parks the dispatcher until
+    the test opens the gate; records which request ids ran."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.collated = []
+
+    def collate(self, endpoint, requests):
+        self.entered.set()
+        assert self.gate.wait(timeout=30)
+        self.collated += [r.id for r in requests]
+        return super().collate(endpoint, requests)
+
+
+def _gated_endpoint():
+    eps = default_endpoints(backend="pycode", names=["subdivnet"])
+    eps["subdivnet"].warm()
+    eps["subdivnet"].strategy = GatedStack()
+    return eps, eps["subdivnet"].strategy
+
+
+def test_idle_dispatcher_flushes_without_waiting_for_the_window():
+    eps = default_endpoints(backend="pycode", names=["subdivnet"])
+    eps["subdivnet"].warm()
+    (arrays, scalars), = eps["subdivnet"].gen_requests(1, seed=0)
+    with Server(eps, mode="thread", workers=1, max_batch=8,
+                max_wait_s=5.0) as srv:
+        t0 = time.monotonic()
+        resp = srv.submit("subdivnet", arrays, scalars).result(timeout=30)
+        waited = time.monotonic() - t0
+    assert resp.ok, resp.error
+    assert resp.batch_size == 1
+    assert waited < 0.5
+
+
+def test_arrivals_batch_while_the_dispatcher_is_busy():
+    eps, gated = _gated_endpoint()
+    traffic = eps["subdivnet"].gen_requests(6, seed=3)
+    with Server(eps, mode="thread", workers=1, max_batch=8,
+                max_wait_s=5.0) as srv:
+        first = srv.submit("subdivnet", *traffic[0])
+        assert gated.entered.wait(timeout=30)   # dispatcher is inside
+        rest = [srv.submit("subdivnet", a, s) for a, s in traffic[1:]]
+        gated.gate.set()
+        first = first.result(timeout=30)
+        rest = [p.result(timeout=30) for p in rest]
+    assert first.ok and first.batch_size == 1
+    assert all(r.ok for r in rest)
+    assert {r.batch_size for r in rest} == {5}
+    assert len({r.batch_id for r in rest}) == 1
+    for (arrays, scalars), r in zip(traffic[1:], rest):
+        np.testing.assert_allclose(
+            r.value, reference_for("subdivnet", arrays, scalars),
+            rtol=1e-3, atol=1e-4)
+
+
+def test_close_drains_a_nonempty_queue_exactly_once():
+    eps, gated = _gated_endpoint()
+    traffic = eps["subdivnet"].gen_requests(7, seed=4)
+    srv = Server(eps, mode="thread", workers=1, max_batch=3,
+                 max_wait_s=5.0)
+    pendings = [srv.submit("subdivnet", *traffic[0])]
+    assert gated.entered.wait(timeout=30)
+    pendings += [srv.submit("subdivnet", a, s) for a, s in traffic[1:]]
+    closer = threading.Thread(target=srv.close)
+    closer.start()                 # blocks joining the parked dispatcher
+    gated.gate.set()
+    closer.join(timeout=60)
+    assert not closer.is_alive()
+    responses = [p.result(timeout=1) for p in pendings]
+    assert all(r.ok for r in responses)
+    assert sorted(gated.collated) == sorted(r.request_id
+                                            for r in responses)
+    st = metrics.serving_stats()
+    assert st["admitted"] == st["completed"] == 7
+    assert st["batched_requests"] == 7
+    assert srv.submit("subdivnet", *traffic[0]).result().status == \
+        "rejected"
+
+
+def test_close_without_drain_fails_the_queue_and_runs_none_of_it():
+    eps, gated = _gated_endpoint()
+    traffic = eps["subdivnet"].gen_requests(5, seed=5)
+    srv = Server(eps, mode="thread", workers=1, max_batch=3,
+                 max_wait_s=5.0)
+    first = srv.submit("subdivnet", *traffic[0])
+    assert gated.entered.wait(timeout=30)
+    rest = [srv.submit("subdivnet", a, s) for a, s in traffic[1:]]
+    closer = threading.Thread(target=srv.close, kwargs={"drain": False})
+    closer.start()
+    failed = [p.result(timeout=30) for p in rest]  # before the gate opens
+    gated.gate.set()
+    closer.join(timeout=60)
+    assert not closer.is_alive()
+    assert first.result(timeout=1).ok              # in flight: finishes
+    assert [r.status for r in failed] == ["failed"] * 4
+    assert all(r.error == "server closed" for r in failed)
+    assert gated.collated == [first.result().request_id]
+    st = metrics.serving_stats()
+    assert st["admitted"] == 5
+    assert st["completed"] == 1 and st["failed"] == 4
+
+
+# ---------------------------------------------------------------------------
+# malformed payloads are rejected, never raised
+# ---------------------------------------------------------------------------
+
+def test_submit_rejects_a_malformed_payload():
+    eps = default_endpoints(backend="pycode", names=["subdivnet", "gat"])
+    with Server(eps, mode="thread", workers=1, start=False) as srv:
+        p = srv.submit("subdivnet", [[1, 2, 3]])     # a list: no .shape
+        assert p.done()
+        assert p.result().status == "rejected"
+        assert "malformed payload" in p.result().error
+        assert srv.submit("subdivnet", None).result().status == \
+            "rejected"                               # not even iterable
+        # too few arrays for the CSR strategy: resolves, never raises
+        (arrays, scalars), = eps["gat"].gen_requests(1, seed=0)
+        short = srv.submit("gat", arrays[:2], scalars)
+        while srv.poll(force=True):
+            pass
+        assert short.result(timeout=1).status in ("rejected", "failed")
+    st = metrics.serving_stats()
+    assert st["rejected_queue"] >= 2
+    assert st["submitted"] == 3
+
+
+def test_submit_many_admits_the_rest_of_a_wave():
+    eps = default_endpoints(backend="pycode", names=["subdivnet"])
+    good = eps["subdivnet"].gen_requests(3, seed=6)
+    wave = [good[0], ([[1, 2, 3]], {}), good[1], "xy", good[2]]
+    with Server(eps, mode="thread", workers=1, max_batch=8) as srv:
+        responses = [p.result(timeout=120)
+                     for p in srv.submit_many("subdivnet", wave)]
+    assert [r.status for r in responses] == \
+        ["ok", "rejected", "ok", "rejected", "ok"]
+    assert all("malformed payload" in responses[i].error for i in (1, 3))
+    for (arrays, scalars), r in zip(good, responses[::2]):
+        np.testing.assert_allclose(
+            r.value, reference_for("subdivnet", arrays, scalars),
+            rtol=1e-3, atol=1e-4)
+    st = metrics.serving_stats()
+    assert st["admitted"] == 3 and st["rejected_queue"] == 2
+
+
+# ---------------------------------------------------------------------------
+# serving counters under concurrent dispatchers and submitters
+# ---------------------------------------------------------------------------
+
+def _tiny_endpoint():
+    """A kernel of a few microseconds: the counters are the work."""
+    import repro as ft
+    from repro.serving import ServedWorkload
+
+    @ft.transform
+    def double(x: ft.Tensor[("n",), "f32", "input"]):
+        y = ft.zeros((x.shape(0),), "f32")
+        for i in range(x.shape(0)):
+            y[i] = x[i] * 2.0
+        return y
+
+    def gen(n, seed=0):
+        return [([np.full(4, seed + i, np.float32)], {})
+                for i in range(n)]
+
+    return ServedWorkload("tiny", lambda: double, StackStrategy(), gen,
+                          backend="pycode").warm()
+
+
+def test_serving_counters_lose_no_update_under_contention():
+    ep = _tiny_endpoint()
+    traffic = ep.gen_requests(16)
+    per_thread, n_threads = 1000, 4
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Server({"tiny": ep}, mode="thread", workers=4, max_batch=8,
+                    queue_limit=2 * per_thread * n_threads) as srv:
+            def client(cid):
+                ps = [srv.submit("tiny", *traffic[i % 16],
+                                 tenant=f"t{cid}")
+                      for i in range(per_thread)]
+                for i, p in enumerate(ps):
+                    r = p.result(timeout=120)
+                    assert r.ok and r.value[0] == 2.0 * (i % 16)
+
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=300)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(old)
+    st = metrics.serving_stats()
+    assert st["admitted"] == per_thread * n_threads
+    assert st["completed"] + st["failed"] + st["timed_out"] == \
+        st["admitted"]
+    assert st["batched_requests"] == st["admitted"]
+    assert sum(size * n for size, n in st["batch_size_hist"].items()) \
+        == st["admitted"]
+    assert sum(row["completed"] + row["failed"]
+               for row in st["per_tenant"].values()) == st["admitted"]
