@@ -27,7 +27,7 @@ from ..ir import (AccessType, Assert, Eval, Expr, For, Func, If, IntConst,
 from ..ir import expr as E
 from .activity import active_tensors
 from .derivatives import grad_contributions, value_dependencies
-from .tape_select import Materialization, choose_materialization
+from .tape_select import Materialization, plan_materialization
 
 
 class GradProgram:
@@ -68,14 +68,56 @@ def grad(program_or_func, requires=None, provides=None,
     """
     from ..frontend.staging import Program
     from ..pipeline import lowering_pipeline
+    from ..pipeline.manager import product_store
 
     func = program_or_func.func if isinstance(program_or_func, Program) \
         else program_or_func
+    # grad() is deterministic in (input tree, requires, provides, tapes):
+    # its whole product is one record in the persistent store, and a hit
+    # returns it without lowering or analysing anything
+    disk = product_store()
+    if disk is not None:
+        from ..cache.serial import (canonical_key, decode_record,
+                                    encode_record)
+
+        canon, sids = canonical_key(func)
+        key = "|".join((canon, repr([
+            None if names is None else list(names)
+            for names in (requires, provides)]),
+            repr(tapes if isinstance(tapes, str) else sorted(tapes))))
+        gp = disk.lookup("grad", key, lambda entry: _from_record(
+            *decode_record(entry, sids)))
+        if gp is not None:
+            return gp
     # the same standard lowering Pipeline normalises the input program
-    # and (below) the generated forward/backward functions, under the
-    # "ad" name so REPRO_DUMP_IR snapshots separate the three runs
-    func = lowering_pipeline(name="ad").run(func)
-    return _GradBuilder(func, requires, provides, tapes).build()
+    # and (in build()) the generated forward/backward functions, under
+    # the "ad" name so REPRO_DUMP_IR snapshots separate the three runs
+    lowered = lowering_pipeline(name="ad").run(func)
+    gp = _GradBuilder(lowered, requires, provides, tapes).build()
+    if disk is not None:
+        disk.store("grad", key, lambda: encode_record(
+            {"fwd": gp.fwd, "bwd": gp.bwd}, sids, _record_meta(gp)))
+    return gp
+
+
+#: the string-valued GradProgram fields a record carries verbatim
+_RECORD_FIELDS = ("requires", "provides", "tape_names", "used_outputs",
+                  "input_grads", "output_grads")
+
+
+def _record_meta(gp: GradProgram) -> dict:
+    meta = {f: getattr(gp, f) for f in _RECORD_FIELDS}
+    meta["tape"] = sorted(gp.materialization.tape)
+    meta["recompute"] = sorted(gp.materialization.recompute)
+    return meta
+
+
+def _from_record(funcs: Dict[str, Func], meta: dict) -> GradProgram:
+    return GradProgram(
+        fwd=funcs["fwd"], bwd=funcs["bwd"],
+        materialization=Materialization(set(meta["tape"]),
+                                        set(meta["recompute"])),
+        **{f: meta[f] for f in _RECORD_FIELDS})
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +248,9 @@ class _GradBuilder:
         needed, force_tape, all_needed = self._scan_needed()
         available = set(self.inputs) | set(self.outputs) | \
             set(self.func.scalar_params)
-        mat = choose_materialization(self.func, needed, self.scope_bodies,
-                                     available, self.tapes_policy,
-                                     force_tape, enclosing=self.enclosing)
+        mat, self.slices = plan_materialization(
+            self.func, needed, self.scope_bodies, available,
+            self.tapes_policy, force_tape, enclosing=self.enclosing)
         used_out_values = {
             t for t in all_needed
             if t in self.defs and self.defs[t].atype in
@@ -229,10 +271,11 @@ class _GradBuilder:
 
         from ..pipeline import lowering_pipeline
 
+        # memory-cached only: on disk the product is grad()'s one record
         pipe = lowering_pipeline(name="ad")
         return GradProgram(
-            fwd=pipe.run(fwd),
-            bwd=pipe.run(bwd),
+            fwd=pipe.run(fwd, _persist=False),
+            bwd=pipe.run(bwd, _persist=False),
             requires=self.requires,
             provides=self.provides,
             tape_names=[self.tape_name[t] for t in sorted(mat.tape)],
@@ -388,7 +431,7 @@ class _GradBuilder:
         if s.name in self.mat.recompute:
             # the slice may read taped tensors: route those loads through
             # their tapes
-            parts.append(self._avail_stmt(self.mat.slices[s.name]))
+            parts.append(self._avail_stmt(self.slices[s.name]))
         parts.append(inner)
         out = seq(parts)
         if s.name in self.active:

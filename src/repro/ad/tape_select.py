@@ -26,12 +26,9 @@ _CHEAP_OPS = 64
 class Materialization:
     """The decision for the needed intermediates of one program."""
 
-    def __init__(self, tape: Set[str], recompute: Set[str],
-                 slices: Dict[str, Stmt]):
+    def __init__(self, tape: Set[str], recompute: Set[str]):
         self.tape = tape
         self.recompute = recompute
-        #: per-recomputed-tensor: the copied statement slice computing it
-        self.slices = slices
 
     def __repr__(self):  # pragma: no cover
         return (f"Materialization(tape={sorted(self.tape)}, "
@@ -133,7 +130,22 @@ def choose_materialization(func, needed: Iterable[str],
                            force_tape: Set[str] = frozenset(),
                            enclosing: Optional[Dict[str, Set[str]]] = None
                            ) -> Materialization:
-    """Pick tape vs recompute for every needed intermediate.
+    """Pick tape vs recompute for every needed intermediate (the
+    decision of :func:`plan_materialization`, without its scratch)."""
+    return plan_materialization(func, needed, scope_bodies, available,
+                                policy, force_tape, enclosing)[0]
+
+
+def plan_materialization(func, needed: Iterable[str],
+                         scope_bodies: Dict[str, Stmt],
+                         available: Set[str],
+                         policy,
+                         force_tape: Set[str] = frozenset(),
+                         enclosing: Optional[Dict[str, Set[str]]] = None
+                         ) -> Tuple[Materialization, Dict[str, Stmt]]:
+    """Pick tape vs recompute for every needed intermediate; returns the
+    decision and, per recomputed tensor, the copied statement slice
+    computing it (what the backward builder splices in).
 
     ``scope_bodies`` maps tensor name -> its VarDef body (the statements
     computing it). ``available`` are tensors the backward pass can read
@@ -206,4 +218,4 @@ def choose_materialization(func, needed: Iterable[str],
             for t in pending:  # circular/blocked: tape the remainder
                 tape.add(t)
             pending = []
-    return Materialization(tape, recompute, slices)
+    return Materialization(tape, recompute), slices

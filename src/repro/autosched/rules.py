@@ -31,13 +31,13 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
     ``REPRO_VERIFY_EACH_PASS`` cover every rule individually. ``times``,
     when given, accumulates per-pass wall-clock seconds.
     """
-    import os
     import time
 
     from ..ir.hashing import struct_hash
     from ..pipeline import Pass, Pipeline, build_pipeline
     from ..pipeline.manager import (composite_cache_lookup,
-                                    composite_cache_store)
+                                    composite_cache_store,
+                                    runs_instrumented)
     from ..runtime import metrics
 
     if target is None:
@@ -55,8 +55,7 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
     # Schedule) tree so a memo hit skips Schedule construction and its
     # pre-lowering outright. Skipped under the instrumentation env vars,
     # which want every pass to really run.
-    instrumented = (os.environ.get("REPRO_VERIFY_EACH_PASS", "") == "1"
-                    or bool(os.environ.get("REPRO_DUMP_IR", "")))
+    instrumented = runs_instrumented()
     raw = getattr(program_or_func, "func", program_or_func)
     # the backend discriminator is the registry cache tag
     # (name@caps_version): bumping a Backend's declared version

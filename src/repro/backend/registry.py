@@ -73,7 +73,14 @@ class Backend:
     - ``name`` — the registry key (what ``build(backend=...)`` takes);
     - ``build`` — the codegen entry: ``build(func, **opts) -> run(env)``
       (None for codegen-only backends such as ``cuda``, whose IR is
-      executed by the simulator instead);
+      executed by the simulator instead). **Input contract:** ``func``
+      is legalized IR — the output of ``repro.pipeline.compile_ir`` for
+      this backend, i.e. standard lowering plus every pass named in
+      ``legalization`` has already run. The driver is the only caller
+      and always goes through ``compile_ir``; a builder must not
+      legalize again (it would re-probe and re-decode a tree the
+      pipeline just produced), and whoever calls ``build`` directly owes
+      it the same input;
     - ``caps`` — ``caps(target) -> BackendCaps``, the capability table
       the cost model / searcher / verifier consult;
     - ``legalization`` — ordered names of the IR-legalization passes the

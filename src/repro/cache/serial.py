@@ -83,6 +83,17 @@ def _expr_dtypes(func: Func) -> List[str]:
     return out
 
 
+def same_tree(a: Func, b: Func) -> bool:
+    """Whether two trees are interchangeable for every consumer: equal
+    sid-inclusive ``struct_hash`` *and* equal expression dtypes (which
+    hashing ignores but codegen depends on). This is the write-time
+    fidelity gate, and the test behind identity entries."""
+    return a is b or (
+        struct_hash(a, include_sids=True) == struct_hash(b,
+                                                         include_sids=True)
+        and _expr_dtypes(a) == _expr_dtypes(b))
+
+
 def _has_init_data(func: Func) -> bool:
     from ..ir import VarDef, collect_stmts
 
@@ -105,18 +116,14 @@ def encode_func(func: Func) -> Optional[dict]:
         "ir": dump(func),
         "sids": sids,
     }
-    # Fidelity gate: decoding must reproduce the tree exactly. struct_hash
-    # covers structure + sids; the dtype walk covers expression dtypes
-    # (which hashing ignores but codegen depends on).
+    # Fidelity gate: decoding must reproduce the tree exactly.
     try:
         back = decode_func(payload, sid_map={s: s for s in sids},
                            bump_counter=False)
     except Exception:
         metrics.record_disk_unserializable()
         return None
-    if struct_hash(back, include_sids=True) != \
-            struct_hash(func, include_sids=True) \
-            or _expr_dtypes(back) != _expr_dtypes(func):
+    if not same_tree(back, func):
         metrics.record_disk_unserializable()
         return None
     return payload
@@ -162,9 +169,18 @@ def decode_func(payload: dict, sid_map: Optional[Dict[str, str]] = None,
     return func
 
 
-def encode_entry(func: Func, input_sids: List[str]) -> Optional[dict]:
+def encode_entry(func: Func, input_sids: List[str],
+                 anchor: Optional[Func] = None) -> Optional[dict]:
     """A complete cache entry: the compiled output plus the *input*
-    tree's preorder sids (recorded so a consumer can translate)."""
+    tree's preorder sids (recorded so a consumer can translate).
+
+    When the output is the ``anchor`` (the input tree the entry is keyed
+    under) all over again, the entry is an *identity marker* — no
+    payload, just the input's statement count — and a consumer gets its
+    own anchor tree back without decoding anything.
+    """
+    if anchor is not None and same_tree(func, anchor):
+        return {"fmt": PAYLOAD_FORMAT, "same": True, "n": len(input_sids)}
     payload = encode_func(func)
     if payload is None:
         return None
@@ -172,16 +188,54 @@ def encode_entry(func: Func, input_sids: List[str]) -> Optional[dict]:
             "func": payload}
 
 
-def decode_entry(entry: dict, current_input_sids: List[str]) -> Func:
+def _input_sid_map(entry: dict,
+                   current_input_sids: List[str]) -> Dict[str, str]:
+    stored_input = entry["input_sids"]
+    if len(stored_input) != len(current_input_sids):
+        raise ValueError("input sid list length mismatch")
+    return dict(zip(stored_input, current_input_sids))
+
+
+def decode_entry(entry: dict, current_input_sids: List[str],
+                 anchor: Optional[Func] = None) -> Func:
     """Decode a cache entry against the consumer's input tree.
 
     ``current_input_sids`` is the consumer's own preorder sid list for
     the (structurally identical) input; stored input sids map onto it
     positionally, which is exact because the entry was keyed under the
-    canonical hash of that same structure.
+    canonical hash of that same structure. An identity marker resolves
+    to ``anchor``, the consumer's input tree itself.
     """
-    stored_input = entry["input_sids"]
-    if len(stored_input) != len(current_input_sids):
-        raise ValueError("input sid list length mismatch")
-    sid_map = dict(zip(stored_input, current_input_sids))
-    return decode_func(entry["func"], sid_map=sid_map)
+    if entry.get("same"):
+        if entry.get("fmt") != PAYLOAD_FORMAT or anchor is None \
+                or entry.get("n") != len(current_input_sids):
+            raise ValueError("identity marker does not fit this input")
+        return anchor
+    return decode_func(entry["func"],
+                       sid_map=_input_sid_map(entry, current_input_sids))
+
+
+def encode_record(funcs: Dict[str, Func], input_sids: List[str],
+                  meta: dict) -> Optional[dict]:
+    """One entry holding several outputs derived from one input (the
+    product of ``grad()``: forward and backward) plus JSON metadata.
+    Every payload passes :func:`encode_func`'s fidelity gate; None when
+    any of them cannot be represented."""
+    payloads = {}
+    for name, func in funcs.items():
+        payloads[name] = encode_func(func)
+        if payloads[name] is None:
+            return None
+    return {"fmt": PAYLOAD_FORMAT, "input_sids": input_sids,
+            "funcs": payloads, "meta": meta}
+
+
+def decode_record(entry: dict, current_input_sids: List[str]
+                  ) -> Tuple[Dict[str, Func], dict]:
+    """``(funcs, meta)`` of an :func:`encode_record` entry, every func
+    translated onto the consumer's input sids like a single-output
+    entry."""
+    sid_map = _input_sid_map(entry, current_input_sids)
+    funcs = {name: decode_func(payload, sid_map=sid_map)
+             for name, payload in entry["funcs"].items()}
+    return funcs, entry["meta"]

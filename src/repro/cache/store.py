@@ -2,11 +2,19 @@
 
 Layout (under :func:`cache_root`, default ``~/.cache/repro``)::
 
-    <root>/ir/<schema-tag>/<hh>/<hash>.json   serialized pass / autosched
-                                              outputs (repro.cache.serial)
+    <root>/ir/<schema-tag>/<hh>/<hash>.json   one entry per (kind, key),
+                                              kinds "pass", "autosched",
+                                              "grad" (repro.cache.serial)
     <root>/native/k<digest>.{c,so}            compiled kernel artifacts
                                               (repro.codegen.ccode)
     <root>/gc.lock                            inter-process GC mutex
+
+An entry is one of three JSON forms, all tagged ``fmt``: a *payload*
+(``input_sids`` + one ``func``: the output of a pass chain or of the
+auto-scheduler), an *identity marker* (``{"same": true, "n": <input
+statement count>}``: the chain gave its input back, the consumer keeps
+the tree it already has) or a *record* (``input_sids`` + named ``funcs``
++ ``meta``: kind ``"grad"``, the whole product of ``grad()``).
 
 Writes are crash-safe: entries are written to a temp file in the same
 directory and ``os.replace``-d into place, so readers only ever observe
@@ -76,12 +84,11 @@ class DiskCache:
         h = keys.entry_hash(kind, key)
         return os.path.join(self.ir_dir(), h[:2], h + ".json")
 
-    # -- IR entries -------------------------------------------------------
+    # -- entries ----------------------------------------------------------
 
-    def ir_lookup(self, kind: str, key: str,
-                  current_input_sids: List[str]):
-        """Return the cached output Func translated onto this process's
-        sids, or None on miss. Never raises."""
+    def lookup(self, kind: str, key: str, decode):
+        """``decode(entry)`` of the stored entry, or None on a miss.
+        Never raises: whatever ``decode`` rejects is dropped as corrupt."""
         from ..runtime import metrics
 
         t0 = time.perf_counter()
@@ -89,7 +96,7 @@ class DiskCache:
         try:
             with open(path, "r") as f:
                 entry = json.load(f)
-            func = serial.decode_entry(entry, current_input_sids)
+            out = decode(entry)
         except FileNotFoundError:
             metrics.record_disk_lookup(False, time.perf_counter() - t0)
             return None
@@ -107,16 +114,15 @@ class DiskCache:
         except OSError:
             pass
         metrics.record_disk_lookup(True, time.perf_counter() - t0)
-        return func
+        return out
 
-    def ir_store(self, kind: str, key: str, input_sids: List[str],
-                 func) -> bool:
-        """Persist one entry; False when the func is unserializable or
-        the write fails (both are non-fatal)."""
+    def store(self, kind: str, key: str, encode) -> bool:
+        """Persist ``encode()`` as one entry; False when it returns None
+        (unserializable) or the write fails (both are non-fatal)."""
         from ..runtime import metrics
 
         t0 = time.perf_counter()
-        entry = serial.encode_entry(func, input_sids)
+        entry = encode()
         if entry is None:
             return False
         path = self._entry_path(kind, key)
@@ -142,6 +148,20 @@ class DiskCache:
             self._stores_since_gc = 0
             self.gc()
         return True
+
+    def ir_lookup(self, kind: str, key: str,
+                  current_input_sids: List[str], anchor=None):
+        """The cached output Func translated onto this process's sids
+        (``anchor`` itself for an identity marker), or None on miss."""
+        return self.lookup(kind, key, lambda entry: serial.decode_entry(
+            entry, current_input_sids, anchor))
+
+    def ir_store(self, kind: str, key: str, input_sids: List[str],
+                 func, anchor=None) -> bool:
+        """Persist one output Func — as an identity marker when it equals
+        ``anchor``, the input tree ``key`` was derived from."""
+        return self.store(kind, key, lambda: serial.encode_entry(
+            func, input_sids, anchor))
 
     # -- maintenance ------------------------------------------------------
 

@@ -22,7 +22,6 @@ from ..ir import (AccessType, DataType, Func, Load, MemType, Stmt, VarDef,
                   defined_tensors)
 from ..ir import expr as E
 from ..ir import stmt as S
-from ..pipeline.legalize import legalize
 
 # gcc only allows simd-safe constructs inside an ``omp simd`` region;
 # the simd_suppress pass clears vectorize markings this backend could
@@ -103,7 +102,12 @@ class CCodegen:
         self.interface = func.interface_tensors()
         self.param_set = set(self.interface)
         self.consts: List = []  # (mangled name, ndarray)
-        self._cse_map = {}
+        #: per-statement-block CSE state: interned structural keys
+        #: (shallow tuple -> small int, for the whole translation unit),
+        #: the block's node-identity -> key table, and key -> temporary
+        self._cse_intern: Dict[tuple, int] = {}
+        self._cse_ids: Dict[int, int] = {}
+        self._cse_map: Dict[int, str] = {}
         self._cse_counter = 0
         #: scalar targets currently lowered via an OpenMP reduction
         #: clause (their ReduceTo statements skip the atomic pragma)
@@ -139,26 +143,63 @@ class CCodegen:
 
         return has_call(e) or ops(e) >= 4
 
+    def _key_id(self, e: E.Expr, kids: tuple) -> int:
+        """The interned structural key of ``e`` given its children's:
+        equal ints exactly where ``Expr.key()`` tuples are equal, built
+        from one shallow tuple per node instead of the whole subtree."""
+        if isinstance(e, E.Const):
+            shallow = (type(e).__name__, e.val)
+        elif isinstance(e, E.Var):
+            shallow = ("Var", e.name)
+        elif isinstance(e, Load):
+            shallow = ("Load", e.var, kids)
+        elif isinstance(e, E.Cast):
+            shallow = ("Cast", kids, e.dtype.value)
+        elif isinstance(e, E.Intrinsic):
+            shallow = ("Intrinsic", e.name, kids)
+        else:
+            shallow = (type(e).__name__, kids)
+        return self._cse_intern.setdefault(shallow, len(self._cse_intern))
+
+    def _cse_key(self, e: E.Expr) -> int:
+        """Key of a node ``pexpr`` meets while temporaries are installed:
+        recorded by ``_emit_cse``'s walk, or (shape expressions of the
+        indexed tensors) derived on the spot."""
+        k = self._cse_ids.get(id(e))
+        if k is None:
+            k = self._key_id(e, tuple(self._cse_key(c)
+                                      for c in e.children()))
+        return k
+
     def _emit_cse(self, exprs, indent,
-                  forbidden_reads=frozenset()) -> Dict[tuple, str]:
+                  forbidden_reads=frozenset()) -> Dict[int, str]:
         """Emit temporaries for repeated subexpressions; returns the
         (block-local) substitution map installed in the printer.
 
         ``forbidden_reads``: tensors written inside the block — any
         subexpression loading one of them cannot be hoisted.
         """
-        counts: Dict[tuple, int] = {}
-        by_key: Dict[tuple, E.Expr] = {}
+        # one walk: every node's key is computed once, bottom-up from its
+        # children's, and recorded by node identity for pexpr; visits are
+        # kept in preorder, which fixes the order temporaries are named in
+        visits: List = []
+        ids = self._cse_ids
 
         def walk(e):
-            k = e.key()
-            counts[k] = counts.get(k, 0) + 1
-            by_key.setdefault(k, e)
-            for c in e.children():
-                walk(c)
+            slot = len(visits)
+            visits.append(None)
+            k = self._key_id(e, tuple([walk(c) for c in e.children()]))
+            ids[id(e)] = k
+            visits[slot] = (k, e)
+            return k
 
         for e in exprs:
             walk(e)
+        counts: Dict[int, int] = {}
+        by_key: Dict[int, E.Expr] = {}
+        for k, e in visits:
+            counts[k] = counts.get(k, 0) + 1
+            by_key.setdefault(k, e)
         cands = []
 
         def size(e):
@@ -185,9 +226,10 @@ class CCodegen:
             installed[k] = name
         return installed
 
-    def _clear_cse(self, installed: Dict[tuple, str]):
+    def _clear_cse(self, installed: Dict[int, str]):
         for k in installed:
             self._cse_map.pop(k, None)
+        self._cse_ids.clear()
 
     def line(self, indent: int, text: str):
         self.lines.append("    " * indent + text)
@@ -222,7 +264,7 @@ class CCodegen:
     def pexpr(self, e: E.Expr) -> str:
         p = self.pexpr
         if self._cse_map and not isinstance(e, (E.Const, E.Var)):
-            hit = self._cse_map.get(e.key())
+            hit = self._cse_map.get(self._cse_key(e))
             if hit is not None:
                 return hit
         if isinstance(e, E.IntConst):
@@ -540,52 +582,47 @@ class CCodegen:
             "\n".join(self.lines) + "\n"
 
 
-_CACHE_DIR = None
-
 #: ``_ADDRESS.from_buffer(arr)`` passes as a ``c_void_p`` argument and
 #: costs 0.35 us where ``arr.ctypes.data`` costs 1.2 us (NumPy builds a
 #: helper object per access); it needs a writable buffer, so read-only
 #: inputs take the slower spelling of the same address
 _ADDRESS = ctypes.c_char * 0
 
+#: the per-process native directory of ``REPRO_NO_DISK_CACHE=1`` runs
+_TEMP_DIR = None
+
 
 def _cache_dir() -> str:
     """Native artifact directory.
 
-    With the persistent cache on (the default) this is the shared
-    ``<cache root>/native`` store, so kernels survive the process and are
-    shared machine-wide. When ``REPRO_NO_DISK_CACHE=1`` it falls back to
-    a per-process temp directory that is removed at interpreter exit —
-    the old behaviour minus the old leak (nothing ever deleted it).
+    With the persistent cache on (the default) this is the ``native``
+    directory of whichever store ``REPRO_CACHE_DIR`` names right now, so
+    kernels survive the process, are shared machine-wide and sit beside
+    the IR entries that lead to them. When ``REPRO_NO_DISK_CACHE=1`` it
+    is a per-process temp directory that is removed at interpreter exit.
     """
-    global _CACHE_DIR
-    if _CACHE_DIR is None:
-        from ..cache import store as disk_store
+    global _TEMP_DIR
+    from ..cache import store as disk_store
 
-        shared = disk_store.get_store()
-        if shared is not None:
-            _CACHE_DIR = shared.native_dir()
-            os.makedirs(_CACHE_DIR, exist_ok=True)
-        else:
-            import atexit
-            import shutil
+    shared = disk_store.get_store()
+    if shared is not None:
+        cdir = shared.native_dir()
+        os.makedirs(cdir, exist_ok=True)
+        return cdir
+    if _TEMP_DIR is None:
+        import atexit
+        import shutil
 
-            _CACHE_DIR = tempfile.mkdtemp(prefix="repro_cc_")
-            atexit.register(shutil.rmtree, _CACHE_DIR,
-                            ignore_errors=True)
-    return _CACHE_DIR
-
-
-def _invalidate_cache_dir():
-    """Re-resolve the native directory (tests re-point REPRO_CACHE_DIR)."""
-    global _CACHE_DIR
-    _CACHE_DIR = None
+        _TEMP_DIR = tempfile.mkdtemp(prefix="repro_cc_")
+        atexit.register(shutil.rmtree, _TEMP_DIR, ignore_errors=True)
+    return _TEMP_DIR
 
 
 def compile_func_native(func: Func, cc: str = "gcc", openmp: bool = True,
                         opt: str = "-O3 -march=native -fno-math-errno",
                         **_opts):
-    """Compile a Func with the host C compiler; returns ``run(env)``.
+    """Compile a legalized Func (``compile_ir``'s output for backend
+    ``c``) with the host C compiler; returns ``run(env)``.
 
     Artifacts are content-addressed by the full gcc input — generated
     source, compiler identity (``cc --version``) and flags — so any
@@ -597,9 +634,6 @@ def compile_func_native(func: Func, cc: str = "gcc", openmp: bool = True,
     from ..cache.keys import native_digest
     from ..runtime import metrics
 
-    # idempotent when the build pipeline already legalized; keeps direct
-    # compile_func_native() callers correct
-    func = legalize(func, "c")
     gen = CCodegen(func)
     src = gen.generate()
     digest = native_digest(src, cc, opt, openmp)

@@ -32,6 +32,8 @@ class _Tokens:
 
     def __init__(self, text: str):
         self.toks: List[str] = []
+        #: the ``_TOKEN_RE`` group each token matched, parallel to toks
+        self.kinds: List[str] = []
         #: JSON payloads of ``/*attrs {...}*/`` annotations, referenced
         #: from the token stream as ``¶attrs <index>`` (JSON text would
         #: not survive tokenization)
@@ -55,6 +57,7 @@ class _Tokens:
             line = re.sub(r"^\s*[\w.]+:\s", _label_tok, line)
             for m in _TOKEN_RE.finditer(line):
                 self.toks.append(m.group(0))
+                self.kinds.append(m.lastgroup)
         self.pos = 0
 
     def _stash_attrs(self, m: re.Match) -> str:
@@ -166,13 +169,14 @@ class _Parser:
 
     def _atom(self) -> E.Expr:
         t = self.t.next()
+        kind = self.t.kinds[self.t.pos - 1]  # classified by the tokenizer
         if t == "(":
             e = self.parse_expr()
             self.t.expect(")")
             return e
-        if re.fullmatch(r"\d+\.\d+(?:e[+-]?\d+)?|\d+e[+-]?\d+", t):
+        if kind == "float":
             return E.FloatConst(float(t))
-        if re.fullmatch(r"\d+", t):
+        if kind == "int":
             return E.IntConst(int(t))
         if t == "true":
             return E.BoolConst(True)

@@ -27,7 +27,9 @@ The in-memory cache is backed by the persistent cross-process store in
 ``repro.cache``: on a full memory miss the pipeline probes the store
 deepest-first along its chain key (canonicalised to be process-
 independent) and installs hits back into memory; the terminal output of
-a cold cacheable segment is written through. See docs/PERFORMANCE.md.
+a cold cacheable segment is written through — as an identity marker when
+the segment gave its anchor tree back, so a warm run of it decodes
+nothing. See docs/PERFORMANCE.md.
 
 Escape hatches: ``REPRO_NO_PASS_CACHE=1`` disables the per-pass cache
 (``REPRO_NO_LOWER_CACHE=1`` is honoured as its pre-pipeline alias);
@@ -83,10 +85,27 @@ def pass_cache_stats() -> Dict[str, int]:
     return dict(_PASS_CACHE_STATS)
 
 
+def memo_put(memo: dict, limit: int, key, value):
+    """Insert into a bounded memo; a full one loses its oldest entry
+    (dict insertion order), never everything at once."""
+    if key not in memo and len(memo) >= limit:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
 def _cache_enabled() -> bool:
     env = os.environ
     return (env.get("REPRO_NO_PASS_CACHE", "") != "1"
             and env.get("REPRO_NO_LOWER_CACHE", "") != "1")
+
+
+def runs_instrumented() -> bool:
+    """Whether ``REPRO_DUMP_IR`` / ``REPRO_VERIFY_EACH_PASS`` ask for
+    every pass to really execute (so nothing may be served from a
+    cache)."""
+    env = os.environ
+    return (bool(env.get("REPRO_DUMP_IR", ""))
+            or env.get("REPRO_VERIFY_EACH_PASS", "") == "1")
 
 
 def _hash(func: Func) -> str:
@@ -100,6 +119,15 @@ def _disk_store():
     from ..cache import store as disk_store
 
     return disk_store.get_store()
+
+
+def product_store():
+    """The store whole-product records (``grad()``) live in, or None:
+    under the switches that gate composite entries, and bypassed by
+    instrumented runs exactly as pass-cache lookups are."""
+    if not _cache_enabled() or runs_instrumented():
+        return None
+    return _disk_store()
 
 
 def composite_cache_lookup(name: str, key: str,
@@ -137,9 +165,7 @@ def composite_cache_lookup(name: str, key: str,
             func = disk.ir_lookup(name, f"{canon}|{disk_extra or ''}", sids)
             if func is not None:
                 _PASS_CACHE_STATS["disk_hits"] += 1
-                if len(_PASS_CACHE) >= _PASS_CACHE_LIMIT:
-                    _PASS_CACHE.clear()  # pragma: no cover
-                _PASS_CACHE[(name, key)] = func
+                memo_put(_PASS_CACHE, _PASS_CACHE_LIMIT, (name, key), func)
                 return func
     _PASS_CACHE_STATS["misses"] += 1
     return None
@@ -150,9 +176,7 @@ def composite_cache_store(name: str, key: str, func: Func,
                           disk_extra: Optional[str] = None):
     if not _cache_enabled():
         return
-    if len(_PASS_CACHE) >= _PASS_CACHE_LIMIT:
-        _PASS_CACHE.clear()  # pragma: no cover
-    _PASS_CACHE[(name, key)] = func
+    memo_put(_PASS_CACHE, _PASS_CACHE_LIMIT, (name, key), func)
     if input_func is not None:
         disk = _disk_store()
         if disk is not None:
@@ -215,12 +239,15 @@ class Pipeline:
         return f"Pipeline({self.name}: {' -> '.join(self.pass_names())})"
 
     def run(self, func: Func,
-            times: Optional[Dict[str, float]] = None) -> Func:
+            times: Optional[Dict[str, float]] = None,
+            _persist: bool = True) -> Func:
         """Run every pass in order; returns the final Func.
 
         ``times``, when given, accumulates per-pass wall-clock seconds
         under each pass's name (this is what ``Executable.compile_times``
-        carries for a cold build).
+        carries for a cold build). ``_persist=False`` (internal) keeps
+        this run out of the persistent store: ``grad()`` stores its
+        product as one record instead of per-pass entries.
         """
         from ..runtime import metrics
 
@@ -254,7 +281,7 @@ class Pipeline:
         cur = func
         n = len(self.passes)
         i = 0
-        disk = _disk_store() if use_cache else None
+        disk = _disk_store() if use_cache and _persist else None
         # The chain anchors at a struct-hash of the current tree and
         # extends by pass name: pass outputs are pure functions of
         # (anchor tree, passes since), so no intermediate tree is ever
@@ -312,7 +339,7 @@ class Pipeline:
             if hit_idx is None and disk is not None:
                 for k in range(j - 1, i - 1, -1):
                     dkey, sids = disk_key(k)
-                    out = disk.ir_lookup("pass", dkey, sids)
+                    out = disk.ir_lookup("pass", dkey, sids, anchor[0])
                     if out is not None:
                         hit_idx = k
                         from_disk = True
@@ -323,9 +350,8 @@ class Pipeline:
                 if from_disk:
                     _PASS_CACHE_STATS["disk_hits"] += covered
                     # install in memory so in-process repeats skip disk
-                    if len(_PASS_CACHE) >= _PASS_CACHE_LIMIT:
-                        _PASS_CACHE.clear()  # pragma: no cover
-                    _PASS_CACHE[keys[hit_idx - i]] = out
+                    memo_put(_PASS_CACHE, _PASS_CACHE_LIMIT,
+                             keys[hit_idx - i], out)
                 else:
                     _PASS_CACHE_STATS["hits"] += covered
                 for k in range(i, hit_idx + 1):
@@ -345,12 +371,12 @@ class Pipeline:
             # (one retained tree per program, like the old lower() memo)
             for k in range(i, j):
                 cur = live(self.passes[k], cur, True)
-            if len(_PASS_CACHE) >= _PASS_CACHE_LIMIT:
-                _PASS_CACHE.clear()  # pragma: no cover
-            _PASS_CACHE[keys[j - 1 - i]] = cur
+            memo_put(_PASS_CACHE, _PASS_CACHE_LIMIT, keys[j - 1 - i], cur)
             if disk is not None:
+                # a chain that gave its anchor back (build() of an
+                # already-lowered tree) is stored as an identity marker
                 dkey, sids = disk_key(j - 1)
-                disk.ir_store("pass", dkey, sids, cur)
+                disk.ir_store("pass", dkey, sids, cur, anchor[0])
             chain = ch
             anchor[1].extend(self.passes[k].key for k in range(i, j))
             i = j

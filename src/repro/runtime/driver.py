@@ -402,6 +402,7 @@ def build(program_or_func,
     # rule passes in front when optimizing. Per-pass wall-clock lands in
     # ``times`` under each pass's name.
     from ..pipeline import compile_ir
+    from ..pipeline.manager import memo_put
 
     func = compile_ir(func, backend=backend, target=target,
                       optimize=optimize, times=times)
@@ -422,7 +423,5 @@ def build(program_or_func,
     times["codegen"] = time.perf_counter() - t0
     exe = Executable(func, run_fn, b.name, compile_times=times)
     if key is not None:
-        if len(_BUILD_CACHE) >= _BUILD_CACHE_LIMIT:  # pragma: no cover
-            _BUILD_CACHE.clear()
-        _BUILD_CACHE[key] = exe
+        memo_put(_BUILD_CACHE, _BUILD_CACHE_LIMIT, key, exe)
     return exe

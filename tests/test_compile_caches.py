@@ -252,3 +252,73 @@ def test_clear_compile_caches_clears_everything():
     before = stats["build"]["misses"]
     build(p, backend="pycode")
     assert ft.compile_cache_stats()["build"]["misses"] == before + 1
+
+
+class TestBoundedMemos:
+    """A full memo loses its oldest entry, never everything at once (a
+    long tune crosses the pass-cache limit; clearing wholesale there
+    would throw away the whole working set)."""
+
+    def test_memo_put_evicts_oldest(self):
+        from repro.pipeline.manager import memo_put
+
+        memo = {}
+        for k in range(24):
+            memo_put(memo, 16, k, str(k))
+        assert list(memo) == list(range(8, 24))
+        memo_put(memo, 16, 8, "again")  # a present key evicts nothing
+        assert len(memo) == 16 and memo[8] == "again"
+
+    def test_pass_cache_keeps_the_newest(self, monkeypatch):
+        from repro.pipeline import manager
+
+        monkeypatch.setattr(manager, "_PASS_CACHE", {})
+        limit = manager._PASS_CACHE_LIMIT
+        func = make_program().func
+        for k in range(limit + 8):
+            manager.composite_cache_store("unit", str(k), func)
+        assert len(manager._PASS_CACHE) == limit
+        assert list(manager._PASS_CACHE) == [
+            ("unit", str(k)) for k in range(8, limit + 8)]
+        assert manager.composite_cache_lookup("unit", "7") is None
+        assert manager.composite_cache_lookup("unit", "8") is func
+
+    def test_pipeline_run_past_the_limit(self, monkeypatch):
+        from repro.pipeline import lowering_pipeline, manager
+
+        monkeypatch.setattr(manager, "_PASS_CACHE", {})
+        monkeypatch.setattr(manager, "_PASS_CACHE_LIMIT", 4)
+        pipe = lowering_pipeline()
+        funcs = [make_program().func for _ in range(6)]  # distinct sids
+        for f in funcs:
+            pipe.run(f)
+        assert len(manager._PASS_CACHE) == 4
+        hits = manager.pass_cache_stats()["hits"]
+        pipe.run(funcs[-1])  # newest: still served from memory
+        assert manager.pass_cache_stats()["hits"] > hits
+        misses = manager.pass_cache_stats()["misses"]
+        pipe.run(funcs[0])  # oldest: evicted, runs again
+        assert manager.pass_cache_stats()["misses"] > misses
+
+    def test_build_cache_keeps_the_newest(self, monkeypatch):
+        from repro.runtime import driver
+
+        monkeypatch.setattr(driver, "_BUILD_CACHE", {})
+        monkeypatch.setattr(driver, "_BUILD_CACHE_LIMIT", 2)
+        progs = [make_program(), make_program_variant()]
+        first = build(progs[0], backend="pycode")
+        build(progs[1], backend="pycode")
+        third = build(progs[0], backend="pycode", optimize=True)
+        assert len(driver._BUILD_CACHE) == 2
+        assert build(progs[0], backend="pycode", optimize=True) is third
+        assert build(progs[0], backend="pycode") is not first
+
+    def test_no_wholesale_clear_left(self):
+        import inspect
+
+        from repro.pipeline import manager
+        from repro.runtime import driver
+
+        for mod in (manager, driver):
+            src = inspect.getsource(mod)
+            assert "_CACHE.clear()  # pragma: no cover" not in src

@@ -20,6 +20,7 @@ from repro.cache.serial import canonical_key, preorder_sids
 from repro.cache.store import DiskCache, get_store
 from repro.pipeline import build_pipeline, clear_pass_cache
 from repro.pipeline.manager import pass_cache_stats
+from repro.runtime.driver import build
 from repro.workloads import gat
 
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -30,12 +31,8 @@ def disk_env(monkeypatch, tmp_path):
     """Point the persistent cache at a fresh directory and enable it."""
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    from repro.codegen import ccode
-
-    ccode._invalidate_cache_dir()
     clear_pass_cache()
     yield str(tmp_path / "cache")
-    ccode._invalidate_cache_dir()
     clear_pass_cache()
 
 
@@ -209,3 +206,350 @@ np.testing.assert_allclose(out, gat.reference(data), rtol=1e-3,
         warm = json.loads(_run_py(_COMPILE_SNIPPET, cache_dir).stdout)
         assert warm["pass"]["misses"] == 0
         assert warm["disk"]["gcc_runs"] == 0
+
+
+def _entries(cache_dir):
+    """{path: decoded JSON} of every IR entry under a store root."""
+    out = {}
+    for dirpath, _dirs, files in os.walk(os.path.join(cache_dir, "ir")):
+        for name in files:
+            if name.endswith(".json"):
+                path = os.path.join(dirpath, name)
+                with open(path) as f:
+                    out[path] = json.load(f)
+    return out
+
+
+class TestNativeDirFollowsStore:
+
+    def test_two_roots_in_one_process(self, monkeypatch, tmp_path):
+        # the native directory is derived from the store on each compile:
+        # re-pointing REPRO_CACHE_DIR moves IR entries *and* kernels
+        monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+        data = gat.make_data()
+        for root in ("a", "b"):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / root))
+            ft.clear_compile_caches()
+            exe = build(gat.make_program(), backend="c")
+            out = exe(data["indptr"], data["indices"], data["h"],
+                      data["wmat"], data["att_s"], data["att_d"])
+            assert abs(out - gat.reference(data)).max() < 1e-3
+        for root in ("a", "b"):
+            native = os.listdir(tmp_path / root / "native")
+            assert [n for n in native
+                    if n.startswith("k") and n.endswith(".so")], native
+            assert _entries(str(tmp_path / root))
+        ft.clear_compile_caches()
+
+
+def _illegal_vectorize_func():
+    """A scheduled program whose ``vectorize`` marking gcc cannot honour
+    (atomic min in the simd body): ``simd_suppress`` rewrites it."""
+    @ft.transform
+    def f(x: ft.Tensor[("n", 16), "f32", "input"],
+          lo: ft.Tensor[(16,), "f32", "inout"]):
+        ft.label("Li")
+        for i in range(x.shape(0)):
+            ft.label("Lj")
+            for j in range(16):
+                lo[j] = ft.min(lo[j], x[i, j])
+
+    s = ft.Schedule(f)
+    s.parallelize("Li", "openmp")  # makes the inner min atomic
+    s.vectorize("Lj")
+    return s.func
+
+
+class TestIdentityEntries:
+
+    def test_noop_chain_is_a_marker_and_returns_the_input(self, disk_env):
+        from repro.pipeline import lowering_pipeline
+
+        lowered = lowering_pipeline().run(gat.make_program().func)
+        before = set(_entries(disk_env))
+        out = build_pipeline("c").run(lowered)
+        assert struct_hash(out, include_sids=True) == \
+            struct_hash(lowered, include_sids=True)
+        (entry,) = [e for p, e in _entries(disk_env).items()
+                    if p not in before]
+        assert entry == {"fmt": 1, "same": True,
+                         "n": len(preorder_sids(lowered))}
+        clear_pass_cache()
+        hits = ft.compile_cache_stats()["disk"]["ir_hits"]
+        again = build_pipeline("c").run(lowered)
+        assert again is lowered, "a marker hit is the consumer's own tree"
+        assert ft.compile_cache_stats()["disk"]["ir_hits"] == hits + 1
+
+    def test_rewriting_chain_is_a_payload(self, disk_env):
+        func = _illegal_vectorize_func()
+        before = set(_entries(disk_env))
+        out = build_pipeline("c").run(func)
+        assert struct_hash(out, include_sids=True) != \
+            struct_hash(func, include_sids=True)
+        (entry,) = [e for p, e in _entries(disk_env).items()
+                    if p not in before]
+        assert "same" not in entry and "func" in entry
+        clear_pass_cache()
+        again = build_pipeline("c").run(func)
+        assert again is not func
+        assert struct_hash(again, include_sids=True) == \
+            struct_hash(out, include_sids=True)
+
+    def test_dtype_only_change_is_not_same(self, disk_env):
+        from repro.cache.serial import encode_entry, same_tree
+        from repro.ir import DataType
+        from repro.ir import expr as E
+        from repro.ir.visitor import Mutator
+        from repro.pipeline import Pass, Pipeline, lowering_pipeline
+
+        class Retype(Mutator):  # struct_hash ignores expression dtypes
+
+            def mutate_Load(self, e):
+                return E.Load(e.var, [self.mutate_expr(i)
+                                      for i in e.indices],
+                              DataType.FLOAT64)
+
+        lowered = lowering_pipeline().run(gat.make_program().func)
+        retyped = Retype()(lowered)
+        assert struct_hash(retyped, include_sids=True) == \
+            struct_hash(lowered, include_sids=True)
+        assert not same_tree(retyped, lowered)
+        entry = encode_entry(retyped, preorder_sids(lowered),
+                             anchor=lowered)
+        assert entry is None or "same" not in entry
+        # and through a pipeline: whatever is written, it is no marker
+        before = set(_entries(disk_env))
+        pipe = Pipeline([Pass("retype", Retype())], name="retype")
+        pipe.run(lowered)
+        assert not [e for p, e in _entries(disk_env).items()
+                    if p not in before and e.get("same")]
+        clear_pass_cache()
+        assert pipe.run(lowered) is not lowered
+
+    def test_marker_with_wrong_count_is_corrupt(self, disk_env):
+        from repro.pipeline import lowering_pipeline
+
+        lowered = lowering_pipeline().run(gat.make_program().func)
+        build_pipeline("c").run(lowered)
+        (path,) = [p for p, e in _entries(disk_env).items()
+                   if e.get("same")]
+        with open(path, "w") as f:
+            json.dump({"fmt": 1, "same": True, "n": 1}, f)
+        clear_pass_cache()
+        corrupt = ft.compile_cache_stats()["disk"]["ir_corrupt"]
+        misses = pass_cache_stats()["misses"]
+        out = build_pipeline("c").run(lowered)
+        assert ft.compile_cache_stats()["disk"]["ir_corrupt"] == corrupt + 1
+        assert pass_cache_stats()["misses"] > misses, "passes really ran"
+        assert struct_hash(out, include_sids=True) == \
+            struct_hash(lowered, include_sids=True)
+        with open(path) as f:  # re-written with good content
+            assert json.load(f)["n"] == len(preorder_sids(lowered))
+
+
+class TestGradRecord:
+
+    REQ = ["q", "k", "v"]
+    FIELDS = ("requires", "provides", "tape_names", "used_outputs",
+              "input_grads", "output_grads")
+
+    def _grad_twice(self):
+        from repro.ad import grad
+        from repro.workloads import longformer
+
+        p1 = longformer.make_program()
+        g1 = grad(p1, requires=self.REQ)
+        clear_pass_cache()
+        stats = ft.compile_cache_stats()
+        p2 = longformer.make_program()
+        g2 = grad(p2, requires=self.REQ)
+        return (p1, g1), (p2, g2), stats
+
+    def test_loaded_equals_computed(self, disk_env):
+        (p1, g1), (p2, g2), before = self._grad_twice()
+        after = ft.compile_cache_stats()
+        # the second grad() was one lookup and no analysis
+        assert after["disk"]["ir_hits"] == before["disk"]["ir_hits"] + 1
+        assert after["deps"]["misses"] == before["deps"]["misses"]
+        assert after["passes"]["misses"] == before["passes"]["misses"]
+        (record,) = [e for e in _entries(disk_env).values()
+                     if "funcs" in e]
+        assert sorted(record["funcs"]) == ["bwd", "fwd"]
+        for f in self.FIELDS:
+            assert getattr(g1, f) == getattr(g2, f), f
+        assert g1.materialization.tape == g2.materialization.tape
+        assert g1.materialization.recompute == \
+            g2.materialization.recompute
+        assert vars(g1.materialization).keys() == \
+            vars(g2.materialization).keys() == {"tape", "recompute"}
+        for a, b in ((g1.fwd, g2.fwd), (g1.bwd, g2.bwd)):
+            assert canonical_key(a)[0] == canonical_key(b)[0]
+
+    def test_forward_keeps_the_consumers_sids(self, disk_env):
+        from repro.ir import For, collect_stmts
+
+        (p1, g1), (p2, g2), _ = self._grad_twice()
+        kept = []
+        for prog, gp in ((p1, g1), (p2, g2)):
+            fwd = set(preorder_sids(gp.fwd))
+            kept.append([i for i, sid in
+                         enumerate(preorder_sids(prog.func))
+                         if sid in fwd])
+        assert kept[0] == kept[1] and kept[0]
+        # a loop keeps the sid it had in the staged program, in both:
+        # schedules written against the staged program still apply
+        for prog, gp in ((p1, g1), (p2, g2)):
+            staged = {l.sid for l in collect_stmts(
+                prog.func.body, lambda s: isinstance(s, For))}
+            s = ft.Schedule(gp.fwd)
+            sid = next(l.sid for l in s.loops() if l.sid in staged)
+            s.split(sid, 2)
+
+    def test_key_covers_the_arguments(self, disk_env):
+        from repro.ad import grad
+        from repro.workloads import longformer
+
+        grad(longformer.make_program(), requires=self.REQ)
+        grad(longformer.make_program(), requires=["q"])
+        grad(longformer.make_program(), requires=self.REQ, tapes="all")
+        assert len([e for e in _entries(disk_env).values()
+                    if "funcs" in e]) == 3
+
+
+_GRAD_SNIPPET = """
+import json
+import numpy as np
+import repro as ft
+from repro.ad import GradExecutable, grad
+from repro.cache.serial import canonical_key
+from repro.runtime.driver import build
+from repro.workloads import longformer as wl
+
+data = wl.make_data(seq_len=48, feat_len=8, w=4, seed=5)
+args = (data["q"], data["k"], data["v"])
+exe = build(wl.make_program(), backend="c", optimize=True)
+out = exe(*args, w=data["w"])
+ref = wl.reference(data)
+np.testing.assert_allclose(out, ref, rtol=1e-3, atol=1e-3)
+
+gp = grad(wl.make_program(), requires=["q", "k", "v"])
+gexe = GradExecutable(gp, backend="c")
+gout = gexe(*args, w=data["w"])
+grads = gexe.backward()
+np.testing.assert_allclose(gout, ref, rtol=1e-3, atol=1e-3)
+gref = wl.grad_reference(data, np.ones_like(ref))
+for g, name in zip(grads, ("q", "k", "v")):
+    np.testing.assert_allclose(g, gref[name], rtol=2e-2, atol=2e-2)
+
+from repro.runtime.metrics import pipeline_stats
+stats = ft.compile_cache_stats()
+print(json.dumps({
+    "passes": stats["passes"], "deps": stats["deps"],
+    "omega": stats["omega"], "disk": stats["disk"],
+    "executed": sum(r["runs"] - r["cache_hits"]
+                    for r in pipeline_stats().values()),
+    "hashes": [canonical_key(f)[0] for f in (
+        gp.fwd, gp.bwd, gexe.fwd_exe.func, gexe.bwd_exe.func)],
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def populated_store(tmp_path_factory):
+    """A store one cold process filled with longformer forward
+    (optimized) and its GradExecutable on ``c``, plus that process's
+    report. Tests work on copies."""
+    root = str(tmp_path_factory.mktemp("populated") / "cache")
+    cold = json.loads(_run_py(_GRAD_SNIPPET, root).stdout)
+    assert cold["passes"]["misses"] > 0 and cold["disk"]["gcc_runs"] == 3
+    return root, cold
+
+
+def _copy_store(populated_store, tmp_path):
+    import shutil
+
+    root, cold = populated_store
+    copy = str(tmp_path / "cache")
+    shutil.copytree(root, copy)
+    return copy, cold
+
+
+class TestWarmCompileReadsOnly:
+    """The warm-path rule: each distinct tree is decoded at most once and
+    nothing is transformed or analysed."""
+
+    def test_warm_process_invariant(self, populated_store, tmp_path):
+        store, cold = _copy_store(populated_store, tmp_path)
+        warm = json.loads(_run_py(_GRAD_SNIPPET, store).stdout)
+        assert warm["passes"]["misses"] == 0 and warm["executed"] == 0
+        assert warm["deps"]["misses"] == 0
+        assert warm["omega"]["full_solves"] == 0
+        assert warm["disk"]["gcc_runs"] == 0
+        assert warm["disk"]["native_hits"] == 3
+        assert warm["disk"]["ir_stores"] == 0
+        # autosched output, the grad record, two identity markers
+        assert 0 < warm["disk"]["ir_hits"] <= 5
+        assert warm["hashes"] == cold["hashes"]
+
+    def test_cold_store_holds_one_record_and_two_markers(
+            self, populated_store):
+        root, cold = populated_store
+        entries = list(_entries(root).values())
+        assert len([e for e in entries if "funcs" in e]) == 1
+        assert len([e for e in entries if e.get("same")]) == 2
+        assert cold["disk"]["ir_stores"] == len(entries)
+
+    def test_truncated_record_is_recomputed(self, populated_store,
+                                            tmp_path):
+        store, cold = _copy_store(populated_store, tmp_path)
+        (path,) = [p for p, e in _entries(store).items() if "funcs" in e]
+        with open(path) as f:
+            text = f.read()
+        with open(path, "w") as f:
+            f.write(text[:len(text) // 2])
+        rep = json.loads(_run_py(_GRAD_SNIPPET, store).stdout)
+        assert rep["disk"]["ir_corrupt"] == 1
+        assert rep["deps"]["misses"] > 0, "grad() really ran"
+        assert rep["disk"]["gcc_runs"] == 0  # same source, same kernels
+        assert rep["hashes"] == cold["hashes"]
+        assert "funcs" in _entries(store)[path]  # re-written, whole
+
+    def test_mismatched_marker_is_rerun(self, populated_store, tmp_path):
+        store, cold = _copy_store(populated_store, tmp_path)
+        markers = [p for p, e in _entries(store).items() if e.get("same")]
+        good = _entries(store)[markers[0]]
+        with open(markers[0], "w") as f:
+            json.dump(dict(good, n=good["n"] + 1), f)
+        rep = json.loads(_run_py(_GRAD_SNIPPET, store).stdout)
+        assert rep["disk"]["ir_corrupt"] == 1
+        assert rep["passes"]["misses"] > 0, "the build pipeline really ran"
+        assert rep["disk"]["gcc_runs"] == 0
+        assert rep["hashes"] == cold["hashes"]
+        assert _entries(store)[markers[0]] == good
+
+    def test_deleted_kernel_is_rebuilt(self, populated_store, tmp_path):
+        store, cold = _copy_store(populated_store, tmp_path)
+        native = os.path.join(store, "native")
+        victim = sorted(n for n in os.listdir(native)
+                        if n.endswith(".so"))[0]
+        os.unlink(os.path.join(native, victim))
+        rep = json.loads(_run_py(_GRAD_SNIPPET, store).stdout)
+        assert rep["disk"]["gcc_runs"] == 1
+        assert rep["disk"]["native_hits"] == 2
+        assert rep["passes"]["misses"] == 0
+        assert os.path.exists(os.path.join(native, victim))
+
+    @pytest.mark.parametrize("knob", ["REPRO_VERIFY_EACH_PASS",
+                                      "REPRO_DUMP_IR"])
+    def test_instrumented_runs_ignore_record_and_markers(
+            self, populated_store, tmp_path, knob):
+        store, cold = _copy_store(populated_store, tmp_path)
+        value = "1" if knob == "REPRO_VERIFY_EACH_PASS" \
+            else str(tmp_path / "dump")
+        rep = json.loads(_run_py(_GRAD_SNIPPET, store,
+                                 **{knob: value}).stdout)
+        assert rep["disk"]["ir_hits"] == 0
+        assert rep["disk"]["ir_stores"] == 0
+        assert rep["executed"] >= cold["executed"] > 0, "every pass ran"
+        assert rep["deps"]["misses"] > 0, "grad() really ran"
+        assert rep["disk"]["gcc_runs"] == 0
