@@ -23,9 +23,8 @@ import sys
 import time
 
 # this benchmark measures the *in-process* compile path: a warm disk
-# cache (or daemon) would make the timings meaningless
+# cache would make the timings meaningless
 os.environ["REPRO_NO_DISK_CACHE"] = "1"
-os.environ["REPRO_NO_DAEMON"] = "1"
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 

@@ -24,7 +24,6 @@ import sys
 import time
 
 os.environ["REPRO_NO_DISK_CACHE"] = "1"
-os.environ["REPRO_NO_DAEMON"] = "1"
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 

@@ -40,7 +40,6 @@ import time
 # scale children instead *need* the shared disk store their parent set up
 if "--scale-child" not in sys.argv:
     os.environ["REPRO_NO_DISK_CACHE"] = "1"
-    os.environ["REPRO_NO_DAEMON"] = "1"
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -193,7 +192,6 @@ def scale_once(workers: int) -> dict:
     env.pop("REPRO_NO_DISK_CACHE", None)
     env.update({
         "REPRO_CACHE_DIR": cache_dir,
-        "REPRO_NO_DAEMON": "1",
         "REPRO_TUNE_FAKE_MEASURE": "1",
         "REPRO_NO_COST_PRUNE": "1",  # full identical candidate streams
     })

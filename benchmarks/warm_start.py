@@ -60,7 +60,6 @@ def _run(name: str, cache_dir: str) -> dict:
     env["PYTHONPATH"] = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["REPRO_CACHE_DIR"] = cache_dir
-    env["REPRO_NO_DAEMON"] = "1"
     out = subprocess.run(
         [sys.executable, "-c",
          _SNIPPET.format(name=name, backend=BACKEND)],

@@ -57,24 +57,28 @@ __all__ = [
 
 def clear_compile_caches():
     """Reset every compile-path cache: the build cache, the per-pass
-    pipeline cache, the dependence-feasibility memo and the Omega
-    feasibility memo."""
+    pipeline cache, the dependence-feasibility memo, the Omega
+    feasibility memo, the cost-estimate memo and the serving layer's
+    batched-program memo."""
     from .analysis import clear_analysis_cache
+    from .analysis.cost.api import clear_cost_memo
     from .pipeline import clear_pass_cache
     from .polyhedral import clear_feasibility_cache
     from .runtime.driver import clear_build_cache
+    from .serving.batching import clear_batching_memo
 
     clear_build_cache()
     clear_pass_cache()
     clear_analysis_cache()
     clear_feasibility_cache()
+    clear_cost_memo()
+    clear_batching_memo()
 
 
 def compile_cache_stats():
     """Hit/miss counters for all compile-path caches (see
     docs/PERFORMANCE.md). ``disk`` covers the persistent cross-process
-    store and the compile daemon (``repro.cache``); the rest are
-    in-process."""
+    store (``repro.cache``); the rest are in-process."""
     from .analysis import analysis_cache_stats
     from .pipeline import pass_cache_stats
     from .polyhedral import feasibility_stats

@@ -21,6 +21,7 @@ from ...ir import AccessType, defined_tensors
 from ...ir import expr as E
 from ...ir import stmt as S
 from ...ir.hashing import struct_hash
+from ...pipeline.manager import memo_put
 from .count import analyze
 from .model import CostEstimate
 
@@ -62,9 +63,7 @@ def estimate_cost(func: S.Func, backend: str = "pycode", target=None,
     hit = est is not None
     if not hit:
         est = analyze(func, backend, target, env, assumed_trip)
-        if len(_MEMO) >= _MEMO_LIMIT:
-            _MEMO.clear()
-        _MEMO[key] = est
+        memo_put(_MEMO, _MEMO_LIMIT, key, est)
     dt = time.perf_counter() - t0
     metrics.record_pass_run("cost_model", dt, hit)
     metrics.record_cost_analysis(dt, hit)

@@ -30,6 +30,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir import stmt as S
+from ..pipeline.manager import memo_put
 from ..polyhedral import (Affine, AffineBuilder, LinCon, NonAffine,
                           is_feasible)
 from .access import Access, collect_accesses
@@ -273,9 +274,7 @@ class DepAnalyzer:
             return hit
         _STATS["misses"] += 1
         result = self._dep_exists_uncached(earlier, later, direction)
-        if len(_PAIR_MEMO) >= _PAIR_MEMO_LIMIT:  # pragma: no cover
-            _PAIR_MEMO.clear()
-        _PAIR_MEMO[key] = result
+        memo_put(_PAIR_MEMO, _PAIR_MEMO_LIMIT, key, result)
         return result
 
     def _dep_exists_uncached(self, earlier, later, direction) -> bool:

@@ -1,16 +1,16 @@
-"""Parallel candidate measurement: a fault-isolated worker-process pool.
+"""Parallel candidate measurement: a task definition over the worker pool.
 
 The pre-search tuners compile and measure every surviving candidate
 serially, in-process — a miscompiled candidate that segfaults or loops
 forever kills the whole tuning session, and wall-clock is the sum of
-every measurement. This module runs measurements in ``k`` worker
-processes instead:
+every measurement. :class:`MeasurementPool` runs measurements on the
+fork-worker pool of :mod:`repro.runtime.pool` instead (its docstring
+states the crash/hang/respawn protocol once):
 
 - **isolation** — each candidate is compiled + run inside a worker; a
-  crash (worker process dies) or a hang (deadline exceeded, worker
-  killed) is folded back as a *failed/timeout outcome for that one
-  candidate* and a replacement worker is forked, so the session always
-  survives;
+  crash or a hang is folded back as a *failed/timeout outcome for that
+  one candidate* and a replacement worker is forked, so the session
+  always survives;
 - **shared artifacts** — workers inherit ``REPRO_CACHE_DIR`` and serve
   repeat compiles from the PR 4 on-disk store, so ``gcc_runs`` does not
   scale with worker count (each distinct candidate is compiled by
@@ -24,12 +24,9 @@ processes instead:
 
 Environment knobs (see docs/PERFORMANCE.md):
 
-- ``REPRO_TUNE_WORKERS`` — default pool size when the tuner does not
-  pass one (``1`` = serial in-process measurement, the honest baseline);
 - ``REPRO_TUNE_TIMEOUT`` — per-candidate deadline in seconds (default
   60) after which a worker is killed and the candidate counted as a
   timeout;
-- ``REPRO_TUNE_MP`` — multiprocessing start method (default ``fork``);
 - ``REPRO_TUNE_FAKE_MEASURE=1`` — compile-only mode: the pool returns
   the deterministic pseudo-time the searcher attached to each task
   (derived from the cost model's ``time_proxy``) instead of wall-clock.
@@ -37,33 +34,27 @@ Environment knobs (see docs/PERFORMANCE.md):
   timings would be noise;
 - ``REPRO_TUNE_FAULT=crash:<hash-prefix|*>`` / ``hang:<prefix|*>`` —
   fault injection for the isolation tests: a worker about to measure a
-  candidate whose sid-less ``struct_hash`` matches the prefix crashes
-  (``os._exit``) or hangs instead.
+  candidate whose sid-less ``struct_hash`` matches the prefix exits
+  without cleanup or hangs instead.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import functools
 import os
-import queue as _queue
 import time
 from typing import List, Optional, Sequence, Tuple
 
 from ...ir import Func
 from ...ir.hashing import struct_hash
+from ...runtime.pool import FAILED, OK, TIMEOUT, WorkerPool, fault_spec, inject
 
 DEFAULT_TIMEOUT_S = 60.0
 
-#: outcome kinds a measurement can fold back as
-OK, FAILED, TIMEOUT = "ok", "failed", "timeout"
-
 
 def pool_size(workers: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit argument, else
-    ``REPRO_TUNE_WORKERS``, else 1 (serial)."""
-    if workers is None:
-        workers = int(os.environ.get("REPRO_TUNE_WORKERS", "1"))
-    return max(1, int(workers))
+    """Resolve a worker count: the explicit argument, else 1 (serial)."""
+    return max(1, int(workers or 1))
 
 
 def fake_measure_enabled() -> bool:
@@ -71,14 +62,8 @@ def fake_measure_enabled() -> bool:
 
 
 def _injected_fault(func: Func) -> Optional[str]:
-    spec = os.environ.get("REPRO_TUNE_FAULT", "")
-    if not spec or ":" not in spec:
-        return None
-    kind, _, pattern = spec.partition(":")
-    if kind not in ("crash", "hang"):
-        return None
-    h = struct_hash(func)
-    if pattern == "*" or h.startswith(pattern):
+    kind, pattern = fault_spec("REPRO_TUNE_FAULT")
+    if kind and (pattern == "*" or struct_hash(func).startswith(pattern)):
         return kind
     return None
 
@@ -119,12 +104,10 @@ def measure_once(func: Func, backend: str, inputs: Sequence,
     return best
 
 
-def _worker_main(wid: int, backend: str, inputs: tuple, scalars: dict,
-                 repeats: int, tasks, results):
-    """Worker loop: take ``(tid, func, fake_time)`` tasks from this
-    worker's own queue until the ``None`` sentinel. The parent does the
-    dispatching, so it always knows which task a dead/hung worker held —
-    no handshake message that a crash could swallow.
+def _measure_task(backend: str, inputs: tuple, scalars: dict, repeats: int,
+                  task) -> Tuple[bool, object, int, int]:
+    """The pool handler: measure one ``(func, fake_time)`` task inside a
+    worker; returns ``(ok, seconds | message, gcc_runs, native_hits)``.
 
     The worker receives only the backend *name*; the Backend object is
     resolved from the registry inside the fork (``build()`` and
@@ -132,27 +115,17 @@ def _worker_main(wid: int, backend: str, inputs: tuple, scalars: dict,
     under that name is what the worker runs."""
     from ...runtime import metrics
 
-    while True:
-        task = tasks.get()
-        if task is None:
-            break
-        tid, func, fake_time = task
-        fault = _injected_fault(func)
-        if fault == "crash":
-            os._exit(17)
-        elif fault == "hang":  # pragma: no cover - killed by the parent
-            time.sleep(3600)
-        before = metrics.disk_cache_stats()
-        try:
-            t = measure_once(func, backend, inputs, scalars, repeats,
-                             fake_time)
-            ok, payload = True, t
-        except Exception as e:  # noqa: BLE001 - isolation is the point
-            ok, payload = False, format_failure(backend, e)
-        after = metrics.disk_cache_stats()
-        results.put(("done", wid, tid, ok, payload,
-                     int(after["gcc_runs"] - before["gcc_runs"]),
-                     int(after["native_hits"] - before["native_hits"])))
+    func, fake_time = task
+    inject(_injected_fault(func))
+    before = metrics.disk_cache_stats()
+    try:
+        ok, payload = True, measure_once(func, backend, inputs, scalars,
+                                         repeats, fake_time)
+    except Exception as e:  # noqa: BLE001 - isolation is the point
+        ok, payload = False, format_failure(backend, e)
+    after = metrics.disk_cache_stats()
+    return (ok, payload, int(after["gcc_runs"] - before["gcc_runs"]),
+            int(after["native_hits"] - before["native_hits"]))
 
 
 class MeasurementPool:
@@ -180,33 +153,14 @@ class MeasurementPool:
         self.repeats = repeats
         self.timeout_s = timeout_s if timeout_s is not None else float(
             os.environ.get("REPRO_TUNE_TIMEOUT", DEFAULT_TIMEOUT_S))
-        self.parallel = self.workers >= 2
-        self._procs: dict = {}   # wid -> Process
-        self._queues: dict = {}  # wid -> this worker's own task queue
-        self._next_wid = 0
-        if self.parallel:
-            method = os.environ.get("REPRO_TUNE_MP", "fork")
-            if method not in mp.get_all_start_methods():  # pragma: no cover
-                method = mp.get_start_method(allow_none=False)
-            self._ctx = mp.get_context(method)
-            self._results = self._ctx.Queue()
-            for _ in range(self.workers):
-                self._spawn()
+        self._pool: Optional[WorkerPool] = None
+        if self.workers >= 2:
+            self._pool = WorkerPool(
+                functools.partial(_measure_task, self.backend, self.inputs,
+                                  self.scalars, self.repeats),
+                self.workers, self.timeout_s,
+                on_respawn=metrics.record_pool_respawn)
         metrics.record_pool_session(self.workers, backend=self.backend)
-
-    def _spawn(self) -> int:
-        wid = self._next_wid
-        self._next_wid += 1
-        q = self._ctx.Queue()
-        p = self._ctx.Process(
-            target=_worker_main,
-            args=(wid, self.backend, self.inputs, self.scalars,
-                  self.repeats, q, self._results),
-            daemon=True)
-        p.start()
-        self._procs[wid] = p
-        self._queues[wid] = q
-        return wid
 
     # -- measurement -------------------------------------------------------
     def measure_batch(self, entries: Sequence[Tuple[Func, Optional[float]]]
@@ -218,117 +172,34 @@ class MeasurementPool:
         from ...runtime import metrics
 
         t0 = time.perf_counter()
-        if not self.parallel:
+        if self._pool is None:
             out = [self._measure_serial(func, fake) for func, fake in
                    entries]
         else:
-            out = self._measure_parallel(entries)
+            out = []
+            for outcome, payload in self._pool.map(entries):
+                if outcome == OK:  # the handler's own verdict + deltas
+                    ok, payload, gcc, native = payload
+                    metrics.record_pool_worker_compiles(gcc, native)
+                    outcome = OK if ok else FAILED
+                out.append((outcome, payload))
+        for outcome, _ in out:
+            metrics.record_pool_task(outcome)
         metrics.record_pool_time(time.perf_counter() - t0)
         return out
 
     def _measure_serial(self, func: Func, fake: Optional[float]
                         ) -> Tuple[str, object]:
-        from ...runtime import metrics
-
         try:
-            t = measure_once(func, self.backend, self.inputs,
-                             self.scalars, self.repeats, fake)
+            return OK, measure_once(func, self.backend, self.inputs,
+                                    self.scalars, self.repeats, fake)
         except Exception as e:  # noqa: BLE001 - match worker isolation
-            metrics.record_pool_task(FAILED)
             return FAILED, format_failure(self.backend, e)
-        metrics.record_pool_task(OK)
-        return OK, t
-
-    def _measure_parallel(self, entries) -> List[Tuple[str, object]]:
-        from ...runtime import metrics
-
-        outcomes: List[Optional[Tuple[str, object]]] = [None] * len(
-            entries)
-        pending: List[int] = list(range(len(entries)))  # tids to dispatch
-        assigned: dict = {}  # wid -> (tid, started_at)
-        remaining = len(entries)
-
-        def resolve(tid: int, outcome: Tuple[str, object]):
-            nonlocal remaining
-            if outcomes[tid] is None:
-                outcomes[tid] = outcome
-                remaining -= 1
-
-        def reap(wid: int, outcome: str, message):
-            """A worker died (crash) or was killed (hang): attribute its
-            task, fork a replacement."""
-            p = self._procs.pop(wid)
-            self._queues.pop(wid)
-            if p.is_alive():
-                p.terminate()
-            p.join(timeout=5)
-            tid, _started = assigned.pop(wid)
-            metrics.record_pool_task(outcome)
-            resolve(tid, (outcome, message))
-            metrics.record_pool_respawn()
-            self._spawn()
-
-        while remaining:
-            # keep every idle worker fed (one outstanding task each, so
-            # a death always maps to exactly one candidate)
-            for wid in list(self._procs):
-                if pending and wid not in assigned:
-                    tid = pending.pop(0)
-                    func, fake = entries[tid]
-                    assigned[wid] = (tid, time.monotonic())
-                    self._queues[wid].put((tid, func, fake))
-
-            try:
-                msg = self._results.get(timeout=0.05)
-            except _queue.Empty:
-                msg = None
-            if msg is not None:
-                _, wid, tid, ok, payload, gcc, native = msg
-                if assigned.pop(wid, None) is None:
-                    # stale result from a worker already reaped on
-                    # timeout (its put raced the kill): the task was
-                    # resolved and counted by reap() — don't let it
-                    # into the pool metrics a second time
-                    continue
-                metrics.record_pool_task(OK if ok else FAILED)
-                metrics.record_pool_worker_compiles(gcc, native)
-                resolve(tid, (OK, payload) if ok else (FAILED, payload))
-                continue
-
-            now = time.monotonic()
-            for wid, p in list(self._procs.items()):
-                at = assigned.get(wid)
-                if at is not None and now - at[1] > self.timeout_s:
-                    # hung candidate: kill the worker, count a timeout
-                    reap(wid, TIMEOUT, None)
-                elif not p.is_alive():
-                    if wid in assigned:
-                        # crashed candidate
-                        reap(wid, FAILED, "worker crashed")
-                    else:  # pragma: no cover - spontaneous idle death
-                        self._procs.pop(wid)
-                        self._queues.pop(wid)
-                        metrics.record_pool_respawn()
-                        self._spawn()
-        return [o for o in outcomes if o is not None]
 
     # -- lifecycle ---------------------------------------------------------
     def close(self):
-        if not self.parallel:
-            return
-        for q in self._queues.values():
-            try:
-                q.put_nowait(None)
-            except Exception:  # pragma: no cover - full/closed queue
-                pass
-        deadline = time.monotonic() + 5
-        for p in self._procs.values():
-            p.join(timeout=max(0.1, deadline - time.monotonic()))
-            if p.is_alive():  # pragma: no cover - stuck worker
-                p.terminate()
-                p.join(timeout=1)
-        self._procs.clear()
-        self._queues.clear()
+        if self._pool is not None:
+            self._pool.close()
 
     def __enter__(self) -> "MeasurementPool":
         return self

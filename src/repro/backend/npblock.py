@@ -19,8 +19,8 @@ The backend itself:
   is provably safe, which is where its speedup on raw (unscheduled)
   builds comes from;
 - **codegen** subclasses the pycode generator but lowers each
-  vectorized loop over fixed-size blocks of ``REPRO_NPBLOCK_BLOCK``
-  elements (default 4096): the iterator becomes a bounded index vector
+  vectorized loop over fixed-size blocks of ``DEFAULT_BLOCK`` (4096)
+  elements: the iterator becomes a bounded index vector
   per block, so index/temporary vectors stay cache-sized instead of
   materialising whole-loop intermediates. Reductions accumulate
   per block (``tgt += np.sum(...)`` each block), so blocking never
@@ -29,7 +29,6 @@ The backend itself:
 
 from __future__ import annotations
 
-import os
 from typing import Dict
 
 from ..ir import For, Func, Mutator, collect_stmts
@@ -37,29 +36,14 @@ from ..ir import stmt as S
 from .caps import BackendCaps
 from .registry import Backend, register_backend
 
-#: elements per vectorized block (env-overridable; must stay positive)
+#: elements per vectorized block. A constant, not a knob: it is baked
+#: into generated source, and no cache key carries it
 DEFAULT_BLOCK = 4096
 
 #: below this trip count the generated code falls back to the scalar
 #: loop at runtime — NumPy's fixed per-kernel dispatch cost loses to a
-#: plain Python loop on short trips (env-overridable)
+#: plain Python loop on short trips
 DEFAULT_MIN_TRIP = 32
-
-
-def _env_int(var: str, default: int) -> int:
-    try:
-        n = int(os.environ.get(var, default))
-    except ValueError:
-        n = default
-    return max(1, n)
-
-
-def block_size() -> int:
-    return _env_int("REPRO_NPBLOCK_BLOCK", DEFAULT_BLOCK)
-
-
-def min_vec_trip() -> int:
-    return _env_int("REPRO_NPBLOCK_MIN_TRIP", DEFAULT_MIN_TRIP)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +105,7 @@ def _make_codegen(func: Func):
     class NpBlockCodegen(PyCodegen):
         """The pycode generator with vectorized loops lowered over
         fixed-size blocks instead of one whole-loop index vector, behind
-        a runtime trip-count guard: short loops (< ``min_vec_trip()``
+        a runtime trip-count guard: short loops (< ``DEFAULT_MIN_TRIP``
         iterations) run the ordinary scalar loop, where Python beats
         NumPy's fixed per-kernel dispatch cost."""
 
@@ -136,12 +120,12 @@ def _make_codegen(func: Func):
             lo, hi = f"_lo{n}", f"_hi{n}"
             self.line(indent, f"{lo}, {hi} = {self.pexpr(s.begin)}, "
                               f"{self.pexpr(s.end)}")
-            self.line(indent, f"if {hi} - {lo} >= {min_vec_trip()}:")
+            self.line(indent, f"if {hi} - {lo} >= {DEFAULT_MIN_TRIP}:")
             blk, vec_name = f"_b{n}", f"_vi{n}"
             self.line(indent + 1, f"for {blk} in range({lo}, {hi}, "
-                                  f"{block_size()}):")
+                                  f"{DEFAULT_BLOCK}):")
             self.line(indent + 2, f"{vec_name} = np.arange({blk}, "
-                                  f"min({blk} + {block_size()}, {hi}))")
+                                  f"min({blk} + {DEFAULT_BLOCK}, {hi}))")
             vec = {iv: vec_name}
             for c in stmts:
                 self._gen_vec_stmt(c, iv, vec, indent + 2)

@@ -3,7 +3,7 @@ backend, one ``register_backend`` call to make it real.
 
 Before this module existed, backend knowledge lived in four parallel
 registries that had to be updated in lockstep: the ``_BACKENDS`` builder
-map in ``runtime/driver.py``, the ``declare_legalization`` table in
+map in ``runtime/driver.py``, the legalization-declaration table in
 ``pipeline/legalize.py``, the if/elif capability ladder in
 ``autosched/target.py`` and stray string dispatch in the searcher. A
 :class:`Backend` object now declares everything at once, and every

@@ -68,16 +68,6 @@ def schema_tag() -> str:
     return _SCHEMA_TAG
 
 
-def target_tag(target) -> str:
-    """Stable text form of a scheduling target for key construction."""
-    if target is None:
-        return "none"
-    key = getattr(target, "cache_key", None)
-    if callable(key):
-        return repr(key())
-    return repr(target)
-
-
 def cc_fingerprint(cc: str) -> str:
     """First line of ``cc --version`` ("" when the compiler cannot be
     queried).

@@ -13,18 +13,6 @@ from .prune import prune_branches
 from .simplify_pass import simplify, simplify_expr
 
 
-def clear_lower_cache():
-    """Drop cached lowering results.
-
-    Backwards-compatible shim: the old whole-``lower()`` memo was
-    subsumed by the pass manager's per-pass cache, so this now clears
-    that (``repro.pipeline.clear_pass_cache``).
-    """
-    from ..pipeline import clear_pass_cache
-
-    clear_pass_cache()
-
-
 def lower(func):
     """The standard lowering pipeline (no scheduling decisions):
     flatten statement sequences, canonicalise self-updates into
@@ -33,8 +21,7 @@ def lower(func):
 
     Equivalent to ``repro.pipeline.lowering_pipeline().run(func)`` —
     results are served pass-by-pass from the content-addressed per-pass
-    cache (disable with ``REPRO_NO_PASS_CACHE=1`` or its older alias
-    ``REPRO_NO_LOWER_CACHE=1``).
+    cache (disable with ``REPRO_NO_PASS_CACHE=1``).
     """
     from ..pipeline import lowering_pipeline
 
@@ -42,7 +29,6 @@ def lower(func):
 
 
 __all__ = [
-    "clear_lower_cache", "flatten_stmt_seq", "make_reduction",
-    "prune_branches", "remove_dead_writes", "simplify", "simplify_expr",
-    "lower",
+    "flatten_stmt_seq", "make_reduction", "prune_branches",
+    "remove_dead_writes", "simplify", "simplify_expr", "lower",
 ]

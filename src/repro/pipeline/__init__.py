@@ -26,9 +26,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..ir import Func
-from .legalize import (LEGALIZATION_PASSES, declare_legalization,
-                       declared_legalization, legalization_passes, legalize,
-                       simd_body_ok, suppress_illegal_simd)
+from .legalize import (LEGALIZATION_PASSES, declared_legalization,
+                       legalization_passes, legalize, simd_body_ok,
+                       suppress_illegal_simd)
 from .manager import (Pass, Pipeline, clear_pass_cache, pass_cache_stats)
 
 #: the standard lowering sequence (no scheduling decisions): flatten
@@ -130,17 +130,7 @@ def compile_ir(func: Func, backend: str = "pycode", target=None,
     calls it, and the verify CLI calls it with the same defaults, so
     CLI-verified IR is bit-identical (same ``struct_hash``) to what a
     build compiles.
-
-    When a warm compile daemon is listening (``python -m repro.cached``)
-    the whole job is delegated to it; any daemon-side problem falls back
-    to compiling locally (see ``repro.cache.client``).
     """
-    from ..cache.client import maybe_daemon_compile
-
-    served = maybe_daemon_compile(func, backend=backend, target=target,
-                                  optimize=optimize, times=times)
-    if served is not None:
-        return served
     if optimize:
         from ..autosched import auto_schedule
 
@@ -153,7 +143,7 @@ def compile_ir(func: Func, backend: str = "pycode", target=None,
 __all__ = [
     "LEGALIZATION_PASSES", "Pass", "Pipeline", "STANDARD_LOWERING",
     "build_pipeline", "clear_pass_cache", "compile_ir",
-    "declare_legalization", "declared_legalization", "legalization_passes",
-    "legalize", "lowering_passes", "lowering_pipeline", "named_pass",
+    "declared_legalization", "legalization_passes", "legalize",
+    "lowering_passes", "lowering_pipeline", "named_pass",
     "pass_cache_stats", "simd_body_ok", "suppress_illegal_simd",
 ]

@@ -12,14 +12,12 @@ Declarations live on the :class:`~repro.backend.Backend` objects in the
 unified registry (``repro.backend``): ``Backend.legalization`` names the
 ordered passes, and backends may contribute implementations of their own
 via ``Backend.legalization_impls`` (the ``npblock`` backend's
-auto-vectorize pass arrives that way). The :func:`declare_legalization`
-function remains as a thin shim over the registry for out-of-tree
-callers that predate Backend objects.
+auto-vectorize pass arrives that way).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..ir import For, Func, Mutator, ReduceTo, Stmt, collect_stmts
 from .manager import Pass
@@ -62,7 +60,7 @@ def suppress_illegal_simd(func: Func) -> Func:
 
 
 # ---------------------------------------------------------------------------
-# registry shims (declarations live on repro.backend Backend objects)
+# registry views (declarations live on repro.backend Backend objects)
 # ---------------------------------------------------------------------------
 
 #: built-in legalization pass implementations by name (backends add
@@ -70,11 +68,6 @@ def suppress_illegal_simd(func: Func) -> Func:
 LEGALIZATION_PASSES = {
     "simd_suppress": suppress_illegal_simd,
 }
-
-#: declarations for backend names with no registered Backend object
-#: (out-of-tree callers using the pre-registry ``declare_legalization``)
-_UNREGISTERED_LEGALIZATION: Dict[str, Tuple[str, ...]] = {}
-
 
 def known_legalization_passes() -> List[str]:
     """Names of the built-in legalization passes (the table a
@@ -96,39 +89,13 @@ def _pass_impl(name: str):
     return fn
 
 
-def declare_legalization(backend: str, pass_names) -> None:
-    """Declare the legalization passes ``backend``'s codegen requires.
-
-    Thin shim over the unified registry: when ``backend`` is a
-    registered :class:`~repro.backend.Backend` its declaration is
-    updated in place; otherwise the names are kept aside and served by
-    :func:`declared_legalization` until the backend registers properly.
-    """
-    from ..backend import find_backend, legalization_impl
-
-    names = tuple(pass_names)
-    for n in names:
-        if n not in LEGALIZATION_PASSES and legalization_impl(n) is None:
-            raise ValueError(
-                f"unknown legalization pass {n!r}; known: "
-                f"{known_legalization_passes()}")
-    b = find_backend(backend)
-    if b is not None:
-        b.legalization = names
-    else:
-        _UNREGISTERED_LEGALIZATION[backend] = names
-
-
 def declared_legalization(backend: str) -> Tuple[str, ...]:
-    """The pass names ``backend`` declared (via its registered
-    :class:`~repro.backend.Backend`, or the :func:`declare_legalization`
-    shim; empty for unknown backends)."""
+    """The pass names ``backend`` declared on its registered
+    :class:`~repro.backend.Backend` (empty for unknown backends)."""
     from ..backend import find_backend
 
     b = find_backend(backend)
-    if b is not None:
-        return b.legalization
-    return _UNREGISTERED_LEGALIZATION.get(backend, ())
+    return b.legalization if b is not None else ()
 
 
 def legalization_passes(backend: str) -> List[Pass]:

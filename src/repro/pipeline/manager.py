@@ -31,8 +31,7 @@ a cold cacheable segment is written through — as an identity marker when
 the segment gave its anchor tree back, so a warm run of it decodes
 nothing. See docs/PERFORMANCE.md.
 
-Escape hatches: ``REPRO_NO_PASS_CACHE=1`` disables the per-pass cache
-(``REPRO_NO_LOWER_CACHE=1`` is honoured as its pre-pipeline alias);
+Escape hatches: ``REPRO_NO_PASS_CACHE=1`` disables the per-pass cache;
 ``REPRO_NO_DISK_CACHE=1`` disables the persistent store only.
 """
 
@@ -41,6 +40,7 @@ from __future__ import annotations
 import difflib
 import itertools
 import os
+import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -85,18 +85,29 @@ def pass_cache_stats() -> Dict[str, int]:
     return dict(_PASS_CACHE_STATS)
 
 
+#: makes eviction + insert one step: serving dispatcher threads compile
+#: concurrently, and two of them evicting the same oldest key is a
+#: ``KeyError``. Taken on the insert path only; lookups stay lock-free.
+_MEMO_LOCK = threading.Lock()
+# a worker forked while another thread is mid-insert must not inherit
+# the lock held: forks wait for the insert, the child starts unlocked
+os.register_at_fork(before=_MEMO_LOCK.acquire,
+                    after_in_parent=_MEMO_LOCK.release,
+                    after_in_child=_MEMO_LOCK.release)
+
+
 def memo_put(memo: dict, limit: int, key, value):
     """Insert into a bounded memo; a full one loses its oldest entry
-    (dict insertion order), never everything at once."""
-    if key not in memo and len(memo) >= limit:
-        del memo[next(iter(memo))]
-    memo[key] = value
+    (dict insertion order), never everything at once. Safe to call from
+    many threads on one memo."""
+    with _MEMO_LOCK:
+        if key not in memo and len(memo) >= limit:
+            del memo[next(iter(memo))]
+        memo[key] = value
 
 
 def _cache_enabled() -> bool:
-    env = os.environ
-    return (env.get("REPRO_NO_PASS_CACHE", "") != "1"
-            and env.get("REPRO_NO_LOWER_CACHE", "") != "1")
+    return os.environ.get("REPRO_NO_PASS_CACHE", "") != "1"
 
 
 def runs_instrumented() -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..pipeline.manager import memo_put
 from .linear import Affine, Infeasible, LinCon, fresh_var
 
 #: give-up budget: constraint-count ceiling during elimination
@@ -89,9 +90,7 @@ def is_feasible(constraints: Iterable[LinCon]) -> bool:
     _STATS["memo_misses"] += 1
     _STATS["full_solves"] += 1
     result = _solve(cons, 0)
-    if len(_MEMO) >= _MEMO_LIMIT:  # pragma: no cover - backstop
-        _MEMO.clear()
-    _MEMO[key] = result
+    memo_put(_MEMO, _MEMO_LIMIT, key, result)
     return result
 
 

@@ -68,8 +68,7 @@ def reset_pipeline_stats():
 # ---------------------------------------------------------------------------
 # Persistent (on-disk) compile-cache counters (see repro.cache and
 # docs/PERFORMANCE.md): IR entry hits/misses with lookup/store latency,
-# native-artifact (.so) reuse vs fresh gcc runs, and compile-daemon
-# round-trips.
+# native-artifact (.so) reuse vs fresh gcc runs.
 # ---------------------------------------------------------------------------
 
 _DISK_STATS = {
@@ -85,9 +84,6 @@ _DISK_STATS = {
     "gcc_runs": 0,         # actual C-compiler subprocess invocations
     "gcc_time_s": 0.0,
     "evictions": 0,        # entries removed by LRU GC
-    "daemon_compiles": 0,  # compiles served by the warm daemon
-    "daemon_fallbacks": 0,  # daemon configured but unusable: compiled locally
-    "daemon_time_s": 0.0,
 }
 
 
@@ -122,14 +118,9 @@ def record_gcc_run(seconds: float):
     _DISK_STATS["gcc_time_s"] += seconds
 
 
-def record_daemon(served: bool, seconds: float = 0.0):
-    _DISK_STATS["daemon_compiles" if served else "daemon_fallbacks"] += 1
-    _DISK_STATS["daemon_time_s"] += seconds
-
-
 def disk_cache_stats() -> Dict[str, float]:
     """Cumulative persistent-cache counters for this process (IR entries,
-    native artifacts, GC evictions, daemon round-trips)."""
+    native artifacts, GC evictions)."""
     return dict(_DISK_STATS)
 
 

@@ -14,7 +14,7 @@ Layering::
       endpoints.ServedWorkload   program variants + build config
         strategies / ragged      stack | pad | concat collation
         batching.batch_axis_prepend   the IR-level batched variant
-      executor               thread-mode or forked worker pool
+      executor               thread mode, or a task on runtime.pool
 
 ``python -m repro.serve`` runs a load-generator demo;
 ``runtime.metrics.serving_stats()`` exposes the counters.
@@ -22,7 +22,7 @@ Layering::
 
 from .batching import BatchingUnsupported, batch_axis_prepend
 from .endpoints import SERVE_SIZES, ServedWorkload, default_endpoints
-from .executor import ProcessPool, injected_fault, run_batch_guarded
+from .executor import injected_fault, run_batch_guarded
 from .ragged import (ConcatCSRStrategy, PadStrategy,
                      make_batched_longformer_program)
 from .server import PendingResponse, Request, Response, Server
@@ -30,9 +30,9 @@ from .strategies import BatchStrategy, StackStrategy, array_digest
 
 __all__ = [
     "BatchStrategy", "BatchingUnsupported", "ConcatCSRStrategy",
-    "PadStrategy", "PendingResponse", "ProcessPool", "Request",
-    "Response", "SERVE_SIZES", "ServedWorkload", "Server",
-    "StackStrategy", "array_digest", "batch_axis_prepend",
-    "default_endpoints", "injected_fault",
-    "make_batched_longformer_program", "run_batch_guarded",
+    "PadStrategy", "PendingResponse", "Request", "Response",
+    "SERVE_SIZES", "ServedWorkload", "Server", "StackStrategy",
+    "array_digest", "batch_axis_prepend", "default_endpoints",
+    "injected_fault", "make_batched_longformer_program",
+    "run_batch_guarded",
 ]

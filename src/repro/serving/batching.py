@@ -33,6 +33,7 @@ from ..ir import (AccessType, Assert, Expr, For, Func, LibCall, Load,
                   Mutator, Stmt, Store, Var, VarDef, fresh_name,
                   struct_hash, used_names)
 from ..ir import stmt as S
+from ..pipeline.manager import memo_put
 
 __all__ = ["BatchingUnsupported", "batch_axis_prepend"]
 
@@ -45,6 +46,10 @@ class BatchingUnsupported(InvalidProgram):
 #: struct_hash(func) -> batched Func; bounded like the build cache
 _MEMO: Dict[str, Func] = {}
 _MEMO_LIMIT = 256
+
+
+def clear_batching_memo():
+    _MEMO.clear()
 
 
 class _AccessRewriter(Mutator):
@@ -158,7 +163,5 @@ def batch_axis_prepend(func: Func, batch_var: str = "bsz",
     batched = Func(func.name + "_batched", list(func.params),
                    list(func.returns), body,
                    scalar_params=list(func.scalar_params) + [bsz])
-    if len(_MEMO) >= _MEMO_LIMIT:  # pragma: no cover - bounded memo
-        _MEMO.clear()
-    _MEMO[memo_key] = batched
+    memo_put(_MEMO, _MEMO_LIMIT, memo_key, batched)
     return batched

@@ -1,4 +1,4 @@
-"""Batch execution: in-process, or on a fault-isolated worker pool.
+"""Batch execution: in-process, or on the fault-isolated worker pool.
 
 Two execution modes back the server's dispatcher threads:
 
@@ -7,49 +7,35 @@ Two execution modes back the server's dispatcher threads:
   thread-safe (see its concurrency contract) and the native backends
   release the GIL during kernel execution; zero IPC cost, but a
   segfaulting or hanging kernel takes the server down with it.
-- **process** — :class:`ProcessPool` reuses the fault-isolation design
-  of ``autosched.search.measure.MeasurementPool``: forked persistent
-  workers, parent-side dispatch with one outstanding batch per worker
-  (so a death always maps to exactly one batch), crash -> that batch's
-  requests fail, deadline exceeded -> worker killed and the batch times
-  out, and a replacement worker is forked either way. Workers inherit
-  the endpoint registry and the ``REPRO_CACHE_DIR`` artifact store by
-  fork, so each program is natively compiled at most once per host.
+- **process** — the server runs :func:`_run_task` on a
+  :class:`repro.runtime.pool.WorkerPool` (whose docstring states the
+  protocol): a crash fails that one batch, a batch past its deadline
+  times out with its worker killed, and a replacement is forked either
+  way. Workers inherit the endpoint registry and the ``REPRO_CACHE_DIR``
+  artifact store by fork, so each program is natively compiled at most
+  once per host.
 
 Fault injection (tests / drills): ``REPRO_SERVE_FAULT=crash:<endpoint>``
 or ``hang:<endpoint>`` (``*`` matches all). In process mode the worker
-genuinely ``os._exit``\\ s or sleeps; in thread mode both degrade to a
-raised error (a real crash would kill the server — which is the point
-of process mode) so the request still resolves as failed.
+genuinely exits without cleanup or sleeps; in thread mode both degrade
+to a raised error (a real crash would kill the server — which is the
+point of process mode) so the request still resolves as failed.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import queue as _queue
-import threading
-import time
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
+
+from ..runtime.pool import FAILED, OK, fault_spec, inject
 
 DEFAULT_TIMEOUT_S = 30.0
-
-#: outcome kinds a batch execution can resolve as
-OK, FAILED, TIMEOUT = "ok", "failed", "timeout"
 
 
 def injected_fault(endpoint: str) -> Optional[str]:
     """The fault (``"crash"``/``"hang"``) configured for an endpoint via
     ``REPRO_SERVE_FAULT``, or None."""
-    spec = os.environ.get("REPRO_SERVE_FAULT", "")
-    if not spec or ":" not in spec:
-        return None
-    kind, _, pattern = spec.partition(":")
-    if kind not in ("crash", "hang"):
-        return None
-    if pattern == "*" or pattern == endpoint:
-        return kind
-    return None
+    kind, pattern = fault_spec("REPRO_SERVE_FAULT")
+    return kind if kind and pattern in ("*", endpoint) else None
 
 
 def run_batch(endpoint, kind: str, arrays, scalars):
@@ -75,133 +61,10 @@ def run_batch_guarded(endpoint, kind: str, arrays, scalars
         return FAILED, f"{type(e).__name__}: {e}"
 
 
-def _worker_main(endpoints, tasks, results):
-    """Worker loop: run ``(endpoint_name, kind, arrays, scalars)`` batch
-    tasks from this worker's own queue until the ``None`` sentinel. The
-    parent dispatches and therefore always knows which batch a dead or
-    hung worker held."""
-    while True:
-        task = tasks.get()
-        if task is None:
-            break
-        name, kind, arrays, scalars = task
-        fault = injected_fault(name)
-        if fault == "crash":
-            os._exit(17)
-        elif fault == "hang":  # pragma: no cover - killed by the parent
-            time.sleep(3600)
-        try:
-            outs = run_batch(endpoints[name], kind, arrays, scalars)
-            results.put((True, outs))
-        except Exception as e:  # noqa: BLE001 - isolation is the point
-            results.put((False, f"{type(e).__name__}: {e}"))
-
-
-class ProcessPool:
-    """``k`` persistent forked workers executing serving batches.
-
-    Unlike the tuner's pool (one thread feeding many workers), serving
-    dispatcher threads call :meth:`run` concurrently; each call acquires
-    a free worker, runs exactly one batch on it, and releases it. Each
-    worker owns a private task and result queue pair, discarded with the
-    worker on crash/kill, so a stale result can never be attributed to
-    the wrong batch.
-    """
-
-    def __init__(self, endpoints: Dict[str, object], workers: int = 2,
-                 timeout_s: float = DEFAULT_TIMEOUT_S):
-        self.endpoints = endpoints
-        self.workers = max(1, int(workers))
-        self.timeout_s = float(timeout_s)
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-        self._ctx = mp.get_context(method)
-        self._lock = threading.Lock()
-        self._procs: dict = {}    # wid -> Process
-        self._queues: dict = {}   # wid -> (task_q, result_q)
-        self._free: _queue.Queue = _queue.Queue()
-        self._next_wid = 0
-        self._closed = False
-        for _ in range(self.workers):
-            self._free.put(self._spawn())
-
-    def _spawn(self) -> int:
-        with self._lock:
-            wid = self._next_wid
-            self._next_wid += 1
-            tq, rq = self._ctx.Queue(), self._ctx.Queue()
-            p = self._ctx.Process(
-                target=_worker_main, args=(self.endpoints, tq, rq),
-                daemon=True)
-            p.start()
-            self._procs[wid] = p
-            self._queues[wid] = (tq, rq)
-            return wid
-
-    def _reap(self, wid: int):
-        """Kill and forget a worker; fork a replacement."""
-        from ..runtime.metrics import record_serving_respawn
-
-        with self._lock:
-            p = self._procs.pop(wid)
-            self._queues.pop(wid)
-        if p.is_alive():
-            p.terminate()
-        p.join(timeout=5)
-        record_serving_respawn()
-        return self._spawn()
-
-    def run(self, endpoint_name: str, kind: str, arrays, scalars,
-            timeout_s: Optional[float] = None) -> Tuple[str, object]:
-        """Run one batch on a free worker (blocking until one is free).
-
-        Returns ``("ok", outputs)``, ``("failed", message)`` on a raised
-        error or worker crash, or ``("timeout", None)`` after killing a
-        worker that exceeded the deadline. The batch is resolved exactly
-        once in every path; a crash or timeout costs one worker fork,
-        never a lost batch.
-        """
-        deadline = time.monotonic() + (timeout_s if timeout_s is not None
-                                       else self.timeout_s)
-        wid = self._free.get()
-        tq, rq = self._queues[wid]
-        tq.put((endpoint_name, kind, arrays, scalars))
-        try:
-            while True:
-                try:
-                    ok, payload = rq.get(timeout=0.02)
-                    return (OK, payload) if ok else (FAILED, payload)
-                except _queue.Empty:
-                    pass
-                if time.monotonic() > deadline:
-                    wid = self._reap(wid)
-                    return TIMEOUT, None
-                if not self._procs[wid].is_alive():
-                    wid = self._reap(wid)
-                    return FAILED, "worker crashed"
-        finally:
-            self._free.put(wid)
-
-    def close(self):
-        if self._closed:
-            return
-        self._closed = True
-        with self._lock:
-            for tq, _rq in self._queues.values():
-                try:
-                    tq.put_nowait(None)
-                except Exception:  # pragma: no cover - closed queue
-                    pass
-            deadline = time.monotonic() + 5
-            for p in self._procs.values():
-                p.join(timeout=max(0.1, deadline - time.monotonic()))
-                if p.is_alive():  # pragma: no cover - stuck worker
-                    p.terminate()
-                    p.join(timeout=1)
-            self._procs.clear()
-            self._queues.clear()
-
-    def __enter__(self) -> "ProcessPool":
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+def _run_task(endpoints, task):
+    """The process-mode pool handler: run one ``(endpoint_name, kind,
+    arrays, scalars)`` batch inside a worker. A raised error is the
+    pool's to report."""
+    name, kind, arrays, scalars = task
+    inject(injected_fault(name))
+    return run_batch(endpoints[name], kind, arrays, scalars)

@@ -30,6 +30,7 @@ Guarantees:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
@@ -38,8 +39,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..runtime import metrics
 from .endpoints import ServedWorkload
-from .executor import (DEFAULT_TIMEOUT_S, FAILED, OK, TIMEOUT, ProcessPool,
-                       run_batch_guarded)
+from ..runtime.pool import FAILED, OK, TIMEOUT, WorkerPool
+from .executor import DEFAULT_TIMEOUT_S, _run_task, run_batch_guarded
 
 __all__ = ["PendingResponse", "Request", "Response", "Server"]
 
@@ -135,10 +136,11 @@ class Server:
 
     ``mode="thread"`` runs batches on the dispatcher threads
     (GIL-releasing backends overlap; a kernel crash is fatal);
-    ``mode="process"`` runs them on a :class:`ProcessPool` (crash/hang
-    isolated per batch). ``start=False`` starts no dispatcher threads —
-    the owner drives flushing via :meth:`poll`, with an optional
-    injected ``clock``, which is how the determinism tests pin batch
+    ``mode="process"`` runs them on a
+    :class:`~repro.runtime.pool.WorkerPool` (crash/hang isolated per
+    batch). ``start=False`` starts no dispatcher threads — the owner
+    drives flushing via :meth:`poll`, with an optional injected
+    ``clock``, which is how the determinism tests pin batch
     composition. ``max_wait_s`` governs only that manual mode: it is the
     age at which ``poll(force=False)`` considers a partial bucket due.
     Dispatcher threads never wait on it.
@@ -174,9 +176,10 @@ class Server:
         self._batch_id = itertools.count()
         self._closed = False
 
-        self._pool = (ProcessPool(self.endpoints, workers=self.workers,
-                                  timeout_s=self.timeout_s)
-                      if mode == "process" else None)
+        self._pool = (WorkerPool(
+            functools.partial(_run_task, self.endpoints), self.workers,
+            self.timeout_s, on_respawn=metrics.record_serving_respawn)
+            if mode == "process" else None)
         self._threads: List[threading.Thread] = []
         if start:
             for i in range(self.workers):
@@ -385,7 +388,7 @@ class Server:
         budget = min(r.timeout_s - (now - r.submitted_at) for r in live)
         if self._pool is not None:
             outcome, payload = self._pool.run(
-                ep.name, kind, arrays, scalars,
+                (ep.name, kind, arrays, scalars),
                 timeout_s=max(0.05, budget))
         else:
             outcome, payload = run_batch_guarded(ep, kind, arrays,

@@ -54,8 +54,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=32,
                         help="candidate budget (default: 32)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="measurement worker processes (default: "
-                             "$REPRO_TUNE_WORKERS or 1; structured only)")
+                        help="measurement worker processes (default: 1; "
+                             "structured only)")
     parser.add_argument("--batch", type=int, default=16,
                         help="assignments per generation (structured)")
     parser.add_argument("--topk", type=int, default=None,

@@ -8,11 +8,10 @@ import pytest
 # The persistent cross-process cache (repro.cache) would make "cold"
 # compiles in the suite warm on the second pytest run, breaking every
 # test that asserts miss counts or pass executions. Tests run with the
-# disk cache and the compile daemon off; tests that exercise them opt in
-# by re-pointing REPRO_CACHE_DIR at a tmp_path and clearing the opt-out
-# in a subprocess or monkeypatched environment.
+# disk cache off; tests that exercise it opt in by re-pointing
+# REPRO_CACHE_DIR at a tmp_path and clearing the opt-out in a subprocess
+# or monkeypatched environment.
 os.environ.setdefault("REPRO_NO_DISK_CACHE", "1")
-os.environ.setdefault("REPRO_NO_DAEMON", "1")
 
 
 @pytest.fixture

@@ -131,6 +131,25 @@ class TestCaps:
         assert caps.vec_kernel_seq == 96.0
         assert caps.vec_whole_width == 16
 
+    def test_npblock_block_size_is_not_an_environment_knob(self,
+                                                           monkeypatch):
+        # the block size is baked into generated source but in no cache
+        # key: while it was read from the environment, changing the
+        # variable returned the cached Executable with the old size
+        from repro.runtime import build
+        from repro.workloads import longformer
+
+        prog = longformer.make_program()
+        first = build(prog, backend="npblock", optimize=True)
+        monkeypatch.setenv("REPRO_NPBLOCK_BLOCK", "8")
+        monkeypatch.setenv("REPRO_NPBLOCK_MIN_TRIP", "2")
+        assert build(prog, backend="npblock", optimize=True) is first
+        monkeypatch.setenv("REPRO_NO_BUILD_CACHE", "1")
+        fresh = build(prog, backend="npblock", optimize=True)
+        assert fresh is not first
+        assert fresh.source == first.source
+        assert "4096" in fresh.source and ">= 32" in fresh.source
+
     def test_target_capabilities_delegates(self):
         from repro.autosched import CPU
 
@@ -164,25 +183,6 @@ class TestLegalization:
         assert declared_legalization("cuda") == ("simd_suppress",)
         assert declared_legalization("pycode") == ()
         assert declared_legalization("npblock") == ("npblock_vectorize",)
-
-    def test_declare_legalization_shim_updates_object(self):
-        from repro.pipeline import (declare_legalization,
-                                    declared_legalization)
-
-        orig = get_backend("pycode").legalization
-        declare_legalization("pycode", ("simd_suppress",))
-        try:
-            assert declared_legalization("pycode") == ("simd_suppress",)
-            assert get_backend("pycode").legalization == \
-                ("simd_suppress",)
-        finally:
-            declare_legalization("pycode", orig)
-
-    def test_declare_legalization_unknown_pass(self):
-        from repro.pipeline import declare_legalization
-
-        with pytest.raises(ValueError):
-            declare_legalization("pycode", ("no_such_pass",))
 
     def test_legalization_pass_keys_versioned(self):
         from repro.pipeline.legalize import legalization_passes

@@ -217,9 +217,10 @@ class TestBuildCache:
 class TestLowerCache:
 
     def test_lower_memo_shares_result(self):
-        from repro.passes import clear_lower_cache, lower
+        from repro.passes import lower
+        from repro.pipeline import clear_pass_cache
 
-        clear_lower_cache()
+        clear_pass_cache()
         f = make_program().func
         assert lower(f) is lower(f)
 
@@ -227,18 +228,20 @@ class TestLowerCache:
         # separately staged identical programs differ in sids, and the
         # lowering memo must keep them apart (sids address statements in
         # later scheduling)
-        from repro.passes import clear_lower_cache, lower
+        from repro.passes import lower
+        from repro.pipeline import clear_pass_cache
 
-        clear_lower_cache()
+        clear_pass_cache()
         l1 = lower(make_program().func)
         l2 = lower(make_program().func)
         assert l1 is not l2
 
     def test_env_hatch_bypasses(self, monkeypatch):
-        from repro.passes import clear_lower_cache, lower
+        from repro.passes import lower
+        from repro.pipeline import clear_pass_cache
 
-        clear_lower_cache()
-        monkeypatch.setenv("REPRO_NO_LOWER_CACHE", "1")
+        clear_pass_cache()
+        monkeypatch.setenv("REPRO_NO_PASS_CACHE", "1")
         f = make_program().func
         assert lower(f) is not lower(f)
 
@@ -268,6 +271,64 @@ class TestBoundedMemos:
         assert list(memo) == list(range(8, 24))
         memo_put(memo, 16, 8, "again")  # a present key evicts nothing
         assert len(memo) == 16 and memo[8] == "again"
+
+    def test_memo_put_under_threads(self):
+        # serving dispatcher threads reach the build and pass caches
+        # concurrently; unlocked, two of them evict the same oldest key
+        # and one raises KeyError
+        import sys
+        import threading
+
+        from repro.pipeline.manager import memo_put
+
+        memo, limit, n = {}, 8, 50_000
+        errors = []
+
+        def insert(tid):
+            try:
+                for i in range(n):
+                    memo_put(memo, limit, (tid, i), i)
+            except BaseException as e:  # noqa: BLE001 - reported below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=insert, args=(t,))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(memo) <= limit
+        newest = list(memo)[-1]
+        assert newest[1] == n - 1 and memo[newest] == n - 1
+
+    def test_omega_memo_evicts_instead_of_clearing(self, monkeypatch):
+        from repro.polyhedral import omega
+
+        monkeypatch.setattr(omega, "_MEMO", {})
+        monkeypatch.setattr(omega, "_MEMO_LIMIT", 4)
+        s = Affine.var("x") + Affine.var("y")
+        for k in range(6):  # six distinct systems no quick reject decides
+            assert is_feasible([LinCon.ge(s, Affine.constant(k)),
+                                LinCon.le(s, Affine.constant(k + 1))])
+        assert len(omega._MEMO) == 4
+
+    def test_clear_compile_caches_covers_cost_and_batching(self):
+        from repro.analysis.cost import api, estimate_cost
+        from repro.serving import batch_axis_prepend, batching
+
+        func = make_program().func
+        estimate_cost(func)
+        batch_axis_prepend(func)
+        assert api._MEMO and batching._MEMO
+        ft.clear_compile_caches()
+        assert not api._MEMO and not batching._MEMO
 
     def test_pass_cache_keeps_the_newest(self, monkeypatch):
         from repro.pipeline import manager

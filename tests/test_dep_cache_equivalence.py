@@ -21,7 +21,7 @@ from repro.schedule import Schedule
 #: every escape hatch; the uncached runs set them all so no cache layer
 #: can mask another's bug
 ALL_HATCHES = ("REPRO_NO_ANALYSIS_CACHE", "REPRO_NO_OMEGA_MEMO",
-               "REPRO_NO_BUILD_CACHE", "REPRO_NO_LOWER_CACHE")
+               "REPRO_NO_BUILD_CACHE", "REPRO_NO_PASS_CACHE")
 
 
 def make_elementwise():

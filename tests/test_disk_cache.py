@@ -41,7 +41,6 @@ def _subenv(cache_dir, **extra):
            if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = _SRC
     env["REPRO_CACHE_DIR"] = cache_dir
-    env["REPRO_NO_DAEMON"] = "1"
     env.update(extra)
     return env
 

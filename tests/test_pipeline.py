@@ -109,11 +109,9 @@ class TestPassCache:
     def test_env_hatches_bypass_cache(self, monkeypatch):
         clear_pass_cache()
         func = make_program().func
-        for var in ("REPRO_NO_PASS_CACHE", "REPRO_NO_LOWER_CACHE"):
-            monkeypatch.setenv(var, "1")
-            pipe = lowering_pipeline()
-            assert pipe.run(func) is not pipe.run(func)
-            monkeypatch.delenv(var)
+        monkeypatch.setenv("REPRO_NO_PASS_CACHE", "1")
+        pipe = lowering_pipeline()
+        assert pipe.run(func) is not pipe.run(func)
 
     def test_uncacheable_pass_always_runs(self):
         clear_pass_cache()
@@ -126,9 +124,9 @@ class TestPassCache:
         assert len(runs) == 2
 
     def test_lower_shim_uses_pass_cache(self):
-        from repro.passes import clear_lower_cache, lower
+        from repro.passes import lower
 
-        clear_lower_cache()
+        clear_pass_cache()
         f = make_program().func
         assert lower(f) is lower(f)
 
