@@ -84,7 +84,7 @@ def sample_candidates(tuner):
     draws = 0
     while len(cands) < SAMPLE and draws < MAX_DRAWS:
         draws += 1
-        c = tuner._random_candidate()
+        c, _trace = tuner._random_candidate()
         h = struct_hash(c)
         if h not in seen:
             seen.add(h)

@@ -37,6 +37,8 @@ from .frontend.tensor import (ceil, cos, erf, exp, floor, log, sigmoid, sin,
 from .frontend.tensor import ft_abs as abs  # noqa: A001 - mirrors paper DSL
 from .frontend.tensor import ft_max as max  # noqa: A001
 from .frontend.tensor import ft_min as min  # noqa: A001
+from .state import clear_memos, reset_stats
+from .state import stats as _stats
 
 __version__ = "1.0.0"
 
@@ -50,49 +52,34 @@ __all__ = [
     "tan", "tanh", "abs", "max", "min",
     "analyze_cost", "perf_lint",
     "build_cache_stats", "clear_build_cache", "clear_compile_caches",
-    "compile_cache_stats",
+    "compile_cache_stats", "reset_stats", "stats",
     "__version__",
 ]
 
 
-def clear_compile_caches():
-    """Reset every compile-path cache: the build cache, the per-pass
-    pipeline cache, the dependence-feasibility memo, the Omega
-    feasibility memo, the cost-estimate memo and the serving layer's
-    batched-program memo."""
-    from .analysis import clear_analysis_cache
-    from .analysis.cost.api import clear_cost_memo
-    from .pipeline import clear_pass_cache
-    from .polyhedral import clear_feasibility_cache
-    from .runtime.driver import clear_build_cache
-    from .serving.batching import clear_batching_memo
+#: reset every compile-path cache — every memo declared anywhere in the
+#: package (``repro.state``'s registry); counters are kept
+clear_compile_caches = clear_memos
 
-    clear_build_cache()
-    clear_pass_cache()
-    clear_analysis_cache()
-    clear_feasibility_cache()
-    clear_cost_memo()
-    clear_batching_memo()
+
+def stats(name=None):
+    """A snapshot of every process-wide counter table, ``{group: {key:
+    value}}`` — or of the one table ``name`` (see docs/PERFORMANCE.md).
+    All twelve groups are promised, with zeros, before this process has
+    compiled anything, so the layers that declare them are loaded first
+    — what a cold ``build()`` would load."""
+    from . import analysis, pipeline  # noqa: F401
+    from .runtime import driver, metrics  # noqa: F401
+
+    return _stats(name)
 
 
 def compile_cache_stats():
-    """Hit/miss counters for all compile-path caches (see
-    docs/PERFORMANCE.md). ``disk`` covers the persistent cross-process
-    store (``repro.cache``); the rest are in-process."""
-    from .analysis import analysis_cache_stats
-    from .pipeline import pass_cache_stats
-    from .polyhedral import feasibility_stats
-    from .runtime.driver import bind_cache_stats, build_cache_stats
-    from .runtime.metrics import disk_cache_stats
-
-    return {
-        "build": build_cache_stats(),
-        "bind": bind_cache_stats(),
-        "passes": pass_cache_stats(),
-        "deps": analysis_cache_stats(),
-        "omega": feasibility_stats(),
-        "disk": disk_cache_stats(),
-    }
+    """Hit/miss counters for all compile-path caches: the compile-path
+    slice of ``repro.stats()``. ``disk`` covers the persistent
+    cross-process store (``repro.cache``); the rest are in-process."""
+    return {group: stats(group) for group in
+            ("build", "bind", "passes", "deps", "omega", "disk")}
 
 
 def __getattr__(name):

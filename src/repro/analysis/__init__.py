@@ -5,14 +5,14 @@ from .access import Access, collect_accesses
 from .bounds import (BoundsCtx, bound_candidates, const_bounds,
                      tightest_bounds)
 from .deps import (Dependence, DepAnalyzer, DirItem, analysis_cache_stats,
-                   analyze, analyzer_for, clear_analysis_cache)
+                   analyze, analyzer_for)
 from .verify import Diagnostic, Diagnostics, verify
 
 __all__ = [
     "Access", "collect_accesses",
     "BoundsCtx", "bound_candidates", "const_bounds", "tightest_bounds",
     "Dependence", "DepAnalyzer", "DirItem", "analysis_cache_stats",
-    "analyze", "analyzer_for", "clear_analysis_cache",
+    "analyze", "analyzer_for",
     "Diagnostic", "Diagnostics", "verify",
     "CostEstimate", "analyze_cost", "estimate_cost", "perf_lint",
 ]

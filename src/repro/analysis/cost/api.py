@@ -21,12 +21,12 @@ from ...ir import AccessType, defined_tensors
 from ...ir import expr as E
 from ...ir import stmt as S
 from ...ir.hashing import struct_hash
-from ...pipeline.manager import memo_put
+from ...state import BoundedMemo
 from .count import analyze
 from .model import CostEstimate
 
-_MEMO: Dict[tuple, CostEstimate] = {}
-_MEMO_LIMIT = 512
+_MEMO = BoundedMemo("cost", 512)
+clear_cost_memo = _MEMO.clear
 
 
 def _resolve_target(backend: str, target):
@@ -63,10 +63,13 @@ def estimate_cost(func: S.Func, backend: str = "pycode", target=None,
     hit = est is not None
     if not hit:
         est = analyze(func, backend, target, env, assumed_trip)
-        memo_put(_MEMO, _MEMO_LIMIT, key, est)
+        _MEMO.put(key, est)
     dt = time.perf_counter() - t0
     metrics.record_pass_run("cost_model", dt, hit)
-    metrics.record_cost_analysis(dt, hit)
+    metrics.COST.add("analyses")
+    if hit:
+        metrics.COST.add("memo_hits")
+    metrics.COST.add("time_s", dt)
     return est
 
 
@@ -102,10 +105,6 @@ def cost_model_pass(func: S.Func) -> S.Func:
     """
     estimate_cost(func)
     return func
-
-
-def clear_cost_memo():
-    _MEMO.clear()
 
 
 def infer_scalar_env(func: S.Func, arrays=(),

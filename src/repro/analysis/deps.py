@@ -26,13 +26,12 @@ cover the common cases used by the schedules:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir import stmt as S
-from ..pipeline.manager import memo_put
 from ..polyhedral import (Affine, AffineBuilder, LinCon, NonAffine,
                           is_feasible)
+from ..state import BoundedMemo, Counters, memos_enabled
 from .access import Access, collect_accesses
 
 #: memo of feasibility verdicts keyed by *content signatures* of the access
@@ -42,24 +41,12 @@ from .access import Access, collect_accesses
 #: schedule primitive only pays for pairs in subtrees the primitive
 #: actually rewrote — unchanged subtrees produce identical signatures and
 #: hit the memo.
-_PAIR_MEMO: Dict[tuple, bool] = {}
-_PAIR_MEMO_LIMIT = 1 << 20
+_PAIR_MEMO = BoundedMemo("deps", 1 << 20)
 
-_STATS = {"hits": 0, "misses": 0}
+#: hit/miss counters of the dependence-feasibility memo
+_STATS = Counters("deps", hits=0, misses=0)
 
-
-def _cache_enabled() -> bool:
-    return os.environ.get("REPRO_NO_ANALYSIS_CACHE", "") != "1"
-
-
-def clear_analysis_cache():
-    """Drop the global dependence-feasibility memo (counters are kept)."""
-    _PAIR_MEMO.clear()
-
-
-def analysis_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the dependence-feasibility memo."""
-    return dict(_STATS)
+analysis_cache_stats = _STATS.snapshot
 
 
 def _access_signature(a: Access) -> tuple:
@@ -240,7 +227,9 @@ class DepAnalyzer:
     # -- the core feasibility test ---------------------------------------------
     def _dep_exists(self, earlier: Access, later: Access,
                     direction: Tuple[DirItem, ...]) -> bool:
-        if not _cache_enabled():
+        if not memos_enabled():
+            # the key below already decides some queries; the hatch must
+            # bypass that too, or it could not check it
             return self._dep_exists_uncached(earlier, later, direction)
         # Common-prefix length: both loop chains are root-to-leaf ancestor
         # paths in one tree, so shared loops are exactly a shared prefix of
@@ -270,11 +259,11 @@ class DepAnalyzer:
                n_common, earlier.order < later.order, canon_dir)
         hit = _PAIR_MEMO.get(key)
         if hit is not None:
-            _STATS["hits"] += 1
+            _STATS.add("hits")
             return hit
-        _STATS["misses"] += 1
+        _STATS.add("misses")
         result = self._dep_exists_uncached(earlier, later, direction)
-        memo_put(_PAIR_MEMO, _PAIR_MEMO_LIMIT, key, result)
+        _PAIR_MEMO.put(key, result)
         return result
 
     def _dep_exists_uncached(self, earlier, later, direction) -> bool:
@@ -404,9 +393,9 @@ def analyzer_for(func, analyzer: Optional[DepAnalyzer] = None) -> DepAnalyzer:
 
     Schedule primitives accept an optional persistent analyzer (owned by
     the Schedule); this refreshes it against ``func`` when needed, or
-    builds a fresh one. With ``REPRO_NO_ANALYSIS_CACHE=1`` a fresh
+    builds a fresh one. With ``REPRO_NO_MEMO=1`` a fresh
     analyzer is always built (the escape hatch for differential testing).
     """
-    if analyzer is None or not _cache_enabled():
+    if analyzer is None or not memos_enabled():
         return DepAnalyzer(func)
     return analyzer.refresh(func)

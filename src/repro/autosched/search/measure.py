@@ -159,8 +159,12 @@ class MeasurementPool:
                 functools.partial(_measure_task, self.backend, self.inputs,
                                   self.scalars, self.repeats),
                 self.workers, self.timeout_s,
-                on_respawn=metrics.record_pool_respawn)
-        metrics.record_pool_session(self.workers, backend=self.backend)
+                on_respawn=functools.partial(metrics.POOL.add,
+                                             "worker_respawns"))
+        metrics.POOL.add("sessions")
+        metrics.POOL["backend"] = self.backend
+        metrics.POOL["max_workers"] = max(metrics.POOL["max_workers"],
+                                          self.workers)
 
     # -- measurement -------------------------------------------------------
     def measure_batch(self, entries: Sequence[Tuple[Func, Optional[float]]]
@@ -180,12 +184,15 @@ class MeasurementPool:
             for outcome, payload in self._pool.map(entries):
                 if outcome == OK:  # the handler's own verdict + deltas
                     ok, payload, gcc, native = payload
-                    metrics.record_pool_worker_compiles(gcc, native)
+                    metrics.POOL.add("worker_gcc_runs", gcc)
+                    metrics.POOL.add("worker_native_hits", native)
                     outcome = OK if ok else FAILED
                 out.append((outcome, payload))
-        for outcome, _ in out:
-            metrics.record_pool_task(outcome)
-        metrics.record_pool_time(time.perf_counter() - t0)
+        outcomes = [outcome for outcome, _ in out]
+        metrics.POOL.add("tasks", len(out))
+        metrics.POOL.add("task_failures", outcomes.count(FAILED))
+        metrics.POOL.add("task_timeouts", outcomes.count(TIMEOUT))
+        metrics.POOL.add("measure_time_s", time.perf_counter() - t0)
         return out
 
     def _measure_serial(self, func: Func, fake: Optional[float]

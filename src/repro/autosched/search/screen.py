@@ -42,13 +42,12 @@ class CandidateScreen:
         self.backend = backend
         self.target = target
         self.scalars = scalars
-        self.enabled = os.environ.get("REPRO_NO_COST_PRUNE") != "1"
-        self.best_est = None
         self._seen: set = set()
         self._scalar_env: Optional[dict] = None
         self._inputs: Optional[tuple] = None
         #: times ``make_inputs`` actually ran (should stay at 1/session)
         self.input_regens = 0
+        self.reset()
 
     def reset(self):
         """Start a fresh session (re-reads the escape-hatch env var)."""

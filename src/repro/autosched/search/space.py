@@ -183,11 +183,11 @@ class ScheduleSpace:
                 knobs.append(Knob(f"L{i}.ann", "ann", anns, sid=loop.sid))
 
         space = cls(base, knobs, backend, parallel_kind)
-        metrics.record_search_space(
-            knobs=len(knobs),
-            order_knobs=sum(1 for k in knobs if k.kind == "order"),
-            tile_knobs=sum(1 for k in knobs if k.kind == "tile"),
-            ann_knobs=sum(1 for k in knobs if k.kind == "ann"))
+        metrics.SEARCH.add("spaces")
+        metrics.SEARCH.add("knobs", len(knobs))
+        for kind in ("order", "tile", "ann"):
+            metrics.SEARCH.add(kind + "_knobs",
+                               sum(1 for k in knobs if k.kind == kind))
         return space
 
     def size(self) -> int:

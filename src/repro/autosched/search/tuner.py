@@ -136,7 +136,8 @@ class StructuredTuner:
                 t0 = time.perf_counter()
                 batch = self._draw_batch(gen, pool_members, budget)
                 budget -= len(batch)
-                metrics.record_search_generation(len(batch))
+                metrics.SEARCH.add("generations")
+                metrics.SEARCH.add("assignments", len(batch))
 
                 # realize + screen every assignment, in draw order
                 survivors = []  # (assignment, func, trace, est)

@@ -108,7 +108,7 @@ def encode_func(func: Func) -> Optional[dict]:
     from ..runtime import metrics
 
     if _has_init_data(func):  # captured constant tensors: not in the
-        metrics.record_disk_unserializable()  # textual format
+        metrics.DISK.add("ir_unserializable")  # textual format
         return None
     sids = preorder_sids(func)
     payload = {
@@ -121,10 +121,10 @@ def encode_func(func: Func) -> Optional[dict]:
         back = decode_func(payload, sid_map={s: s for s in sids},
                            bump_counter=False)
     except Exception:
-        metrics.record_disk_unserializable()
+        metrics.DISK.add("ir_unserializable")
         return None
     if not same_tree(back, func):
-        metrics.record_disk_unserializable()
+        metrics.DISK.add("ir_unserializable")
         return None
     return payload
 

@@ -106,7 +106,7 @@ class DiskCache:
                 os.unlink(path)
             except OSError:
                 pass
-            metrics.record_disk_corrupt()
+            metrics.DISK.add("ir_corrupt")
             metrics.record_disk_lookup(False, time.perf_counter() - t0)
             return None
         try:  # LRU recency bump
@@ -233,7 +233,7 @@ class DiskCache:
                 total -= size
                 evicted += 1
             if evicted:
-                metrics.record_disk_evictions(evicted)
+                metrics.DISK.add("evictions", evicted)
                 self._prune_empty_dirs()
             return evicted
         finally:

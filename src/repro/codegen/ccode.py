@@ -643,7 +643,7 @@ def compile_func_native(func: Func, cc: str = "gcc", openmp: bool = True,
     if not os.path.exists(so_path):
         _build_native(src, cc, opt, openmp, cdir, digest, c_path, so_path)
     else:
-        metrics.record_native(True)
+        metrics.DISK.add("native_hits")
         try:  # LRU recency for the shared store's GC
             os.utime(so_path)
         except OSError:
@@ -696,7 +696,7 @@ def _build_native(src: str, cc: str, opt: str, openmp: bool, cdir: str,
 
     from ..runtime import metrics
 
-    metrics.record_native(False)
+    metrics.DISK.add("native_misses")
     lock_path = os.path.join(cdir, f"k{digest}.lock")
     lock = open(lock_path, "w")
     # gcc dispatches on the suffix, so the temp names keep .c / .so and

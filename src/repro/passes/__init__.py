@@ -21,7 +21,7 @@ def lower(func):
 
     Equivalent to ``repro.pipeline.lowering_pipeline().run(func)`` —
     results are served pass-by-pass from the content-addressed per-pass
-    cache (disable with ``REPRO_NO_PASS_CACHE=1``).
+    cache (disable with ``REPRO_NO_MEMO=1``).
     """
     from ..pipeline import lowering_pipeline
 

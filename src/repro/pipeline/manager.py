@@ -31,7 +31,8 @@ a cold cacheable segment is written through — as an identity marker when
 the segment gave its anchor tree back, so a warm run of it decodes
 nothing. See docs/PERFORMANCE.md.
 
-Escape hatches: ``REPRO_NO_PASS_CACHE=1`` disables the per-pass cache;
+Escape hatches: ``REPRO_NO_MEMO=1`` disables the per-pass cache (with
+every other in-process memo, and the store entries it gates);
 ``REPRO_NO_DISK_CACHE=1`` disables the persistent store only.
 """
 
@@ -40,12 +41,12 @@ from __future__ import annotations
 import difflib
 import itertools
 import os
-import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import VerificationError
 from ..ir import Func
+from ..state import BoundedMemo, Counters, memos_enabled
 
 #: content-addressed per-pass result cache:
 #: ``(pass name, chain key) -> output Func``, where the chain key is the
@@ -65,49 +66,28 @@ from ..ir import Func
 #: callers is safe. Hashes are sid-inclusive because statement addressing
 #: must stay identical to a fresh run — schedules target statements by
 #: sid afterwards.
-_PASS_CACHE: Dict[Tuple[str, str], Func] = {}
-_PASS_CACHE_LIMIT = 512
-_PASS_CACHE_STATS = {"hits": 0, "misses": 0, "disk_hits": 0}
+_PASS_CACHE = BoundedMemo("passes", 512)
+
+class _PassCounters(Counters):
+    """Hit/miss counters of the per-pass result cache (cumulative;
+    surviving ``clear_pass_cache``); a reset also empties their per-pass
+    breakdown, the rows of ``metrics.pipeline_stats()``."""
+
+    def reset(self):
+        from ..runtime import metrics
+
+        super().reset()
+        metrics._PIPELINE_STATS.clear()
+
+
+_STATS = _PassCounters("passes", hits=0, misses=0, disk_hits=0)
+
+clear_pass_cache = _PASS_CACHE.clear
+pass_cache_stats = _STATS.snapshot
 
 #: monotonic index for REPRO_DUMP_IR run directories (no timestamps: runs
 #: stay ordered and reproducible within one process)
 _DUMP_COUNTER = itertools.count()
-
-
-def clear_pass_cache():
-    """Drop every cached per-pass result; the next pipeline runs cold."""
-    _PASS_CACHE.clear()
-
-
-def pass_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the per-pass result cache (cumulative;
-    surviving ``clear_pass_cache``)."""
-    return dict(_PASS_CACHE_STATS)
-
-
-#: makes eviction + insert one step: serving dispatcher threads compile
-#: concurrently, and two of them evicting the same oldest key is a
-#: ``KeyError``. Taken on the insert path only; lookups stay lock-free.
-_MEMO_LOCK = threading.Lock()
-# a worker forked while another thread is mid-insert must not inherit
-# the lock held: forks wait for the insert, the child starts unlocked
-os.register_at_fork(before=_MEMO_LOCK.acquire,
-                    after_in_parent=_MEMO_LOCK.release,
-                    after_in_child=_MEMO_LOCK.release)
-
-
-def memo_put(memo: dict, limit: int, key, value):
-    """Insert into a bounded memo; a full one loses its oldest entry
-    (dict insertion order), never everything at once. Safe to call from
-    many threads on one memo."""
-    with _MEMO_LOCK:
-        if key not in memo and len(memo) >= limit:
-            del memo[next(iter(memo))]
-        memo[key] = value
-
-
-def _cache_enabled() -> bool:
-    return os.environ.get("REPRO_NO_PASS_CACHE", "") != "1"
 
 
 def runs_instrumented() -> bool:
@@ -136,7 +116,7 @@ def product_store():
     """The store whole-product records (``grad()``) live in, or None:
     under the switches that gate composite entries, and bypassed by
     instrumented runs exactly as pass-cache lookups are."""
-    if not _cache_enabled() or runs_instrumented():
+    if not memos_enabled() or runs_instrumented():
         return None
     return _disk_store()
 
@@ -161,11 +141,11 @@ def composite_cache_lookup(name: str, key: str,
     ``disk_extra`` discriminator, and a disk hit is installed in memory
     under ``(name, key)`` so repeats stay bit-identical in-process.
     """
-    if not _cache_enabled():
+    if not memos_enabled():
         return None
     entry = _PASS_CACHE.get((name, key))
     if entry is not None:
-        _PASS_CACHE_STATS["hits"] += 1
+        _STATS.add("hits")
         return entry
     if input_func is not None:
         disk = _disk_store()
@@ -175,19 +155,19 @@ def composite_cache_lookup(name: str, key: str,
             canon, sids = canonical_key(input_func)
             func = disk.ir_lookup(name, f"{canon}|{disk_extra or ''}", sids)
             if func is not None:
-                _PASS_CACHE_STATS["disk_hits"] += 1
-                memo_put(_PASS_CACHE, _PASS_CACHE_LIMIT, (name, key), func)
+                _STATS.add("disk_hits")
+                _PASS_CACHE.put((name, key), func)
                 return func
-    _PASS_CACHE_STATS["misses"] += 1
+    _STATS.add("misses")
     return None
 
 
 def composite_cache_store(name: str, key: str, func: Func,
                           input_func: Optional[Func] = None,
                           disk_extra: Optional[str] = None):
-    if not _cache_enabled():
+    if not memos_enabled():
         return
-    memo_put(_PASS_CACHE, _PASS_CACHE_LIMIT, (name, key), func)
+    _PASS_CACHE.put((name, key), func)
     if input_func is not None:
         disk = _disk_store()
         if disk is not None:
@@ -271,7 +251,7 @@ class Pipeline:
         # diff pass outputs; per-pass verification attributes findings),
         # so they bypass cache lookups entirely.
         instrumented = snap is not None or baseline is not None
-        use_cache = _cache_enabled() and not instrumented
+        use_cache = memos_enabled() and not instrumented
 
         def live(p: Pass, cur: Func, counted: bool) -> Func:
             nonlocal baseline
@@ -279,7 +259,7 @@ class Pipeline:
             out = p.fn(cur)
             dt = time.perf_counter() - t0
             if counted:
-                _PASS_CACHE_STATS["misses"] += 1
+                _STATS.add("misses")
             metrics.record_pass_run(p.name, dt, False)
             if times is not None:
                 times[p.name] = times.get(p.name, 0.0) + dt
@@ -359,12 +339,11 @@ class Pipeline:
                 dt = time.perf_counter() - t0
                 covered = hit_idx - i + 1
                 if from_disk:
-                    _PASS_CACHE_STATS["disk_hits"] += covered
+                    _STATS.add("disk_hits", covered)
                     # install in memory so in-process repeats skip disk
-                    memo_put(_PASS_CACHE, _PASS_CACHE_LIMIT,
-                             keys[hit_idx - i], out)
+                    _PASS_CACHE.put(keys[hit_idx - i], out)
                 else:
-                    _PASS_CACHE_STATS["hits"] += covered
+                    _STATS.add("hits", covered)
                 for k in range(i, hit_idx + 1):
                     name = self.passes[k].name
                     d = dt if k == hit_idx else 0.0
@@ -382,7 +361,7 @@ class Pipeline:
             # (one retained tree per program, like the old lower() memo)
             for k in range(i, j):
                 cur = live(self.passes[k], cur, True)
-            memo_put(_PASS_CACHE, _PASS_CACHE_LIMIT, keys[j - 1 - i], cur)
+            _PASS_CACHE.put(keys[j - 1 - i], cur)
             if disk is not None:
                 # a chain that gave its anchor back (build() of an
                 # already-lowered tree) is stored as an identity marker

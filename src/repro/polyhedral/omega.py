@@ -21,10 +21,9 @@ conservative answer for dependence analysis.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..pipeline.manager import memo_put
+from ..state import BoundedMemo, Counters
 from .linear import Affine, Infeasible, LinCon, fresh_var
 
 #: give-up budget: constraint-count ceiling during elimination
@@ -35,30 +34,14 @@ _MAX_DEPTH = 64
 #: across all queries (dependence direction queries over one program repeat
 #: near-identical systems many times); keys are variable-renamed so fresh
 #: existential names do not defeat the memo.
-_MEMO: Dict[tuple, bool] = {}
-_MEMO_LIMIT = 1 << 20
+_MEMO = BoundedMemo("omega", 1 << 20)
 
-_STATS = {
-    "memo_hits": 0,
-    "memo_misses": 0,
-    "gcd_rejects": 0,
-    "interval_rejects": 0,
-    "full_solves": 0,
-}
+#: counters for the fast paths and the feasibility memo
+_STATS = Counters("omega", memo_hits=0, memo_misses=0, gcd_rejects=0,
+                  interval_rejects=0, full_solves=0)
 
-
-def _memo_enabled() -> bool:
-    return os.environ.get("REPRO_NO_OMEGA_MEMO", "") != "1"
-
-
-def clear_feasibility_cache():
-    """Drop the global feasibility memo (counters are kept)."""
-    _MEMO.clear()
-
-
-def feasibility_stats() -> Dict[str, int]:
-    """Counters for the fast paths and the feasibility memo."""
-    return dict(_STATS)
+clear_feasibility_cache = _MEMO.clear
+feasibility_stats = _STATS.snapshot
 
 
 def is_feasible(constraints: Iterable[LinCon]) -> bool:
@@ -70,27 +53,24 @@ def is_feasible(constraints: Iterable[LinCon]) -> bool:
         # (the single-constraint GCD quick-reject).
         cons = _normalize(constraints)
     except Infeasible:
-        _STATS["gcd_rejects"] += 1
+        _STATS.add("gcd_rejects")
         return False
     if not cons:
         return True
     # Constant-bounds disjointness: conflicting single-variable interval
     # bounds decide infeasibility without any elimination.
     if _interval_reject(cons):
-        _STATS["interval_rejects"] += 1
+        _STATS.add("interval_rejects")
         return False
-    if not _memo_enabled():
-        _STATS["full_solves"] += 1
-        return _solve(cons, 0)
     key = _canonical_key(cons)
     hit = _MEMO.get(key)
     if hit is not None:
-        _STATS["memo_hits"] += 1
+        _STATS.add("memo_hits")
         return hit
-    _STATS["memo_misses"] += 1
-    _STATS["full_solves"] += 1
+    _STATS.add("memo_misses")
+    _STATS.add("full_solves")
     result = _solve(cons, 0)
-    memo_put(_MEMO, _MEMO_LIMIT, key, result)
+    _MEMO.put(key, result)
     return result
 
 

@@ -27,6 +27,7 @@ from ..errors import BackendError, InvalidProgram
 from ..ir import (AccessType, Const, Expr, Func, IntConst, Var, VarDef,
                   defined_tensors, struct_hash)
 from ..frontend.staging import Program
+from ..state import BoundedMemo, Counters
 
 __all__ = ["Executable", "bind_cache_stats", "build", "build_cache_stats",
            "clear_build_cache", "register_backend",
@@ -35,35 +36,22 @@ __all__ = ["Executable", "bind_cache_stats", "build", "build_cache_stats",
 #: content-addressed build cache: (IR hash, backend, optimize, target,
 #: opts) -> Executable. Executables are stateless between calls, so a
 #: cached one can be handed to any number of callers.
-_BUILD_CACHE: Dict[tuple, "Executable"] = {}
-_BUILD_CACHE_LIMIT = 1024
-_BUILD_STATS = {"hits": 0, "misses": 0, "uncacheable": 0}
+_BUILD_CACHE = BoundedMemo("build", 1024)
 
+#: hit/miss counters of the content-addressed build cache
+_BUILD_STATS = Counters("build", hits=0, misses=0, uncacheable=0)
 
-def clear_build_cache():
-    """Drop all cached Executables; the next build() compiles cold."""
-    _BUILD_CACHE.clear()
+clear_build_cache = _BUILD_CACHE.clear
+build_cache_stats = _BUILD_STATS.snapshot
 
+#: process-wide counters of the per-shape-signature binding-plan memos
+#: (every Executable's plans folded together, see
+#: :meth:`Executable._bind`); surfaced as compile_cache_stats()["bind"]
+_BIND_STATS = Counters("bind", plan_hits=0, plan_misses=0,
+                       plan_uncacheable=0)
 
-def build_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the content-addressed build cache."""
-    return dict(_BUILD_STATS)
-
-
-#: process-wide binding-plan counters (every Executable's plans folded
-#: together); surfaced as compile_cache_stats()["bind"]
-_BIND_STATS = {"plan_hits": 0, "plan_misses": 0, "plan_uncacheable": 0}
-
-
-def bind_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the per-shape-signature binding-plan memo
-    (see :meth:`Executable._bind`)."""
-    return dict(_BIND_STATS)
-
-
-def reset_bind_cache_stats():
-    for k in _BIND_STATS:
-        _BIND_STATS[k] = 0
+bind_cache_stats = _BIND_STATS.snapshot
+reset_bind_cache_stats = _BIND_STATS.reset
 
 
 class _BindPlan:
@@ -214,11 +202,11 @@ class Executable:
             if key is not None:
                 plan = self._plans.get(key)
                 if plan is not None:
-                    _BIND_STATS["plan_hits"] += 1
+                    _BIND_STATS.add("plan_hits")
                     return self._bind_from_plan(plan, converted)
-                _BIND_STATS["plan_misses"] += 1
+                _BIND_STATS.add("plan_misses")
             else:
-                _BIND_STATS["plan_uncacheable"] += 1
+                _BIND_STATS.add("plan_uncacheable")
         env, plan = self._bind_slow(converted, scalars)
         if key is not None:
             with self._plans_lock:
@@ -381,20 +369,18 @@ def build(program_or_func,
     func = _as_func(program_or_func)
     want_verify = bool(verify) if verify is not None \
         else os.environ.get("REPRO_VERIFY", "") == "1"
-    key = None
-    if os.environ.get("REPRO_NO_BUILD_CACHE", "") != "1":
+    key = _build_cache_key(func, backend, optimize, target, opts)
+    if key is not None:
         # want_verify is part of the key: a cached unverified Executable
         # must not satisfy a verifying build (or vice versa).
-        key = _build_cache_key(func, backend, optimize, target, opts)
-        if key is not None:
-            key = key + (want_verify,)
-            hit = _BUILD_CACHE.get(key)
-            if hit is not None:
-                _BUILD_STATS["hits"] += 1
-                return hit
-            _BUILD_STATS["misses"] += 1
-        else:
-            _BUILD_STATS["uncacheable"] += 1
+        key = key + (want_verify,)
+        hit = _BUILD_CACHE.get(key)
+        if hit is not None:
+            _BUILD_STATS.add("hits")
+            return hit
+        _BUILD_STATS.add("misses")
+    else:
+        _BUILD_STATS.add("uncacheable")
     times: Dict[str, float] = {}
     # The one authoritative compile path (shared with the verify CLI and
     # the auto-scheduler): a pass-manager Pipeline of standard lowering,
@@ -402,7 +388,6 @@ def build(program_or_func,
     # rule passes in front when optimizing. Per-pass wall-clock lands in
     # ``times`` under each pass's name.
     from ..pipeline import compile_ir
-    from ..pipeline.manager import memo_put
 
     func = compile_ir(func, backend=backend, target=target,
                       optimize=optimize, times=times)
@@ -423,5 +408,5 @@ def build(program_or_func,
     times["codegen"] = time.perf_counter() - t0
     exe = Executable(func, run_fn, b.name, compile_times=times)
     if key is not None:
-        memo_put(_BUILD_CACHE, _BUILD_CACHE_LIMIT, key, exe)
+        _BUILD_CACHE.put(key, exe)
     return exe

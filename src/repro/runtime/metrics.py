@@ -30,15 +30,22 @@ import numpy as np
 from ..errors import SimulatedOOM
 from ..ir import (AccessType, Expr, For, Func, MemType, Stmt, StmtSeq,
                   VarDef, collect_stmts)
+from ..state import Counters
 
 SECTOR = 32
 LINE = 64
 
 # ---------------------------------------------------------------------------
-# Pipeline pass counters (see repro.pipeline and docs/ARCHITECTURE.md)
+# Process-wide counter tables. Each is a ``repro.state.Counters`` — one
+# group of ``repro.stats()``, zeroed by ``repro.reset_stats()`` — and the
+# ``*_stats`` / ``reset_*`` names below are bindings of its methods. A
+# ``record_*`` function exists only where one event moves several keys
+# or picks the key; everything else is ``TABLE.add(key)`` at the site.
 # ---------------------------------------------------------------------------
 
 #: per pass name: cumulative runs, per-pass cache hits, wall-clock seconds
+#: (see repro.pipeline and docs/ARCHITECTURE.md); the key set is open, so
+#: these rows ride beside the ``passes`` table, whose reset empties them
 _PIPELINE_STATS: Dict[str, Dict[str, float]] = {}
 
 
@@ -61,301 +68,139 @@ def pipeline_stats() -> Dict[str, Dict[str, float]]:
     return {name: dict(row) for name, row in _PIPELINE_STATS.items()}
 
 
-def reset_pipeline_stats():
-    _PIPELINE_STATS.clear()
-
-
-# ---------------------------------------------------------------------------
-# Persistent (on-disk) compile-cache counters (see repro.cache and
-# docs/PERFORMANCE.md): IR entry hits/misses with lookup/store latency,
-# native-artifact (.so) reuse vs fresh gcc runs.
-# ---------------------------------------------------------------------------
-
-_DISK_STATS = {
-    "ir_hits": 0,          # IR entries served from disk
-    "ir_misses": 0,        # disk lookups that found nothing
-    "ir_stores": 0,        # IR entries written
-    "ir_corrupt": 0,       # truncated/garbled entries treated as misses
-    "ir_unserializable": 0,  # funcs the serializer refused to store
-    "lookup_time_s": 0.0,
-    "store_time_s": 0.0,
-    "native_hits": 0,      # compiled .so found in the shared store
-    "native_misses": 0,
-    "gcc_runs": 0,         # actual C-compiler subprocess invocations
-    "gcc_time_s": 0.0,
-    "evictions": 0,        # entries removed by LRU GC
-}
+#: persistent (on-disk) compile-cache counters (see repro.cache and
+#: docs/PERFORMANCE.md): IR entry hits/misses with lookup/store latency,
+#: native-artifact (.so) reuse vs fresh gcc runs
+DISK = Counters(
+    "disk",
+    ir_hits=0,            # IR entries served from disk
+    ir_misses=0,          # disk lookups that found nothing
+    ir_stores=0,          # IR entries written
+    ir_corrupt=0,         # truncated/garbled entries treated as misses
+    ir_unserializable=0,  # funcs the serializer refused to store
+    lookup_time_s=0.0,
+    store_time_s=0.0,
+    native_hits=0,        # compiled .so found in the shared store
+    native_misses=0,
+    gcc_runs=0,           # actual C-compiler subprocess invocations
+    gcc_time_s=0.0,
+    evictions=0,          # entries removed by LRU GC
+)
+disk_cache_stats = DISK.snapshot
 
 
 def record_disk_lookup(hit: bool, seconds: float = 0.0):
-    _DISK_STATS["ir_hits" if hit else "ir_misses"] += 1
-    _DISK_STATS["lookup_time_s"] += seconds
+    DISK.add("ir_hits" if hit else "ir_misses")
+    DISK.add("lookup_time_s", seconds)
 
 
 def record_disk_store(seconds: float = 0.0):
-    _DISK_STATS["ir_stores"] += 1
-    _DISK_STATS["store_time_s"] += seconds
-
-
-def record_disk_corrupt():
-    _DISK_STATS["ir_corrupt"] += 1
-
-
-def record_disk_unserializable():
-    _DISK_STATS["ir_unserializable"] += 1
-
-
-def record_disk_evictions(n: int):
-    _DISK_STATS["evictions"] += int(n)
-
-
-def record_native(hit: bool):
-    _DISK_STATS["native_hits" if hit else "native_misses"] += 1
+    DISK.add("ir_stores")
+    DISK.add("store_time_s", seconds)
 
 
 def record_gcc_run(seconds: float):
-    _DISK_STATS["gcc_runs"] += 1
-    _DISK_STATS["gcc_time_s"] += seconds
+    DISK.add("gcc_runs")
+    DISK.add("gcc_time_s", seconds)
 
 
-def disk_cache_stats() -> Dict[str, float]:
-    """Cumulative persistent-cache counters for this process (IR entries,
-    native artifacts, GC evictions)."""
-    return dict(_DISK_STATS)
-
-
-def reset_disk_cache_stats():
-    for k in _DISK_STATS:
-        _DISK_STATS[k] = 0.0 if k.endswith("_s") else 0
-
-
-# ---------------------------------------------------------------------------
-# Verifier pass/fail counters (published by the CI verify-workloads job)
-# ---------------------------------------------------------------------------
-
-_VERIFIER_STATS = {
-    "runs": 0,
-    "passed": 0,
-    "failed": 0,
-    "errors": 0,
-    "warnings": 0,
-}
+#: verifier pass/fail counters (published by the CI verify-workloads job)
+VERIFIER = Counters("verifier", runs=0, passed=0, failed=0, errors=0,
+                    warnings=0)
+verifier_stats = VERIFIER.snapshot
+reset_verifier_stats = VERIFIER.reset
 
 
 def record_verifier_run(n_errors: int, n_warnings: int):
     """Account one ``repro.verify`` run; a run with any error-severity
     finding counts as failed."""
-    _VERIFIER_STATS["runs"] += 1
-    _VERIFIER_STATS["errors"] += int(n_errors)
-    _VERIFIER_STATS["warnings"] += int(n_warnings)
-    if n_errors:
-        _VERIFIER_STATS["failed"] += 1
-    else:
-        _VERIFIER_STATS["passed"] += 1
+    VERIFIER.add("runs")
+    VERIFIER.add("errors", int(n_errors))
+    VERIFIER.add("warnings", int(n_warnings))
+    VERIFIER.add("failed" if n_errors else "passed")
 
 
-def verifier_stats() -> Dict[str, int]:
-    """Cumulative verifier counters for this process."""
-    return dict(_VERIFIER_STATS)
+#: cost-model counters (see repro.analysis.cost and docs/PERFORMANCE.md
+#: "Cost model & tuner pruning")
+COST = Counters(
+    "cost",
+    analyses=0,     # estimate_cost calls
+    memo_hits=0,    # ... served from the in-process memo
+    time_s=0.0,
+)
+cost_stats = COST.snapshot
+reset_cost_stats = COST.reset
 
 
-def reset_verifier_stats():
-    for k in _VERIFIER_STATS:
-        _VERIFIER_STATS[k] = 0
-
-
-# ---------------------------------------------------------------------------
-# Cost-model and tuner-screening counters (see repro.analysis.cost and
-# docs/PERFORMANCE.md "Cost model & tuner pruning")
-# ---------------------------------------------------------------------------
-
-_COST_STATS = {
-    "analyses": 0,     # estimate_cost calls
-    "memo_hits": 0,    # ... served from the in-process memo
-    "time_s": 0.0,
-}
-
-
-def record_cost_analysis(seconds: float, memo_hit: bool):
-    _COST_STATS["analyses"] += 1
-    if memo_hit:
-        _COST_STATS["memo_hits"] += 1
-    _COST_STATS["time_s"] += seconds
-
-
-def cost_stats() -> Dict[str, float]:
-    """Cumulative cost-model counters for this process."""
-    return dict(_COST_STATS)
-
-
-def reset_cost_stats():
-    for k in _COST_STATS:
-        _COST_STATS[k] = 0.0 if k.endswith("_s") else 0
-
-
-_TUNER_STATS = {
-    "candidates": 0,       # schedules drawn by a tuner
-    "dedup_skips": 0,      # structurally identical to an earlier candidate
-    "cost_pruned": 0,      # dominated by the incumbent's estimate
-    "frontier_skips": 0,   # survived screening but ranked below top-k
-    "invalid": 0,          # knob assignment failed to realize (illegal)
-    "measured": 0,         # actually compiled + run
-    "measure_failed": 0,   # compile/run raised (illegal candidate)
-    "measure_timeout": 0,  # worker hung/crashed and was killed
-}
-
-#: replayable trace of the last finished tuning session's winner
-#: (``ScheduleTrace.as_json()`` payload, or None)
-_BEST_TRACE = None
+#: tuner screening counters, plus the last finished session's winning
+#: schedule trace
+TUNER = Counters(
+    "tuner",
+    candidates=0,       # schedules drawn by a tuner
+    dedup_skips=0,      # structurally identical to an earlier candidate
+    cost_pruned=0,      # dominated by the incumbent's estimate
+    frontier_skips=0,   # survived screening but ranked below top-k
+    invalid=0,          # knob assignment failed to realize (illegal)
+    measured=0,         # actually compiled + run
+    measure_failed=0,   # compile/run raised (illegal candidate)
+    measure_timeout=0,  # worker hung/crashed and was killed
+    best_trace=None,    # ``ScheduleTrace.as_json()`` of the last winner
+)
+tuner_stats = TUNER.snapshot
+reset_tuner_stats = TUNER.reset
 
 
 def record_tuner_candidate(outcome: str):
     """Account one tuner round; ``outcome`` is one of ``dedup_skips`` /
     ``cost_pruned`` / ``frontier_skips`` / ``invalid`` / ``measured`` /
     ``measure_failed`` / ``measure_timeout``."""
-    _TUNER_STATS["candidates"] += 1
-    _TUNER_STATS[outcome] += 1
+    TUNER.add("candidates")
+    TUNER.add(outcome)
 
 
 def record_best_trace(trace_json):
     """Publish the winner's schedule trace (JSON-able list of steps) so
     ``tuner_stats()`` can report how the best schedule was built."""
-    global _BEST_TRACE
-    _BEST_TRACE = trace_json
+    TUNER["best_trace"] = trace_json
 
 
-def tuner_stats() -> Dict[str, object]:
-    """Cumulative tuner screening counters for this process, plus the
-    last finished session's winning schedule trace (``best_trace``)."""
-    out: Dict[str, object] = dict(_TUNER_STATS)
-    out["best_trace"] = _BEST_TRACE
-    return out
+#: structured search-space counters (see repro.autosched.search and
+#: docs/PERFORMANCE.md "Structured search & parallel measurement")
+SEARCH = Counters(
+    "search",
+    spaces=0,        # ScheduleSpace.extract calls
+    knobs=0,         # total knobs across extracted spaces
+    order_knobs=0,
+    tile_knobs=0,
+    ann_knobs=0,
+    generations=0,   # evolutionary generations advanced
+    assignments=0,   # knob assignments drawn (before screening)
+)
+search_stats = SEARCH.snapshot
+reset_search_stats = SEARCH.reset
 
-
-def reset_tuner_stats():
-    global _BEST_TRACE
-    for k in _TUNER_STATS:
-        _TUNER_STATS[k] = 0
-    _BEST_TRACE = None
-
-
-# ---------------------------------------------------------------------------
-# Structured search-space and measurement-pool counters (see
-# repro.autosched.search and docs/PERFORMANCE.md "Structured search &
-# parallel measurement")
-# ---------------------------------------------------------------------------
-
-_SEARCH_STATS = {
-    "spaces": 0,        # ScheduleSpace.extract calls
-    "knobs": 0,         # total knobs across extracted spaces
-    "order_knobs": 0,
-    "tile_knobs": 0,
-    "ann_knobs": 0,
-    "generations": 0,   # evolutionary generations advanced
-    "assignments": 0,   # knob assignments drawn (before screening)
-}
-
-
-def record_search_space(knobs: int, order_knobs: int, tile_knobs: int,
-                        ann_knobs: int):
-    _SEARCH_STATS["spaces"] += 1
-    _SEARCH_STATS["knobs"] += int(knobs)
-    _SEARCH_STATS["order_knobs"] += int(order_knobs)
-    _SEARCH_STATS["tile_knobs"] += int(tile_knobs)
-    _SEARCH_STATS["ann_knobs"] += int(ann_knobs)
-
-
-def record_search_generation(assignments: int):
-    _SEARCH_STATS["generations"] += 1
-    _SEARCH_STATS["assignments"] += int(assignments)
-
-
-def search_stats() -> Dict[str, int]:
-    """Cumulative structured-search counters for this process."""
-    return dict(_SEARCH_STATS)
-
-
-def reset_search_stats():
-    for k in _SEARCH_STATS:
-        _SEARCH_STATS[k] = 0
-
-
-_POOL_STATS = {
-    "sessions": 0,         # measurement pools started
-    "backend": "",         # registry name of the last session's backend
-    "max_workers": 0,      # largest pool size seen
-    "tasks": 0,            # measurement tasks dispatched to workers
-    "task_failures": 0,    # candidate compile/run raised in a worker
-    "task_timeouts": 0,    # worker killed after exceeding the deadline
-    "worker_respawns": 0,  # replacement workers forked after a death
-    "worker_gcc_runs": 0,      # gcc invocations inside workers (summed)
-    "worker_native_hits": 0,   # .so served to workers by the disk store
-    "measure_time_s": 0.0,     # wall-clock spent inside pool.measure()
-}
-
-
-def record_pool_session(workers: int, backend: str = ""):
-    _POOL_STATS["sessions"] += 1
-    if backend:
-        _POOL_STATS["backend"] = str(backend)
-    _POOL_STATS["max_workers"] = max(_POOL_STATS["max_workers"],
-                                     int(workers))
-
-
-def record_pool_task(outcome: str):
-    """``outcome``: ``ok`` / ``failed`` / ``timeout``."""
-    _POOL_STATS["tasks"] += 1
-    if outcome == "failed":
-        _POOL_STATS["task_failures"] += 1
-    elif outcome == "timeout":
-        _POOL_STATS["task_timeouts"] += 1
-
-
-def record_pool_respawn():
-    _POOL_STATS["worker_respawns"] += 1
-
-
-def record_pool_worker_compiles(gcc_runs: int, native_hits: int):
-    _POOL_STATS["worker_gcc_runs"] += int(gcc_runs)
-    _POOL_STATS["worker_native_hits"] += int(native_hits)
-
-
-def record_pool_time(seconds: float):
-    _POOL_STATS["measure_time_s"] += seconds
-
-
-def pool_stats() -> Dict[str, float]:
-    """Cumulative parallel-measurement-pool counters for this process."""
-    return dict(_POOL_STATS)
-
-
-def reset_pool_stats():
-    for k in _POOL_STATS:
-        if k == "backend":
-            _POOL_STATS[k] = ""
-        else:
-            _POOL_STATS[k] = 0.0 if k.endswith("_s") else 0
+#: parallel-measurement-pool counters (same docs section)
+POOL = Counters(
+    "pool",
+    sessions=0,            # measurement pools started
+    backend="",            # registry name of the last session's backend
+    max_workers=0,         # largest pool size seen
+    tasks=0,               # measurement tasks dispatched to workers
+    task_failures=0,       # candidate compile/run raised in a worker
+    task_timeouts=0,       # worker killed after exceeding the deadline
+    worker_respawns=0,     # replacement workers forked after a death
+    worker_gcc_runs=0,     # gcc invocations inside workers (summed)
+    worker_native_hits=0,  # .so served to workers by the disk store
+    measure_time_s=0.0,    # wall-clock spent inside pool.measure()
+)
+pool_stats = POOL.snapshot
+reset_pool_stats = POOL.reset
 
 
 # ---------------------------------------------------------------------------
 # Serving-runtime counters (see repro.serving and docs/SERVING.md):
 # admission, batching, worker-pool outcomes, latency, per-tenant usage.
 # ---------------------------------------------------------------------------
-
-_SERVING_STATS = {
-    "submitted": 0,         # requests offered to Server.submit
-    "admitted": 0,          # ... accepted into a bucket queue
-    "rejected_quota": 0,    # ... refused: tenant over its in-flight quota
-    "rejected_queue": 0,    # ... refused: bounded queue full (backpressure)
-    "completed": 0,         # responses with status "ok"
-    "failed": 0,            # responses with status "failed" (incl. crashes)
-    "timed_out": 0,         # responses with status "timeout"
-    "batches": 0,           # batched executions dispatched
-    "batched_requests": 0,  # requests carried by those batches
-    "worker_respawns": 0,   # serving workers replaced after crash/hang
-    "queue_depth_peak": 0,  # largest total queued-request count seen
-    "pad_elements": 0,      # padding elements added by ragged pad batching
-}
 
 #: batch size -> number of batches of that size
 _SERVING_BATCH_HIST: Dict[int, int] = {}
@@ -367,11 +212,55 @@ _SERVING_LATENCY_CAP = 4096
 #: tenant -> {"submitted": n, "completed": n, "rejected": n, "failed": n}
 _SERVING_TENANTS: Dict[str, Dict[str, int]] = {}
 
-#: guards every read-modify-write of the serving family above: dispatcher
+#: guards every read-modify-write of the serving family: dispatcher
 #: threads record outside Server._lock and several Servers may share the
 #: process. Callers record in bulk, so it is taken once per batch (or per
 #: submission call), never once per request of a batch.
 _SERVING_LOCK = threading.Lock()
+
+
+class _ServingCounters(Counters):
+    """The serving counters; a snapshot adds the batch-size histogram,
+    p50/p99 request latency (seconds, over a bounded reservoir) and the
+    per-tenant usage rows, and a reset empties those too."""
+
+    def snapshot(self) -> Dict[str, object]:
+        with _SERVING_LOCK:
+            out: Dict[str, object] = super().snapshot()
+            out["batch_size_hist"] = dict(sorted(_SERVING_BATCH_HIST.items()))
+            latencies = list(_SERVING_LATENCIES)
+            out["per_tenant"] = {t: dict(r) for t, r in
+                                 sorted(_SERVING_TENANTS.items())}
+        out["latency_p50_s"] = _percentile(latencies, 0.50)
+        out["latency_p99_s"] = _percentile(latencies, 0.99)
+        out["latency_samples"] = len(latencies)
+        return out
+
+    def reset(self):
+        with _SERVING_LOCK:
+            super().reset()
+            _SERVING_BATCH_HIST.clear()
+            _SERVING_LATENCIES.clear()
+            _SERVING_TENANTS.clear()
+
+
+SERVING = _ServingCounters(
+    "serving",
+    submitted=0,         # requests offered to Server.submit
+    admitted=0,          # ... accepted into a bucket queue
+    rejected_quota=0,    # ... refused: tenant over its in-flight quota
+    rejected_queue=0,    # ... refused: bounded queue full (backpressure)
+    completed=0,         # responses with status "ok"
+    failed=0,            # responses with status "failed" (incl. crashes)
+    timed_out=0,         # responses with status "timeout"
+    batches=0,           # batched executions dispatched
+    batched_requests=0,  # requests carried by those batches
+    worker_respawns=0,   # serving workers replaced after crash/hang
+    queue_depth_peak=0,  # largest total queued-request count seen
+    pad_elements=0,      # padding elements added by ragged pad batching
+)
+serving_stats = SERVING.snapshot
+reset_serving_stats = SERVING.reset
 
 
 def _tenant_row(tenant: str) -> Dict[str, int]:
@@ -388,8 +277,8 @@ def record_serving_submit(tenant: str, outcome: str, n: int = 1):
     parameter lets the server's wave-submission path record a whole
     batch of decisions in one call."""
     with _SERVING_LOCK:
-        _SERVING_STATS["submitted"] += n
-        _SERVING_STATS[outcome] += n
+        SERVING.add("submitted", n)
+        SERVING.add(outcome, n)
         row = _tenant_row(tenant)
         row["submitted"] += n
         if outcome != "admitted":
@@ -406,7 +295,7 @@ def record_serving_responses(tenant: str, status: str,
     a tenant and ``status`` (``ok`` / ``failed`` / ``timeout``)."""
     n = len(latencies)
     with _SERVING_LOCK:
-        _SERVING_STATS[_RESPONSE_KEY[status]] += n
+        SERVING.add(_RESPONSE_KEY[status], n)
         row = _tenant_row(tenant)
         row["completed" if status == "ok" else "failed"] += n
         room = _SERVING_LATENCY_CAP - len(_SERVING_LATENCIES)
@@ -416,22 +305,22 @@ def record_serving_responses(tenant: str, status: str,
 
 def record_serving_batch(size: int, pad_elements: int = 0):
     with _SERVING_LOCK:
-        _SERVING_STATS["batches"] += 1
-        _SERVING_STATS["batched_requests"] += int(size)
-        _SERVING_STATS["pad_elements"] += int(pad_elements)
+        SERVING.add("batches")
+        SERVING.add("batched_requests", int(size))
+        SERVING.add("pad_elements", int(pad_elements))
         _SERVING_BATCH_HIST[int(size)] = \
             _SERVING_BATCH_HIST.get(int(size), 0) + 1
 
 
 def record_serving_queue_depth(depth: int):
     with _SERVING_LOCK:
-        _SERVING_STATS["queue_depth_peak"] = max(
-            _SERVING_STATS["queue_depth_peak"], int(depth))
+        SERVING["queue_depth_peak"] = max(SERVING["queue_depth_peak"],
+                                          int(depth))
 
 
 def record_serving_respawn():
     with _SERVING_LOCK:
-        _SERVING_STATS["worker_respawns"] += 1
+        SERVING.add("worker_respawns")
 
 
 def _percentile(samples: List[float], q: float) -> float:
@@ -440,33 +329,6 @@ def _percentile(samples: List[float], q: float) -> float:
     ordered = sorted(samples)
     idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
     return ordered[idx]
-
-
-def serving_stats() -> Dict[str, object]:
-    """Cumulative serving-runtime counters for this process: admission
-    and terminal-response counts, the batch-size histogram, p50/p99
-    request latency (seconds, over a bounded reservoir) and per-tenant
-    usage rows. Follows the other ``*_stats()`` conventions in this
-    module (plain dict snapshot; reset via ``reset_serving_stats``)."""
-    with _SERVING_LOCK:
-        out: Dict[str, object] = dict(_SERVING_STATS)
-        out["batch_size_hist"] = dict(sorted(_SERVING_BATCH_HIST.items()))
-        latencies = list(_SERVING_LATENCIES)
-        out["per_tenant"] = {t: dict(r) for t, r in
-                             sorted(_SERVING_TENANTS.items())}
-    out["latency_p50_s"] = _percentile(latencies, 0.50)
-    out["latency_p99_s"] = _percentile(latencies, 0.99)
-    out["latency_samples"] = len(latencies)
-    return out
-
-
-def reset_serving_stats():
-    with _SERVING_LOCK:
-        for k in _SERVING_STATS:
-            _SERVING_STATS[k] = 0
-        _SERVING_BATCH_HIST.clear()
-        _SERVING_LATENCIES.clear()
-        _SERVING_TENANTS.clear()
 
 
 class MetricsCollector:

@@ -26,14 +26,14 @@ and on-disk build caches).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..errors import InvalidProgram
 from ..ir import (AccessType, Assert, Expr, For, Func, LibCall, Load,
                   Mutator, Stmt, Store, Var, VarDef, fresh_name,
                   struct_hash, used_names)
 from ..ir import stmt as S
-from ..pipeline.manager import memo_put
+from ..state import BoundedMemo
 
 __all__ = ["BatchingUnsupported", "batch_axis_prepend"]
 
@@ -44,12 +44,7 @@ class BatchingUnsupported(InvalidProgram):
 
 
 #: struct_hash(func) -> batched Func; bounded like the build cache
-_MEMO: Dict[str, Func] = {}
-_MEMO_LIMIT = 256
-
-
-def clear_batching_memo():
-    _MEMO.clear()
+_MEMO = BoundedMemo("batching", 256)
 
 
 class _AccessRewriter(Mutator):
@@ -163,5 +158,5 @@ def batch_axis_prepend(func: Func, batch_var: str = "bsz",
     batched = Func(func.name + "_batched", list(func.params),
                    list(func.returns), body,
                    scalar_params=list(func.scalar_params) + [bsz])
-    memo_put(_MEMO, _MEMO_LIMIT, memo_key, batched)
+    _MEMO.put(memo_key, batched)
     return batched

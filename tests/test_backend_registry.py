@@ -144,7 +144,7 @@ class TestCaps:
         monkeypatch.setenv("REPRO_NPBLOCK_BLOCK", "8")
         monkeypatch.setenv("REPRO_NPBLOCK_MIN_TRIP", "2")
         assert build(prog, backend="npblock", optimize=True) is first
-        monkeypatch.setenv("REPRO_NO_BUILD_CACHE", "1")
+        monkeypatch.setenv("REPRO_NO_MEMO", "1")
         fresh = build(prog, backend="npblock", optimize=True)
         assert fresh is not first
         assert fresh.source == first.source

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro as ft
+from repro import state
 from repro.ir import struct_hash
 from repro.polyhedral import (Affine, LinCon, clear_feasibility_cache,
                               feasibility_stats, is_feasible)
@@ -123,7 +124,7 @@ class TestOmegaFastPaths:
         ]
         clear_feasibility_cache()
         with_memo = [is_feasible(s) for s in systems]
-        monkeypatch.setenv("REPRO_NO_OMEGA_MEMO", "1")
+        monkeypatch.setenv("REPRO_NO_MEMO", "1")
         without = [is_feasible(s) for s in systems]
         assert with_memo == without
 
@@ -186,7 +187,7 @@ class TestBuildCache:
     def test_env_hatch_bypasses(self, monkeypatch):
         clear_build_cache()
         p = make_program()
-        monkeypatch.setenv("REPRO_NO_BUILD_CACHE", "1")
+        monkeypatch.setenv("REPRO_NO_MEMO", "1")
         e1 = build(p, backend="pycode")
         e2 = build(p, backend="pycode")
         assert e1 is not e2
@@ -241,7 +242,7 @@ class TestLowerCache:
         from repro.pipeline import clear_pass_cache
 
         clear_pass_cache()
-        monkeypatch.setenv("REPRO_NO_PASS_CACHE", "1")
+        monkeypatch.setenv("REPRO_NO_MEMO", "1")
         f = make_program().func
         assert lower(f) is not lower(f)
 
@@ -260,34 +261,59 @@ def test_clear_compile_caches_clears_everything():
 class TestBoundedMemos:
     """A full memo loses its oldest entry, never everything at once (a
     long tune crosses the pass-cache limit; clearing wholesale there
-    would throw away the whole working set)."""
+    would throw away the whole working set). Every process-wide memo is
+    a ``repro.state.BoundedMemo``, so the class is tested once and the
+    sites only for using it."""
 
-    def test_memo_put_evicts_oldest(self):
-        from repro.pipeline.manager import memo_put
+    @pytest.fixture
+    def scratch_memo(self):
+        # memos register by name for the life of the process; a test's
+        # own one leaves the registry again
+        made = []
 
-        memo = {}
+        def make(limit):
+            made.append(state.BoundedMemo(f"test-{len(state._MEMOS)}",
+                                          limit))
+            return made[-1]
+
+        yield make
+        for memo in made:
+            del state._MEMOS[memo.name]
+
+    def test_memo_put_evicts_oldest(self, scratch_memo):
+        memo = scratch_memo(16)
         for k in range(24):
-            memo_put(memo, 16, k, str(k))
-        assert list(memo) == list(range(8, 24))
-        memo_put(memo, 16, 8, "again")  # a present key evicts nothing
-        assert len(memo) == 16 and memo[8] == "again"
+            memo.put(k, str(k))
+        assert [k for k in range(24) if memo.get(k) is not None] \
+            == list(range(8, 24))
+        memo.put(8, "again")  # a present key evicts nothing
+        assert len(memo) == 16 and memo.get(8) == "again"
+        assert memo.get(9) == "9"
 
-    def test_memo_put_under_threads(self):
+    def test_memo_put_under_threads(self, scratch_memo):
         # serving dispatcher threads reach the build and pass caches
-        # concurrently; unlocked, two of them evict the same oldest key
-        # and one raises KeyError
+        # concurrently while the main thread may clear them: unlocked,
+        # two inserters evict the same oldest key (KeyError), or a clear
+        # lands between an inserter's next(iter(d)) and its del
+        # (RuntimeError: dictionary changed size during iteration)
         import sys
         import threading
 
-        from repro.pipeline.manager import memo_put
-
-        memo, limit, n = {}, 8, 50_000
+        memo, n = scratch_memo(8), 50_000
         errors = []
+        done = threading.Event()
 
         def insert(tid):
             try:
                 for i in range(n):
-                    memo_put(memo, limit, (tid, i), i)
+                    memo.put((tid, i), i)
+            except BaseException as e:  # noqa: BLE001 - reported below
+                errors.append(e)
+
+        def clear():
+            try:
+                while not done.is_set():
+                    memo.clear()
             except BaseException as e:  # noqa: BLE001 - reported below
                 errors.append(e)
 
@@ -296,23 +322,79 @@ class TestBoundedMemos:
         try:
             threads = [threading.Thread(target=insert, args=(t,))
                        for t in range(4)]
-            for t in threads:
+            clearer = threading.Thread(target=clear)
+            for t in threads + [clearer]:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
-            assert not any(t.is_alive() for t in threads)
+            done.set()
+            clearer.join(timeout=120)
+            assert not any(t.is_alive() for t in threads + [clearer])
         finally:
+            done.set()
             sys.setswitchinterval(interval)
         assert not errors
-        assert len(memo) <= limit
-        newest = list(memo)[-1]
-        assert newest[1] == n - 1 and memo[newest] == n - 1
+        assert len(memo) <= memo.limit
+        memo.put("last", 1)
+        assert memo.get("last") == 1
+
+    def test_no_memo_switch_disables_get_and_put(self, scratch_memo,
+                                                 monkeypatch):
+        memo = scratch_memo(4)
+        memo.put("k", 1)
+        monkeypatch.setenv("REPRO_NO_MEMO", "1")  # read per lookup
+        assert not state.memos_enabled()
+        assert memo.get("k") is None
+        memo.put("other", 2)
+        monkeypatch.delenv("REPRO_NO_MEMO")
+        assert memo.get("k") == 1 and memo.get("other") is None
+
+    def test_duplicate_name_raises(self, scratch_memo):
+        memo = scratch_memo(4)
+        with pytest.raises(ValueError, match="already declared"):
+            state.BoundedMemo(memo.name, 4)
+        with pytest.raises(ValueError, match="already declared"):
+            state.Counters("omega", x=0)
+
+    def test_forked_worker_can_put(self, scratch_memo):
+        # a WorkerPool worker forked while a parent thread is mid-put
+        # must not inherit the module lock held (the at-fork hook)
+        import threading
+
+        from repro.runtime.pool import OK, WorkerPool
+
+        memo = scratch_memo(8)
+        stop = threading.Event()
+
+        def hammer():
+            i = 0
+            while not stop.is_set():
+                memo.put(i, i)
+                i += 1
+
+        def handler(task):
+            memo.put(("child", task), task)
+            return memo.get(("child", task))
+
+        t = threading.Thread(target=hammer)
+        t.start()
+        try:
+            for _ in range(5):  # several forks: each must land unlocked
+                pool = WorkerPool(handler, 2, timeout_s=30)
+                try:
+                    assert list(pool.map([1, 2, 3])) \
+                        == [(OK, 1), (OK, 2), (OK, 3)]
+                finally:
+                    pool.close()
+        finally:
+            stop.set()
+            t.join(timeout=30)
 
     def test_omega_memo_evicts_instead_of_clearing(self, monkeypatch):
         from repro.polyhedral import omega
 
-        monkeypatch.setattr(omega, "_MEMO", {})
-        monkeypatch.setattr(omega, "_MEMO_LIMIT", 4)
+        clear_feasibility_cache()
+        monkeypatch.setattr(omega._MEMO, "limit", 4)
         s = Affine.var("x") + Affine.var("y")
         for k in range(6):  # six distinct systems no quick reject decides
             assert is_feasible([LinCon.ge(s, Affine.constant(k)),
@@ -320,35 +402,41 @@ class TestBoundedMemos:
         assert len(omega._MEMO) == 4
 
     def test_clear_compile_caches_covers_cost_and_batching(self):
-        from repro.analysis.cost import api, estimate_cost
-        from repro.serving import batch_axis_prepend, batching
+        # ... and whatever memo is declared next: the registry is the
+        # list, so a seventh memo is covered the day it is declared
+        from repro.analysis.cost import estimate_cost
+        from repro.serving import batch_axis_prepend
 
         func = make_program().func
+        build(func, backend="pycode")
         estimate_cost(func)
         batch_axis_prepend(func)
-        assert api._MEMO and batching._MEMO
+        assert {"omega", "deps", "passes", "build", "cost", "batching"} \
+            <= set(state._MEMOS)
+        filled = [n for n, m in state._MEMOS.items() if len(m)]
+        assert {"passes", "build", "cost", "batching"} <= set(filled)
         ft.clear_compile_caches()
-        assert not api._MEMO and not batching._MEMO
+        assert [n for n, m in state._MEMOS.items() if len(m)] == []
 
-    def test_pass_cache_keeps_the_newest(self, monkeypatch):
+    def test_pass_cache_keeps_the_newest(self):
         from repro.pipeline import manager
 
-        monkeypatch.setattr(manager, "_PASS_CACHE", {})
-        limit = manager._PASS_CACHE_LIMIT
+        manager.clear_pass_cache()
+        limit = manager._PASS_CACHE.limit
         func = make_program().func
         for k in range(limit + 8):
             manager.composite_cache_store("unit", str(k), func)
         assert len(manager._PASS_CACHE) == limit
-        assert list(manager._PASS_CACHE) == [
-            ("unit", str(k)) for k in range(8, limit + 8)]
         assert manager.composite_cache_lookup("unit", "7") is None
         assert manager.composite_cache_lookup("unit", "8") is func
+        assert manager.composite_cache_lookup(
+            "unit", str(limit + 7)) is func
 
     def test_pipeline_run_past_the_limit(self, monkeypatch):
         from repro.pipeline import lowering_pipeline, manager
 
-        monkeypatch.setattr(manager, "_PASS_CACHE", {})
-        monkeypatch.setattr(manager, "_PASS_CACHE_LIMIT", 4)
+        manager.clear_pass_cache()
+        monkeypatch.setattr(manager._PASS_CACHE, "limit", 4)
         pipe = lowering_pipeline()
         funcs = [make_program().func for _ in range(6)]  # distinct sids
         for f in funcs:
@@ -364,8 +452,8 @@ class TestBoundedMemos:
     def test_build_cache_keeps_the_newest(self, monkeypatch):
         from repro.runtime import driver
 
-        monkeypatch.setattr(driver, "_BUILD_CACHE", {})
-        monkeypatch.setattr(driver, "_BUILD_CACHE_LIMIT", 2)
+        clear_build_cache()
+        monkeypatch.setattr(driver._BUILD_CACHE, "limit", 2)
         progs = [make_program(), make_program_variant()]
         first = build(progs[0], backend="pycode")
         build(progs[1], backend="pycode")
@@ -383,3 +471,100 @@ class TestBoundedMemos:
         for mod in (manager, driver):
             src = inspect.getsource(mod)
             assert "_CACHE.clear()  # pragma: no cover" not in src
+
+
+#: the twelve tables of repro.stats()
+TABLES = {"omega", "deps", "passes", "build", "bind", "disk", "verifier",
+          "cost", "tuner", "search", "pool", "serving"}
+
+
+class TestStatsRegistry:
+    """``repro.stats()`` / ``repro.reset_stats()`` loop over the tables
+    declared with ``repro.state.Counters``; nothing keeps a list."""
+
+    def test_stats_has_exactly_the_declared_tables(self):
+        from repro.analysis.cost import estimate_cost
+        from repro.serving import batch_axis_prepend
+
+        func = make_program().func
+        build(func, backend="pycode")
+        estimate_cost(func)
+        batch_axis_prepend(func)
+        snap = ft.stats()
+        assert set(snap) == TABLES == set(state._COUNTERS)
+        assert ft.stats("build") == snap["build"] == build_cache_stats()
+        assert ft.compile_cache_stats() == {
+            g: snap[g] for g in ("build", "bind", "passes", "deps",
+                                 "omega", "disk")}
+        with pytest.raises(KeyError):
+            state._COUNTERS["build"].add("typo")  # only declared keys count
+
+    def test_reset_stats_restores_declared_zeros(self):
+        from repro.runtime import metrics
+        from repro.verify import verify
+
+        build(make_program(), backend="pycode")
+        verify(make_program())
+        metrics.POOL["backend"] = "interp"
+        metrics.POOL.add("measure_time_s", 1.5)
+        metrics.record_tuner_candidate("measured")
+        metrics.record_best_trace([{"step": "split"}])
+        metrics.record_serving_submit("t", "admitted")
+        metrics.record_serving_batch(3, pad_elements=2)
+        metrics.record_serving_responses("t", "ok", [0.25])
+        assert metrics.pipeline_stats()
+        assert metrics.serving_stats()["latency_samples"] == 1
+        assert ft.stats("serving") == metrics.serving_stats()
+        assert ft.stats("tuner")["best_trace"] == [{"step": "split"}]
+        assert ft.stats("verifier")["runs"] >= 1
+
+        ft.reset_stats()
+        snap = ft.stats()
+        assert snap["pool"]["backend"] == ""
+        for table in snap.values():
+            for key, value in table.items():
+                if key.endswith("_s"):
+                    assert value == 0.0 and isinstance(value, float), key
+                elif isinstance(value, int):
+                    assert value == 0, key
+        # ... and what the per-family resets emptied
+        serving = metrics.serving_stats()
+        assert serving["batch_size_hist"] == {}
+        assert serving["per_tenant"] == {}
+        assert serving["latency_samples"] == 0
+        assert metrics.tuner_stats()["best_trace"] is None
+        assert metrics.pipeline_stats() == {}
+
+    def test_compile_cache_stats_in_a_fresh_interpreter(self):
+        # the frozen benchmark subtracts two snapshots key by key, the
+        # first taken before anything compiled: all six groups must be
+        # there, numeric, before the compile path is even imported
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        code = ("import json, repro; "
+                "print(json.dumps(repro.compile_cache_stats())); "
+                "print(json.dumps(sorted(repro.stats())))")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        snap, tables = map(json.loads, out.stdout.splitlines())
+        assert tables == sorted(TABLES)
+        assert list(snap) == ["build", "bind", "passes", "deps", "omega",
+                              "disk"]
+        for group in snap.values():
+            assert all(type(v) in (int, float) for v in group.values())
+        read = {"passes": {"hits", "misses", "disk_hits"},
+                "deps": {"hits", "misses"},
+                "omega": {"memo_hits", "full_solves"},
+                "build": {"misses"},
+                "bind": {"plan_misses"},
+                "disk": {"gcc_runs", "ir_stores", "ir_hits", "ir_misses",
+                         "native_hits"}}
+        for group, keys in read.items():
+            assert keys <= set(snap[group]), group

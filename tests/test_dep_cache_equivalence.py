@@ -18,10 +18,9 @@ from repro.errors import DependenceViolation, InvalidSchedule
 from repro.ir import dump
 from repro.schedule import Schedule
 
-#: every escape hatch; the uncached runs set them all so no cache layer
+#: the escape hatch; it disables every memo at once, so no cache layer
 #: can mask another's bug
-ALL_HATCHES = ("REPRO_NO_ANALYSIS_CACHE", "REPRO_NO_OMEGA_MEMO",
-               "REPRO_NO_BUILD_CACHE", "REPRO_NO_PASS_CACHE")
+ALL_HATCHES = ("REPRO_NO_MEMO",)
 
 
 def make_elementwise():

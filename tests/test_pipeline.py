@@ -109,7 +109,7 @@ class TestPassCache:
     def test_env_hatches_bypass_cache(self, monkeypatch):
         clear_pass_cache()
         func = make_program().func
-        monkeypatch.setenv("REPRO_NO_PASS_CACHE", "1")
+        monkeypatch.setenv("REPRO_NO_MEMO", "1")
         pipe = lowering_pipeline()
         assert pipe.run(func) is not pipe.run(func)
 
