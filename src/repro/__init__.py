@@ -37,6 +37,7 @@ from .frontend.tensor import (ceil, cos, erf, exp, floor, log, sigmoid, sin,
 from .frontend.tensor import ft_abs as abs  # noqa: A001 - mirrors paper DSL
 from .frontend.tensor import ft_max as max  # noqa: A001
 from .frontend.tensor import ft_min as min  # noqa: A001
+from ._lazy import lazy_exports as _lazy_exports
 from .state import clear_memos, reset_stats
 from .state import stats as _stats
 
@@ -82,26 +83,12 @@ def compile_cache_stats():
             ("build", "bind", "passes", "deps", "omega", "disk")}
 
 
-def __getattr__(name):
-    # Heavier subsystems load lazily so `import repro` stays fast.
-    if name in ("libop", "verify"):
-        import importlib
-
-        return importlib.import_module("." + name, __name__)
-    if name == "Schedule":
-        from .schedule.schedule import Schedule
-
-        return Schedule
-    if name in ("analyze_cost", "perf_lint"):
-        from .analysis import cost
-
-        return getattr(cost, name)
-    if name in ("build_cache_stats", "clear_build_cache"):
-        from .runtime import driver
-
-        return getattr(driver, name)
-    if name == "pipeline":
-        import importlib
-
-        return importlib.import_module(".pipeline", __name__)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+# Heavier subsystems load lazily so `import repro` stays fast; the
+# submodules (`repro.libop`, `repro.verify`, `repro.pipeline`, ...)
+# resolve on first use like the names below.
+__getattr__ = _lazy_exports(__name__, globals(), {
+    "Schedule": ".schedule.schedule",
+    "analyze_cost": ".analysis.cost", "perf_lint": ".analysis.cost",
+    "build_cache_stats": ".runtime.driver",
+    "clear_build_cache": ".runtime.driver",
+})

@@ -271,11 +271,10 @@ class _GradBuilder:
 
         from ..pipeline import lowering_pipeline
 
-        # memory-cached only: on disk the product is grad()'s one record
         pipe = lowering_pipeline(name="ad")
         return GradProgram(
-            fwd=pipe.run(fwd, _persist=False),
-            bwd=pipe.run(bwd, _persist=False),
+            fwd=pipe.run(fwd),
+            bwd=pipe.run(bwd),
             requires=self.requires,
             provides=self.provides,
             tape_names=[self.tape_name[t] for t in sorted(mat.tape)],

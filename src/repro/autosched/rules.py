@@ -50,11 +50,11 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
     # Rule passes are individually uncacheable, but the whole run is
     # deterministic in (raw input, backend, target, enabled rules):
     # memoize it as one composite entry so every optimized compile of a
-    # program — build(), the tuner, the verify CLI — sees the identical
-    # Func (same sids, same struct_hash). Keyed on the *raw* (pre-
-    # Schedule) tree so a memo hit skips Schedule construction and its
-    # pre-lowering outright. Skipped under the instrumentation env vars,
-    # which want every pass to really run.
+    # program in this process — build(), the tuner, the verify CLI — sees
+    # the identical Func (same sids, same struct_hash). Keyed on the *raw*
+    # (pre-Schedule) tree so a memo hit skips Schedule construction and
+    # its pre-lowering outright. Skipped under the instrumentation env
+    # vars, which want every pass to really run.
     instrumented = runs_instrumented()
     raw = getattr(program_or_func, "func", program_or_func)
     # the backend discriminator is the registry cache tag
@@ -65,15 +65,9 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
     btag = backend_cache_tag(backend or "pycode")
     memo_key = "|".join((struct_hash(raw, include_sids=True), btag,
                          repr(target.cache_key()), ",".join(enabled)))
-    # process-independent discriminator for the persistent store (the
-    # canonical input hash is prepended by the cache layer itself)
-    disk_extra = "|".join((btag, repr(target.cache_key()),
-                           ",".join(enabled)))
     if not instrumented:
         t0 = time.perf_counter()
-        cached = composite_cache_lookup("autosched", memo_key,
-                                        input_func=raw,
-                                        disk_extra=disk_extra)
+        cached = composite_cache_lookup("autosched", memo_key)
         if cached is not None:
             dt = time.perf_counter() - t0
             metrics.record_pass_run("autosched", dt, True)
@@ -106,8 +100,7 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
     pipe = Pipeline(rule_passes + tail.passes, name="autosched")
     out = pipe.run(s.func, times=times)
     if not instrumented:
-        composite_cache_store("autosched", memo_key, out,
-                              input_func=raw, disk_extra=disk_extra)
+        composite_cache_store("autosched", memo_key, out)
     return out
 
 

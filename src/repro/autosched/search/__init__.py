@@ -14,6 +14,8 @@ Submodules load lazily: ``autosched.autotune`` imports ``screen`` /
 ``trace`` from here, so an eager ``tuner`` import would be circular.
 """
 
+from ..._lazy import lazy_exports
+
 _LAZY = {
     "StructuredTuner": ".tuner",
     "ScheduleSpace": ".space",
@@ -23,15 +25,6 @@ _LAZY = {
     "MeasurementPool": ".measure",
 }
 
-
-def __getattr__(name):
-    mod = _LAZY.get(name)
-    if mod is not None:
-        import importlib
-
-        return getattr(importlib.import_module(mod, __name__), name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
+__getattr__ = lazy_exports(__name__, globals(), _LAZY)
 
 __all__ = list(_LAZY)

@@ -41,6 +41,9 @@ def cmd_stats(args) -> int:
     print(f"schema          {disk['schema']}")
     print(f"ir entries      {disk['ir_entries']}"
           f"  ({_fmt_bytes(disk['ir_bytes'])})")
+    for kind, row in sorted(disk["by_kind"].items()):
+        print(f"  {kind:<14}{row['entries']}"
+              f"  ({_fmt_bytes(row['bytes'])})")
     print(f"native kernels  {disk['native_files']}"
           f"  ({_fmt_bytes(disk['native_bytes'])})")
     print(f"total           {_fmt_bytes(disk['total_bytes'])}"

@@ -15,7 +15,8 @@ a different namespace, and the old namespace ages out through LRU GC.
 Native (``.so``) artifacts are *not* namespaced by the schema tag — they
 are keyed by a digest of the generated C source plus the compiler
 identity and flags (:func:`native_digest`), which is the complete input
-of the gcc invocation regardless of compiler-internals.
+of the gcc invocation regardless of compiler-internals. (The ``"native"``
+index entries that lead to them, :func:`native_index_key`, *are*.)
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
-import subprocess
 import sys
 from typing import Optional
 
@@ -86,6 +85,8 @@ def cc_fingerprint(cc: str) -> str:
         fp = info[binkey]
     else:
         try:
+            import subprocess
+
             out = subprocess.run([cc, "--version"], capture_output=True,
                                  text=True, timeout=10)
             fp = (out.stdout or "").splitlines()[0].strip() if out.stdout \
@@ -109,7 +110,9 @@ def cc_fingerprint(cc: str) -> str:
 def _cc_binary_key(cc: str) -> Optional[str]:
     """Identity of the compiler *binary* (path + mtime), or None when it
     cannot be resolved (then the fingerprint is never disk-memoized)."""
-    path = shutil.which(cc)
+    from shutil import which
+
+    path = which(cc)
     if path is None:
         return None
     try:
@@ -141,6 +144,20 @@ def native_digest(source: str, cc: str, opt: str, openmp: bool) -> str:
     h.update(f"{cc}|{opt}|omp={int(bool(openmp))}|"
              f"{cc_fingerprint(cc)}".encode())
     return h.hexdigest()
+
+
+def native_index_key(func, cc: str, opt: str, openmp: bool) -> str:
+    """Key of the ``"native"`` index entry of one legalized tree:
+    everything the generated C and the gcc command are functions of —
+    the tree as ``same_tree`` compares it (``struct_hash`` ignores
+    expression dtypes, codegen reads them), compiler identity, flags —
+    so the index can never select a kernel compiled from different C."""
+    from .serial import _expr_dtypes, canonical_key
+
+    dtypes = hashlib.blake2b(",".join(_expr_dtypes(func)).encode(),
+                             digest_size=12).hexdigest()
+    return "|".join((canonical_key(func)[0], dtypes, cc, opt,
+                     f"omp={int(bool(openmp))}", cc_fingerprint(cc)))
 
 
 def entry_hash(kind: str, key: str) -> str:

@@ -2,19 +2,24 @@
 
 Layout (under :func:`cache_root`, default ``~/.cache/repro``)::
 
-    <root>/ir/<schema-tag>/<hh>/<hash>.json   one entry per (kind, key),
-                                              kinds "pass", "autosched",
-                                              "grad" (repro.cache.serial)
+    <root>/ir/<schema-tag>/<hh>/<hash>.json   one entry per (kind, key)
     <root>/native/k<digest>.{c,so}            compiled kernel artifacts
                                               (repro.codegen.ccode)
     <root>/gc.lock                            inter-process GC mutex
 
-An entry is one of three JSON forms, all tagged ``fmt``: a *payload*
-(``input_sids`` + one ``func``: the output of a pass chain or of the
-auto-scheduler), an *identity marker* (``{"same": true, "n": <input
-statement count>}``: the chain gave its input back, the consumer keeps
-the tree it already has) or a *record* (``input_sids`` + named ``funcs``
-+ ``meta``: kind ``"grad"``, the whole product of ``grad()``).
+Every entry is the product of one public compile entry point, names its
+``kind``, and is looked up before anything that could compute it is
+imported (docs/PERFORMANCE.md):
+
+- ``"compile"`` — ``pipeline.compile_ir()``: a *payload* (``input_sids``
+  + one ``func``) or, when compiling gave the input tree back, an
+  *identity marker* (``{"same": true, "n": <input statement count>}``:
+  the consumer keeps the tree it already has);
+- ``"native"`` — ``codegen.ccode.compile_func_native()``: the index
+  ``{"digest": ...}`` from (legalized tree, compiler, flags) to the
+  ``k<digest>.so`` built from them, so a warm process generates no C;
+- ``"grad"`` — ``ad.grad()``: a *record* (``input_sids`` + named
+  ``funcs`` + ``meta``), the whole product of one differentiation.
 
 Writes are crash-safe: entries are written to a temp file in the same
 directory and ``os.replace``-d into place, so readers only ever observe
@@ -34,11 +39,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
+from contextlib import suppress
 from typing import List, Optional, Tuple
 
-from . import keys, serial
+from . import keys
 
 _DEFAULT_MAX_MB = 512
 _AUTO_GC_EVERY = 64  # stores between opportunistic GC checks
@@ -87,33 +92,28 @@ class DiskCache:
     # -- entries ----------------------------------------------------------
 
     def lookup(self, kind: str, key: str, decode):
-        """``decode(entry)`` of the stored entry, or None on a miss.
-        Never raises: whatever ``decode`` rejects is dropped as corrupt."""
+        """``decode(entry)`` of the stored entry; None is a miss (no entry,
+        or no use for it). What ``decode`` rejects is dropped as corrupt."""
         from ..runtime import metrics
 
         t0 = time.perf_counter()
         path = self._entry_path(kind, key)
+        out = None
         try:
             with open(path, "r") as f:
-                entry = json.load(f)
-            out = decode(entry)
+                out = decode(json.load(f))
         except FileNotFoundError:
-            metrics.record_disk_lookup(False, time.perf_counter() - t0)
-            return None
+            pass
         except Exception:
             # torn write, foreign format, sid-list mismatch: drop it
-            try:
+            with suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
             metrics.DISK.add("ir_corrupt")
-            metrics.record_disk_lookup(False, time.perf_counter() - t0)
-            return None
-        try:  # LRU recency bump
-            os.utime(path)
-        except OSError:
-            pass
-        metrics.record_disk_lookup(True, time.perf_counter() - t0)
+        else:
+            with suppress(OSError):  # LRU recency bump
+                os.utime(path)
+        metrics.record_disk_lookup(out is not None,
+                                   time.perf_counter() - t0)
         return out
 
     def store(self, kind: str, key: str, encode) -> bool:
@@ -125,8 +125,11 @@ class DiskCache:
         entry = encode()
         if entry is None:
             return False
+        entry["kind"] = kind  # what disk_stats() groups by
         path = self._entry_path(kind, key)
         try:
+            import tempfile
+
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                        suffix=".tmp")
@@ -135,10 +138,8 @@ class DiskCache:
                     json.dump(entry, f, separators=(",", ":"))
                 os.replace(tmp, path)
             except BaseException:
-                try:
+                with suppress(OSError):
                     os.unlink(tmp)
-                except OSError:
-                    pass
                 raise
         except OSError:
             return False
@@ -148,20 +149,6 @@ class DiskCache:
             self._stores_since_gc = 0
             self.gc()
         return True
-
-    def ir_lookup(self, kind: str, key: str,
-                  current_input_sids: List[str], anchor=None):
-        """The cached output Func translated onto this process's sids
-        (``anchor`` itself for an identity marker), or None on miss."""
-        return self.lookup(kind, key, lambda entry: serial.decode_entry(
-            entry, current_input_sids, anchor))
-
-    def ir_store(self, kind: str, key: str, input_sids: List[str],
-                 func, anchor=None) -> bool:
-        """Persist one output Func — as an identity marker when it equals
-        ``anchor``, the input tree ``key`` was derived from."""
-        return self.store(kind, key, lambda: serial.encode_entry(
-            func, input_sids, anchor))
 
     # -- maintenance ------------------------------------------------------
 
@@ -187,11 +174,22 @@ class DiskCache:
         files = self._all_files()
         ir = [f for f in files if os.sep + "ir" + os.sep in f[2]]
         native = [f for f in files if os.sep + "native" + os.sep in f[2]]
+        by_kind: dict = {}
+        for _mtime, size, path in ir:
+            try:
+                with open(path) as f:
+                    kind = json.load(f).get("kind", "?")
+            except (OSError, ValueError, AttributeError):
+                kind = "?"  # unreadable: the next lookup drops it
+            row = by_kind.setdefault(kind, {"entries": 0, "bytes": 0})
+            row["entries"] += 1
+            row["bytes"] += size
         return {
             "root": self.root,
             "schema": keys.schema_tag(),
             "ir_entries": len(ir),
             "ir_bytes": sum(f[1] for f in ir),
+            "by_kind": by_kind,
             "native_files": len(native),
             "native_bytes": sum(f[1] for f in native),
             "total_bytes": sum(f[1] for f in files),
@@ -258,10 +256,8 @@ class DiskCache:
             top = os.path.join(self.root, sub)
             for dirpath, dirs, files in os.walk(top, topdown=False):
                 if not dirs and not files and dirpath != top:
-                    try:
+                    with suppress(OSError):
                         os.rmdir(dirpath)
-                    except OSError:
-                        pass
 
 
 _STORES: dict = {}

@@ -1,5 +1,9 @@
-"""Code generators: Python/NumPy, C/OpenMP (native), and CUDA (source)."""
+"""Code generators: Python/NumPy, C/OpenMP (native), and CUDA (source);
+each loads with the backend that uses it (``repro._lazy``)."""
 
-from .pycode import PyCodegen, compile_func
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "PyCodegen": ".pycode", "compile_func": ".pycode"})
 
 __all__ = ["PyCodegen", "compile_func"]

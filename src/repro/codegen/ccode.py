@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-import subprocess
-import tempfile
+from contextlib import suppress
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -612,6 +611,7 @@ def _cache_dir() -> str:
     if _TEMP_DIR is None:
         import atexit
         import shutil
+        import tempfile
 
         _TEMP_DIR = tempfile.mkdtemp(prefix="repro_cc_")
         atexit.register(shutil.rmtree, _TEMP_DIR, ignore_errors=True)
@@ -630,25 +630,32 @@ def compile_func_native(func: Func, cc: str = "gcc", openmp: bool = True,
     already paid for the ``.so`` everyone else loads. Concurrent builders
     of one key serialize on a per-key lock file, and the winner publishes
     with an atomic rename so readers never observe a half-written object.
-    """
-    from ..cache.keys import native_digest
-    from ..runtime import metrics
 
-    gen = CCodegen(func)
-    src = gen.generate()
-    digest = native_digest(src, cc, opt, openmp)
+    A ``"native"`` index entry in the persistent store leads from the
+    tree (``cache.keys.native_index_key``) to that digest, so a warm
+    process loads the ``.so`` without generating the source; an entry
+    whose kernel was evicted is no answer (regenerate, rebuild, re-index).
+    """
+    from ..cache.keys import native_digest, native_index_key
+    from ..pipeline.manager import product_store
+
     cdir = _cache_dir()
-    c_path = os.path.join(cdir, f"k{digest}.c")
-    so_path = os.path.join(cdir, f"k{digest}.so")
-    if not os.path.exists(so_path):
-        _build_native(src, cc, opt, openmp, cdir, digest, c_path, so_path)
-    else:
-        metrics.DISK.add("native_hits")
-        try:  # LRU recency for the shared store's GC
-            os.utime(so_path)
-        except OSError:
-            pass
-    lib = ctypes.CDLL(so_path)
+    src = lib = None
+    disk = product_store()
+    if disk is not None:
+        key = native_index_key(func, cc, opt, openmp)
+        lib = disk.lookup("native", key, lambda entry: _load_kernel(
+            os.path.join(cdir, f"k{entry['digest']}.so")))
+    if lib is None:
+        src = CCodegen(func).generate()
+        digest = native_digest(src, cc, opt, openmp)
+        stem = os.path.join(cdir, f"k{digest}")
+        lib = _load_kernel(stem + ".so")
+        if lib is None:
+            _build_native(src, cc, opt, openmp, stem)
+            lib = ctypes.CDLL(stem + ".so")
+        if disk is not None:
+            disk.store("native", key, lambda: {"digest": digest})
     kernel = lib.kernel
     defs = defined_tensors(func.body)
     tensors = [(p, defs[p].dtype.to_numpy())
@@ -684,25 +691,47 @@ def compile_func_native(func: Func, cc: str = "gcc", openmp: bool = True,
         for given, arr in copied:  # e.g. a non-contiguous inout
             given[...] = arr
 
-    run.__ft_source__ = src
+    def source() -> str:
+        # the twin gcc compiled, kept beside the .so; else the same text
+        try:
+            with open(lib._name[:-3] + ".c") as f:
+                return f.read()
+        except OSError:
+            return CCodegen(func).generate()
+
+    # the text when this call generated it, else how to get it
+    run.__ft_source__ = src or source
     return run
 
 
-def _build_native(src: str, cc: str, opt: str, openmp: bool, cdir: str,
-                  digest: str, c_path: str, so_path: str):
-    """Compile ``src`` and publish ``so_path`` atomically (one winner per
-    key across processes)."""
+def _load_kernel(so_path: str):
+    """The compiled kernel at ``so_path``, or None when there is none."""
+    from ..runtime import metrics
+
+    try:
+        lib = ctypes.CDLL(so_path)
+    except OSError:
+        return None
+    with suppress(OSError):  # LRU recency for the shared store's GC
+        os.utime(so_path)
+    metrics.DISK.add("native_hits")
+    return lib
+
+
+def _build_native(src: str, cc: str, opt: str, openmp: bool, stem: str):
+    """Compile ``src`` and publish ``<stem>.so`` (and its ``.c`` twin)
+    atomically: one winner per key across processes."""
+    import subprocess
     import time as _time
 
     from ..runtime import metrics
 
     metrics.DISK.add("native_misses")
-    lock_path = os.path.join(cdir, f"k{digest}.lock")
-    lock = open(lock_path, "w")
+    lock = open(stem + ".lock", "w")
     # gcc dispatches on the suffix, so the temp names keep .c / .so and
     # embed the pid before it (unique per concurrent builder)
-    tmp_c = os.path.join(cdir, f"k{digest}.{os.getpid()}.tmp.c")
-    tmp_so = os.path.join(cdir, f"k{digest}.{os.getpid()}.tmp.so")
+    tmp_c = f"{stem}.{os.getpid()}.tmp.c"
+    tmp_so = f"{stem}.{os.getpid()}.tmp.so"
     try:
         try:
             import fcntl
@@ -710,7 +739,7 @@ def _build_native(src: str, cc: str, opt: str, openmp: bool, cdir: str,
             fcntl.flock(lock, fcntl.LOCK_EX)
         except ImportError:  # pragma: no cover - non-posix
             pass
-        if os.path.exists(so_path):  # raced: another process built it
+        if os.path.exists(stem + ".so"):  # raced: another process built it
             return
         t0 = _time.perf_counter()
         with open(tmp_c, "w") as f:
@@ -729,12 +758,10 @@ def _build_native(src: str, cc: str, opt: str, openmp: bool, cdir: str,
             ) from None
         metrics.record_gcc_run(_time.perf_counter() - t0)
         # keep the source beside the object (debugging aid), then publish
-        os.replace(tmp_c, c_path)
-        os.replace(tmp_so, so_path)
+        os.replace(tmp_c, stem + ".c")
+        os.replace(tmp_so, stem + ".so")
     finally:
         for tmp in (tmp_c, tmp_so):
-            try:
+            with suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
         lock.close()

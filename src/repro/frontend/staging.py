@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 
 from ..errors import StagingError
 from ..ir import Expr, Func, IntConst, Var, wrap
+from ..state import BoundedMemo
 from .context import Builder
 from .source import register_staged
 from .tensor import (Size, Tensor, TensorRef, _TensorAnnotation, as_expr,
@@ -702,7 +703,18 @@ def _subscript_index_ast(index: ast.expr) -> ast.expr:
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_function(fn) -> "function":
+#: source function's code object (and file) -> the compiled module code
+#: of its rewritten ``def``, a pure function of the two: the ``libop``
+#: helpers every program inlines are parsed and compiled once
+_STAGED_CODE = BoundedMemo("staged_code", 512)
+
+
+def _staged_module_code(fn):
+    # code objects compare by content but not by file: name the file too
+    key = (fn.__code__.co_filename, fn.__code__)
+    code = _STAGED_CODE.get(key)
+    if code is not None:
+        return code
     try:
         src = textwrap.dedent(inspect.getsource(fn))
     except (OSError, TypeError) as exc:  # pragma: no cover - env-specific
@@ -736,7 +748,14 @@ def _rewrite_function(fn) -> "function":
     if first_line > 1:
         ast.increment_lineno(tree, first_line - 1)
     code = compile(tree, filename=filename, mode="exec")
+    _STAGED_CODE.put(key, code)
+    return code
 
+
+def _rewrite_function(fn) -> "function":
+    code = _staged_module_code(fn)
+    # the def is executed per call: each gets its own function object
+    # over this caller's globals and this closure's cell contents
     if fn.__closure__:
         namespace = dict(fn.__globals__)
         for var, cell in zip(fn.__code__.co_freevars, fn.__closure__):

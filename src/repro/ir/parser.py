@@ -58,18 +58,18 @@ class _Tokens:
             for m in _TOKEN_RE.finditer(line):
                 self.toks.append(m.group(0))
                 self.kinds.append(m.lastgroup)
+        self.toks.append(None)  # end of text: peek() needs no bounds test
         self.pos = 0
 
     def _stash_attrs(self, m: re.Match) -> str:
         self.attr_payloads.append(m.group(1))
         return f" ¶attrs {len(self.attr_payloads) - 1} "
 
-    def peek(self, k: int = 0) -> Optional[str]:
-        i = self.pos + k
-        return self.toks[i] if i < len(self.toks) else None
+    def peek(self) -> Optional[str]:
+        return self.toks[self.pos]
 
     def next(self) -> str:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t is None:
             raise InvalidProgram("unexpected end of IR text")
         self.pos += 1
@@ -82,7 +82,7 @@ class _Tokens:
                                  f"(at {self.toks[max(0, self.pos-4):self.pos+3]})")
 
     def accept(self, tok: str) -> bool:
-        if self.peek() == tok:
+        if self.toks[self.pos] == tok:
             self.pos += 1
             return True
         return False
@@ -105,55 +105,33 @@ class _Parser:
         return self._ternary()
 
     def _ternary(self) -> E.Expr:
-        cond = self._or()
+        cond = self._binary(1)
         if self.t.accept("?"):
-            a = self._or()
+            a = self._binary(1)
             self.t.expect(":")
             b = self._ternary()
             return E.IfExpr(cond, a, b)
         return cond
 
-    def _or(self) -> E.Expr:
-        e = self._and()
-        while self.t.peek() == "or":
-            self.t.next()
-            e = E.LOr(e, self._and())
-        return e
+    #: binary operator -> (binding power, node class), left-associative
+    _BINARY = {
+        "or": (1, E.LOr), "and": (2, E.LAnd),
+        "<": (3, E.LT), "<=": (3, E.LE), ">": (3, E.GT), ">=": (3, E.GE),
+        "==": (3, E.EQ), "!=": (3, E.NE),
+        "+": (4, E.Add), "-": (4, E.Sub),
+        "*": (5, E.Mul), "/": (5, E.RealDiv), "//": (5, E.FloorDiv),
+        "%": (5, E.Mod),
+    }
 
-    def _and(self) -> E.Expr:
-        e = self._cmp()
-        while self.t.peek() == "and":
-            self.t.next()
-            e = E.LAnd(e, self._cmp())
-        return e
-
-    _CMP = {"<": E.LT, "<=": E.LE, ">": E.GT, ">=": E.GE, "==": E.EQ,
-            "!=": E.NE}
-
-    def _cmp(self) -> E.Expr:
-        e = self._add()
-        while self.t.peek() in self._CMP:
-            op = self.t.next()
-            e = self._CMP[op](e, self._add())
-        return e
-
-    def _add(self) -> E.Expr:
-        e = self._mul()
-        while self.t.peek() in ("+", "-"):
-            op = self.t.next()
-            rhs = self._mul()
-            e = E.Add(e, rhs) if op == "+" else E.Sub(e, rhs)
-        return e
-
-    def _mul(self) -> E.Expr:
+    def _binary(self, min_power: int) -> E.Expr:
+        """A chain of binary operators binding at least ``min_power``."""
         e = self._unary()
-        while self.t.peek() in ("*", "/", "//", "%"):
-            op = self.t.next()
-            rhs = self._unary()
-            cls = {"*": E.Mul, "/": E.RealDiv, "//": E.FloorDiv,
-                   "%": E.Mod}[op]
-            e = cls(e, rhs)
-        return e
+        while True:
+            power, cls = self._BINARY.get(self.t.peek(), (0, None))
+            if power < min_power:
+                return e
+            self.t.pos += 1
+            e = cls(e, self._binary(power + 1))
 
     def _unary(self) -> E.Expr:
         if self.t.accept("-"):
@@ -392,7 +370,7 @@ def parse_stmt(text: str) -> S.Stmt:
     p = _Parser(text)
     out = p.parse_stmts()
     if p.t.peek() is not None:
-        raise InvalidProgram(f"trailing tokens: {p.t.toks[p.t.pos:]}")
+        raise InvalidProgram(f"trailing tokens: {p.t.toks[p.t.pos:-1]}")
     return out
 
 
@@ -411,7 +389,7 @@ def parse_program(text: str) -> S.Func:
     p = _Parser(body_text)
     stmt = p.parse_stmts()
     if p.t.peek() is not None:
-        raise InvalidProgram(f"trailing tokens: {p.t.toks[p.t.pos:]}")
+        raise InvalidProgram(f"trailing tokens: {p.t.toks[p.t.pos:-1]}")
     # scalar params: loop/shape vars that are not tensor params
     from .functional import defined_tensors
 

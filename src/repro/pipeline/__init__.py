@@ -23,6 +23,8 @@ target, and the instrumentation environment variables
 
 from __future__ import annotations
 
+import time
+from importlib import import_module
 from typing import Dict, List, Optional
 
 from ..ir import Func
@@ -37,50 +39,45 @@ from .manager import (Pass, Pipeline, clear_pass_cache, pass_cache_stats)
 STANDARD_LOWERING = ("flatten", "make_reduction", "simplify", "cleanup")
 
 
-def _pass_fns():
-    from ..analysis.cost import cost_model_pass
-    from ..passes.cleanup import remove_dead_writes
-    from ..passes.flatten import flatten_stmt_seq
-    from ..passes.make_reduction import make_reduction
-    from ..passes.prune import prune_branches
-    from ..passes.simplify_pass import simplify
+#: standard pass name -> (module, function), imported per name on first
+#: use. "codegen_prep" is "flatten" under a distinct name — the final
+#: normalization after legalization rewrites, right before the code
+#: generator; "cost_model" is an identity analysis pass that estimates
+#: the static cost of the tree at its point in the pipeline.
+_PASS_FNS = {
+    "flatten": ("..passes.flatten", "flatten_stmt_seq"),
+    "make_reduction": ("..passes.make_reduction", "make_reduction"),
+    "simplify": ("..passes.simplify_pass", "simplify"),
+    "cleanup": ("..passes.cleanup", "remove_dead_writes"),
+    "prune": ("..passes.prune", "prune_branches"),
+    "codegen_prep": ("..passes.flatten", "flatten_stmt_seq"),
+    "cost_model": ("..analysis.cost", "cost_model_pass"),
+}
 
-    return {
-        "flatten": flatten_stmt_seq,
-        "make_reduction": make_reduction,
-        "simplify": simplify,
-        "cleanup": remove_dead_writes,
-        "prune": prune_branches,
-        # same transformation as "flatten" under a distinct name: the
-        # final normalization after legalization rewrites, immediately
-        # before the code generator
-        "codegen_prep": flatten_stmt_seq,
-        # identity analysis pass: estimate the static cost of the tree
-        # at this point in the pipeline (repro.analysis.cost)
-        "cost_model": cost_model_pass,
-    }
+
+def _pass_fn(name: str):
+    module, attr = _PASS_FNS[name]
+    return getattr(import_module(module, __name__), attr)
 
 
 def named_pass(name: str) -> Pass:
     """Construct a standard pass by name (``flatten``, ``make_reduction``,
     ``simplify``, ``cleanup``, ``prune``, ``codegen_prep``,
     ``cost_model``, or any registered legalization pass)."""
-    fns = _pass_fns()
-    if name in fns:
+    if name in _PASS_FNS:
         # cost_model is wanted for its side effect (the recorded
         # estimate); a pass-cache hit would skip the analysis entirely
-        return Pass(name, fns[name], cacheable=(name != "cost_model"))
+        return Pass(name, _pass_fn(name), cacheable=(name != "cost_model"))
     if name in LEGALIZATION_PASSES:
         return Pass(name, LEGALIZATION_PASSES[name])
     raise ValueError(
         f"unknown pass {name!r}; known: "
-        f"{sorted(set(fns) | set(LEGALIZATION_PASSES))}")
+        f"{sorted(set(_PASS_FNS) | set(LEGALIZATION_PASSES))}")
 
 
 def lowering_passes() -> List[Pass]:
     """The standard lowering sequence as fresh Pass objects."""
-    fns = _pass_fns()
-    return [Pass(n, fns[n]) for n in STANDARD_LOWERING]
+    return [Pass(n, _pass_fn(n)) for n in STANDARD_LOWERING]
 
 
 #: shared stateless pipeline instances, keyed by name
@@ -130,14 +127,50 @@ def compile_ir(func: Func, backend: str = "pycode", target=None,
     calls it, and the verify CLI calls it with the same defaults, so
     CLI-verified IR is bit-identical (same ``struct_hash``) to what a
     build compiles.
+
+    The output is deterministic in (input tree, backend, target,
+    ``optimize``): one ``"compile"`` record in the persistent store (an
+    identity marker when compiling gave the tree back), looked up before
+    the scheduler or any pass is imported. A hit's time goes under the
+    name a pass-cache hit would use.
     """
+    from ..autosched.target import default_target
+    from ..backend import backend_cache_tag
+    from .manager import product_store
+
+    if target is None:
+        target = default_target(backend)
+    disk = product_store()
+    if disk is not None:
+        from ..cache.serial import canonical_key, decode_entry, encode_entry
+        from ..runtime import metrics
+
+        t0 = time.perf_counter()
+        canon, sids = canonical_key(func)
+        key = "|".join((canon, backend_cache_tag(backend),
+                        repr(target.cache_key()), str(bool(optimize))))
+        out = disk.lookup("compile", key,
+                          lambda entry: decode_entry(entry, sids, func))
+        if out is not None:
+            name = "autosched" if optimize else \
+                "codegen_prep" if declared_legalization(backend) else \
+                STANDARD_LOWERING[-1]
+            dt = time.perf_counter() - t0
+            metrics.record_pass_run(name, dt, True)
+            if times is not None:
+                times[name] = times.get(name, 0.0) + dt
+            return out
     if optimize:
         from ..autosched import auto_schedule
 
-        return auto_schedule(func, target=target, backend=backend,
-                             times=times)
-    return build_pipeline(backend=backend, target=target).run(func,
-                                                              times=times)
+        out = auto_schedule(func, target=target, backend=backend,
+                            times=times)
+    else:
+        out = build_pipeline(backend=backend, target=target).run(
+            func, times=times)
+    if disk is not None:
+        disk.store("compile", key, lambda: encode_entry(out, sids, func))
+    return out
 
 
 __all__ = [

@@ -23,29 +23,25 @@ sequence buys three things at once:
   the builders in ``repro.pipeline`` append them, so codegen never
   special-cases IR shapes it cannot emit.
 
-The in-memory cache is backed by the persistent cross-process store in
-``repro.cache``: on a full memory miss the pipeline probes the store
-deepest-first along its chain key (canonicalised to be process-
-independent) and installs hits back into memory; the terminal output of
-a cold cacheable segment is written through — as an identity marker when
-the segment gave its anchor tree back, so a warm run of it decodes
-nothing. See docs/PERFORMANCE.md.
+The per-pass cache is in-process only. What outlives the process is one
+*product record* per public compile entry point (``compile_ir()``, the C
+backend's native index, ``grad()``) in the persistent store of
+``repro.cache`` (:func:`product_store`; docs/PERFORMANCE.md).
 
 Escape hatches: ``REPRO_NO_MEMO=1`` disables the per-pass cache (with
-every other in-process memo, and the store entries it gates);
+every other in-process memo, and the product records);
 ``REPRO_NO_DISK_CACHE=1`` disables the persistent store only.
 """
 
 from __future__ import annotations
 
-import difflib
 import itertools
 import os
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..errors import VerificationError
-from ..ir import Func
+from ..ir import Func, dump, struct_hash
 from ..state import BoundedMemo, Counters, memos_enabled
 
 #: content-addressed per-pass result cache:
@@ -80,6 +76,8 @@ class _PassCounters(Counters):
         metrics._PIPELINE_STATS.clear()
 
 
+#: ``disk_hits`` is declared, and stays 0 (this cache is in-process only),
+#: because the frozen benchmark child reads the key
 _STATS = _PassCounters("passes", hits=0, misses=0, disk_hits=0)
 
 clear_pass_cache = _PASS_CACHE.clear
@@ -99,32 +97,18 @@ def runs_instrumented() -> bool:
             or env.get("REPRO_VERIFY_EACH_PASS", "") == "1")
 
 
-def _hash(func: Func) -> str:
-    from ..ir.hashing import struct_hash
-
-    return struct_hash(func, include_sids=True)
-
-
-def _disk_store():
-    """The persistent store handle, or None when disk caching is off."""
-    from ..cache import store as disk_store
-
-    return disk_store.get_store()
-
-
 def product_store():
-    """The store whole-product records (``grad()``) live in, or None:
-    under the switches that gate composite entries, and bypassed by
-    instrumented runs exactly as pass-cache lookups are."""
+    """The persistent store the product records live in (kinds
+    ``compile``, ``native``, ``grad``), or None: disk caching off,
+    ``REPRO_NO_MEMO=1``, or an instrumented run (every pass must run)."""
     if not memos_enabled() or runs_instrumented():
         return None
-    return _disk_store()
+    from ..cache.store import get_store
+
+    return get_store()
 
 
-def composite_cache_lookup(name: str, key: str,
-                           input_func: Optional[Func] = None,
-                           disk_extra: Optional[str] = None,
-                           ) -> Optional[Func]:
+def composite_cache_lookup(name: str, key: str) -> Optional[Func]:
     """Look up a composite (whole-sub-pipeline) result under pass-cache
     entry ``(name, key)``; returns the Func or None.
 
@@ -134,47 +118,16 @@ def composite_cache_lookup(name: str, key: str,
     its input, so serving the stored object keeps repeated optimized
     compiles of one program — build(), then the verify CLI — bit-identical
     down to sids.
-
-    ``input_func`` + ``disk_extra`` opt the entry into the persistent
-    store: on a memory miss the disk is probed under the *canonical*
-    (process-independent) key derived from ``input_func`` plus the
-    ``disk_extra`` discriminator, and a disk hit is installed in memory
-    under ``(name, key)`` so repeats stay bit-identical in-process.
     """
     if not memos_enabled():
         return None
     entry = _PASS_CACHE.get((name, key))
-    if entry is not None:
-        _STATS.add("hits")
-        return entry
-    if input_func is not None:
-        disk = _disk_store()
-        if disk is not None:
-            from ..cache.serial import canonical_key
-
-            canon, sids = canonical_key(input_func)
-            func = disk.ir_lookup(name, f"{canon}|{disk_extra or ''}", sids)
-            if func is not None:
-                _STATS.add("disk_hits")
-                _PASS_CACHE.put((name, key), func)
-                return func
-    _STATS.add("misses")
-    return None
+    _STATS.add("misses" if entry is None else "hits")
+    return entry
 
 
-def composite_cache_store(name: str, key: str, func: Func,
-                          input_func: Optional[Func] = None,
-                          disk_extra: Optional[str] = None):
-    if not memos_enabled():
-        return
+def composite_cache_store(name: str, key: str, func: Func):
     _PASS_CACHE.put((name, key), func)
-    if input_func is not None:
-        disk = _disk_store()
-        if disk is not None:
-            from ..cache.serial import canonical_key
-
-            canon, sids = canonical_key(input_func)
-            disk.ir_store(name, f"{canon}|{disk_extra or ''}", sids, func)
 
 
 class Pass:
@@ -230,15 +183,12 @@ class Pipeline:
         return f"Pipeline({self.name}: {' -> '.join(self.pass_names())})"
 
     def run(self, func: Func,
-            times: Optional[Dict[str, float]] = None,
-            _persist: bool = True) -> Func:
+            times: Optional[Dict[str, float]] = None) -> Func:
         """Run every pass in order; returns the final Func.
 
         ``times``, when given, accumulates per-pass wall-clock seconds
         under each pass's name (this is what ``Executable.compile_times``
-        carries for a cold build). ``_persist=False`` (internal) keeps
-        this run out of the persistent store: ``grad()`` stores its
-        product as one record instead of per-pass entries.
+        carries for a cold build).
         """
         from ..runtime import metrics
 
@@ -272,7 +222,6 @@ class Pipeline:
         cur = func
         n = len(self.passes)
         i = 0
-        disk = _disk_store() if use_cache and _persist else None
         # The chain anchors at a struct-hash of the current tree and
         # extends by pass name: pass outputs are pure functions of
         # (anchor tree, passes since), so no intermediate tree is ever
@@ -280,34 +229,15 @@ class Pipeline:
         # the input tree) invalidates the anchor; the next cacheable
         # pass re-hashes.
         chain: Optional[str] = None
-        # Disk twin of the chain: [anchor tree, pass names since anchor,
-        # memoized canonical_key(anchor)]. The canonical (preorder-sid-
-        # renumbered) hash is process-independent, so it — not the
-        # absolute-sid chain — keys the persistent store. Computed only
-        # when the disk is actually consulted.
-        anchor: Optional[list] = None
-
-        def disk_key(upto: int) -> Tuple[str, List[str]]:
-            from ..cache.serial import canonical_key
-
-            if anchor[2] is None:
-                anchor[2] = canonical_key(anchor[0])
-            canon, sids = anchor[2]
-            names = anchor[1] + [self.passes[m].key
-                                 for m in range(i, upto + 1)]
-            return canon + "|" + "|".join(names), sids
-
         while i < n:
             p = self.passes[i]
             if not (use_cache and p.cacheable):
                 cur = live(p, cur, False)
                 chain = None
-                anchor = None
                 i += 1
                 continue
             if chain is None:
-                chain = _hash(cur)
-                anchor = [cur, [], None]
+                chain = struct_hash(cur, include_sids=True)
             # the contiguous cacheable segment starting here, with each
             # pass's chain key
             j = i
@@ -325,25 +255,9 @@ class Pipeline:
                 if out is not None:
                     hit_idx = k
                     break
-            # full memory miss: probe the persistent store, deepest first
-            from_disk = False
-            if hit_idx is None and disk is not None:
-                for k in range(j - 1, i - 1, -1):
-                    dkey, sids = disk_key(k)
-                    out = disk.ir_lookup("pass", dkey, sids, anchor[0])
-                    if out is not None:
-                        hit_idx = k
-                        from_disk = True
-                        break
             if hit_idx is not None:
                 dt = time.perf_counter() - t0
-                covered = hit_idx - i + 1
-                if from_disk:
-                    _STATS.add("disk_hits", covered)
-                    # install in memory so in-process repeats skip disk
-                    _PASS_CACHE.put(keys[hit_idx - i], out)
-                else:
-                    _STATS.add("hits", covered)
+                _STATS.add("hits", hit_idx - i + 1)
                 for k in range(i, hit_idx + 1):
                     name = self.passes[k].name
                     d = dt if k == hit_idx else 0.0
@@ -353,8 +267,6 @@ class Pipeline:
                 cur = out
                 chain = keys[hit_idx - i][1] + "|" + \
                     self.passes[hit_idx].key
-                anchor[1].extend(self.passes[k].key
-                                 for k in range(i, hit_idx + 1))
                 i = hit_idx + 1
                 continue
             # cold segment: run it live, store only its terminal output
@@ -362,13 +274,7 @@ class Pipeline:
             for k in range(i, j):
                 cur = live(self.passes[k], cur, True)
             _PASS_CACHE.put(keys[j - 1 - i], cur)
-            if disk is not None:
-                # a chain that gave its anchor back (build() of an
-                # already-lowered tree) is stored as an identity marker
-                dkey, sids = disk_key(j - 1)
-                disk.ir_store("pass", dkey, sids, cur, anchor[0])
             chain = ch
-            anchor[1].extend(self.passes[k].key for k in range(i, j))
             i = j
         return cur
 
@@ -419,19 +325,15 @@ class _Snapshotter:
         self.prev_name = "00-input"
         self.prev_text = self._write(self.prev_name, func)
 
-    @staticmethod
-    def _text(func: Func) -> str:
-        from ..ir import dump
-
-        return dump(func, show_ids=True)
-
     def _write(self, stem: str, func: Func) -> str:
-        text = self._text(func)
+        text = dump(func, show_ids=True)
         with open(os.path.join(self.dir, stem + ".ir"), "w") as f:
             f.write(text)
         return text
 
     def take(self, pass_name: str, func: Func):
+        import difflib
+
         self.idx += 1
         stem = f"{self.idx:02d}-{pass_name}"
         text = self._write(stem, func)

@@ -25,7 +25,7 @@ from ..backend import (available_backends, backend_cache_tag, get_backend,
                        register_backend)
 from ..errors import BackendError, InvalidProgram
 from ..ir import (AccessType, Const, Expr, Func, IntConst, Var, VarDef,
-                  defined_tensors, struct_hash)
+                  defined_tensors, struct_hash, substitute)
 from ..frontend.staging import Program
 from ..state import BoundedMemo, Counters
 
@@ -141,7 +141,6 @@ class Executable:
         #: pass (flatten/simplify/auto_parallelize/...), plus codegen
         #: and, when gated, verify
         self.compile_times: Dict[str, float] = dict(compile_times or {})
-        self._dim_interp = None
         self._defs = defined_tensors(func.body)
         # Parameters the caller must provide data for, in order.
         self.data_params: List[str] = [
@@ -303,14 +302,15 @@ class Executable:
                     f"{dim_expr.val}, got {actual}")
         # Composite dimension expressions are checked after inference.
 
-    def _eval_dim(self, d: Expr, sc: Dict[str, int]) -> int:
-        if isinstance(d, Const):
-            return int(d.val)
-        if self._dim_interp is None:
-            from .interpreter import Interpreter
-
-            self._dim_interp = Interpreter()
-        return int(self._dim_interp.eval_expr(d, dict(sc)))
+    @staticmethod
+    def _eval_dim(d: Expr, sc: Dict[str, int]) -> int:
+        if not isinstance(d, Const):
+            # integer arithmetic over the shape scalars, all known by
+            # now: substituting them folds it
+            d = substitute(d, {k: IntConst(v) for k, v in sc.items()})
+            if not isinstance(d, Const):
+                raise InvalidProgram(f"cannot evaluate dimension {d}")
+        return int(d.val)
 
     # -- running ----------------------------------------------------------
     def run_env(self, env: Dict[str, object]):
@@ -330,8 +330,12 @@ class Executable:
 
     @property
     def source(self) -> Optional[str]:
-        """Generated backend source, if the backend produces source code."""
-        return getattr(self._run, "__ft_source__", None)
+        """Generated backend source, if the backend produces source code
+        (resolved on first use when a stored kernel was loaded)."""
+        src = getattr(self._run, "__ft_source__", None)
+        if callable(src):
+            src = self._run.__ft_source__ = src()
+        return src
 
     @property
     def compile_time_total(self) -> float:

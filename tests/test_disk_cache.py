@@ -18,9 +18,9 @@ from repro.cache import keys as cache_keys
 from repro.ir import struct_hash
 from repro.cache.serial import canonical_key, preorder_sids
 from repro.cache.store import DiskCache, get_store
-from repro.pipeline import build_pipeline, clear_pass_cache
+from repro.pipeline import build_pipeline, clear_pass_cache, compile_ir
 from repro.pipeline.manager import pass_cache_stats
-from repro.runtime.driver import build
+from repro.runtime.driver import Executable, build
 from repro.workloads import gat
 
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -34,6 +34,17 @@ def disk_env(monkeypatch, tmp_path):
     clear_pass_cache()
     yield str(tmp_path / "cache")
     clear_pass_cache()
+
+
+def _disk():
+    return ft.compile_cache_stats()["disk"]
+
+
+def _passes_executed():
+    from repro.runtime.metrics import pipeline_stats
+
+    return sum(r["runs"] - r["cache_hits"]
+               for r in pipeline_stats().values())
 
 
 def _subenv(cache_dir, **extra):
@@ -55,19 +66,24 @@ class TestStore:
 
     def test_pipeline_populates_and_serves(self, disk_env):
         func = gat.make_program().func
-        out1 = build_pipeline("pycode").run(func)
+        out1 = compile_ir(func)
         store = get_store()
         assert store is not None
-        assert store.disk_stats()["ir_entries"] >= 1
-        # wipe memory: the same compile must now come from disk
+        assert store.disk_stats()["by_kind"] == {
+            "compile": {"entries": 1,
+                        "bytes": store.disk_stats()["ir_bytes"]}}
+        # wipe memory: the same compile must now come from disk, with
+        # one lookup and without running a pass
         clear_pass_cache()
-        before = pass_cache_stats()["disk_hits"]
-        out2 = build_pipeline("pycode").run(gat.make_program().func)
-        assert pass_cache_stats()["disk_hits"] > before
+        hits = _disk()["ir_hits"]
+        misses = pass_cache_stats()["misses"]
+        out2 = compile_ir(gat.make_program().func)
+        assert _disk()["ir_hits"] == hits + 1
+        assert pass_cache_stats()["misses"] == misses
         assert struct_hash(out2) == struct_hash(out1)
 
     def test_corrupt_entry_is_a_miss_not_a_crash(self, disk_env):
-        build_pipeline("pycode").run(gat.make_program().func)
+        compile_ir(gat.make_program().func)
         store = get_store()
         entries = []
         for dirpath, _dirs, files in os.walk(store.ir_dir()):
@@ -78,10 +94,10 @@ class TestStore:
             with open(path, "w") as f:
                 f.write('{"fmt": 1, "input_sids": [')
         clear_pass_cache()
-        before = ft.compile_cache_stats()["disk"]["ir_corrupt"]
-        out = build_pipeline("pycode").run(gat.make_program().func)
+        before = _disk()["ir_corrupt"]
+        out = compile_ir(gat.make_program().func)
         assert out is not None  # recompiled cleanly
-        assert ft.compile_cache_stats()["disk"]["ir_corrupt"] > before
+        assert _disk()["ir_corrupt"] > before
         # every corrupt entry was dropped (and possibly re-written with
         # good content by the recompile); none of the garbage survives
         for path in entries:
@@ -96,7 +112,7 @@ class TestStore:
         assert not os.path.exists(os.path.join(disk_env, "ir"))
 
     def test_schema_change_invalidates(self, disk_env, monkeypatch):
-        build_pipeline("pycode").run(gat.make_program().func)
+        compile_ir(gat.make_program().func)
         store = get_store()
         n = store.disk_stats()["ir_entries"]
         assert n >= 1
@@ -105,9 +121,9 @@ class TestStore:
         monkeypatch.setattr(cache_keys, "_SCHEMA_TAG",
                             "v1-py0.0-deadbeefdeadbeefdeadbeef")
         clear_pass_cache()
-        before = pass_cache_stats()["disk_hits"]
-        build_pipeline("pycode").run(gat.make_program().func)
-        assert pass_cache_stats()["disk_hits"] == before
+        before = _disk()["ir_hits"]
+        compile_ir(gat.make_program().func)
+        assert _disk()["ir_hits"] == before
         assert store.disk_stats()["ir_entries"] > n
 
     def test_lru_gc_respects_budget_and_recency(self, disk_env):
@@ -124,7 +140,7 @@ class TestStore:
         assert survivors == ["e6.json", "e7.json", "e8.json", "e9.json"]
 
     def test_clear_removes_all(self, disk_env):
-        build_pipeline("pycode").run(gat.make_program().func)
+        compile_ir(gat.make_program().func)
         store = get_store()
         assert store.disk_stats()["ir_entries"] >= 1
         store.clear()
@@ -170,16 +186,16 @@ class TestCrossProcess:
         cold = json.loads(_run_py(_COMPILE_SNIPPET, cache_dir).stdout)
         assert cold["pass"]["misses"] > 0
         assert cold["disk"]["gcc_runs"] == 1
-        assert cold["disk"]["ir_stores"] >= 1
+        assert cold["disk"]["ir_stores"] == 2  # compile record, native index
 
         warm = json.loads(_run_py(_COMPILE_SNIPPET, cache_dir).stdout)
         assert warm["pass"]["misses"] == 0, \
             "warm process must not execute any lowering pass"
-        assert warm["pass"]["disk_hits"] > 0
         assert warm["disk"]["gcc_runs"] == 0, \
             "warm process must not invoke the C compiler"
-        assert warm["disk"]["native_hits"] >= 1
-        assert warm["disk"]["ir_hits"] >= 1
+        assert warm["disk"]["native_hits"] == 1
+        assert warm["disk"]["ir_hits"] == 2 and \
+            warm["disk"]["ir_misses"] == 0, "every lookup it makes hits"
 
     def test_two_processes_racing_one_key(self, tmp_path):
         # both processes compile the same workload into an empty cache
@@ -266,30 +282,30 @@ class TestIdentityEntries:
 
         lowered = lowering_pipeline().run(gat.make_program().func)
         before = set(_entries(disk_env))
-        out = build_pipeline("c").run(lowered)
+        out = compile_ir(lowered, backend="c")
         assert struct_hash(out, include_sids=True) == \
             struct_hash(lowered, include_sids=True)
         (entry,) = [e for p, e in _entries(disk_env).items()
                     if p not in before]
-        assert entry == {"fmt": 1, "same": True,
+        assert entry == {"fmt": 1, "same": True, "kind": "compile",
                          "n": len(preorder_sids(lowered))}
         clear_pass_cache()
-        hits = ft.compile_cache_stats()["disk"]["ir_hits"]
-        again = build_pipeline("c").run(lowered)
-        assert again is lowered, "a marker hit is the consumer's own tree"
-        assert ft.compile_cache_stats()["disk"]["ir_hits"] == hits + 1
+        hits = _disk()["ir_hits"]
+        again = compile_ir(lowered, backend="c")
+        assert again is lowered, "a marker hit is the caller's own tree"
+        assert _disk()["ir_hits"] == hits + 1
 
     def test_rewriting_chain_is_a_payload(self, disk_env):
         func = _illegal_vectorize_func()
         before = set(_entries(disk_env))
-        out = build_pipeline("c").run(func)
+        out = compile_ir(func, backend="c")
         assert struct_hash(out, include_sids=True) != \
             struct_hash(func, include_sids=True)
         (entry,) = [e for p, e in _entries(disk_env).items()
                     if p not in before]
         assert "same" not in entry and "func" in entry
         clear_pass_cache()
-        again = build_pipeline("c").run(func)
+        again = compile_ir(func, backend="c")
         assert again is not func
         assert struct_hash(again, include_sids=True) == \
             struct_hash(out, include_sids=True)
@@ -299,7 +315,7 @@ class TestIdentityEntries:
         from repro.ir import DataType
         from repro.ir import expr as E
         from repro.ir.visitor import Mutator
-        from repro.pipeline import Pass, Pipeline, lowering_pipeline
+        from repro.pipeline import lowering_pipeline
 
         class Retype(Mutator):  # struct_hash ignores expression dtypes
 
@@ -316,29 +332,48 @@ class TestIdentityEntries:
         entry = encode_entry(retyped, preorder_sids(lowered),
                              anchor=lowered)
         assert entry is None or "same" not in entry
-        # and through a pipeline: whatever is written, it is no marker
-        before = set(_entries(disk_env))
-        pipe = Pipeline([Pass("retype", Retype())], name="retype")
-        pipe.run(lowered)
-        assert not [e for p, e in _entries(disk_env).items()
-                    if p not in before and e.get("same")]
-        clear_pass_cache()
-        assert pipe.run(lowered) is not lowered
+        # and through compile_ir, for a backend whose legalization is
+        # that retyping: whatever is written, it is no marker
+        from repro.backend import (Backend, get_backend, register_backend,
+                                   unregister_backend)
+
+        register_backend(Backend(
+            name="retyping", legalization=("retype",),
+            legalization_impls={"retype": Retype()}))
+        try:
+            before = set(_entries(disk_env))
+            compile_ir(lowered, backend="retyping")
+            assert not [e for p, e in _entries(disk_env).items()
+                        if p not in before and e.get("same")]
+            clear_pass_cache()
+            assert compile_ir(lowered, backend="retyping") is not lowered
+        finally:
+            unregister_backend("retyping")
+        # nor do the two trees share a kernel: same canonical hash, two
+        # native index entries
+        from repro.cache.keys import native_index_key
+
+        assert canonical_key(retyped)[0] == canonical_key(lowered)[0]
+        assert native_index_key(retyped, "gcc", "-O2", True) != \
+            native_index_key(lowered, "gcc", "-O2", True)
+        for tree in (lowered, retyped):
+            get_backend("c").build(tree)
+        assert get_store().disk_stats()["by_kind"]["native"]["entries"] == 2
 
     def test_marker_with_wrong_count_is_corrupt(self, disk_env):
         from repro.pipeline import lowering_pipeline
 
         lowered = lowering_pipeline().run(gat.make_program().func)
-        build_pipeline("c").run(lowered)
+        compile_ir(lowered, backend="c")
         (path,) = [p for p, e in _entries(disk_env).items()
                    if e.get("same")]
         with open(path, "w") as f:
             json.dump({"fmt": 1, "same": True, "n": 1}, f)
         clear_pass_cache()
-        corrupt = ft.compile_cache_stats()["disk"]["ir_corrupt"]
+        corrupt = _disk()["ir_corrupt"]
         misses = pass_cache_stats()["misses"]
-        out = build_pipeline("c").run(lowered)
-        assert ft.compile_cache_stats()["disk"]["ir_corrupt"] == corrupt + 1
+        out = compile_ir(lowered, backend="c")
+        assert _disk()["ir_corrupt"] == corrupt + 1
         assert pass_cache_stats()["misses"] > misses, "passes really ran"
         assert struct_hash(out, include_sids=True) == \
             struct_hash(lowered, include_sids=True)
@@ -486,8 +521,11 @@ class TestWarmCompileReadsOnly:
         assert warm["disk"]["gcc_runs"] == 0
         assert warm["disk"]["native_hits"] == 3
         assert warm["disk"]["ir_stores"] == 0
-        # autosched output, the grad record, two identity markers
-        assert 0 < warm["disk"]["ir_hits"] <= 5
+        # three compile records (the scheduled tree, two identity
+        # markers), three native index entries, the grad record — and
+        # every lookup the process makes hits
+        assert warm["disk"]["ir_hits"] == 7
+        assert warm["disk"]["ir_misses"] == 0
         assert warm["hashes"] == cold["hashes"]
 
     def test_cold_store_holds_one_record_and_two_markers(
@@ -497,6 +535,11 @@ class TestWarmCompileReadsOnly:
         assert len([e for e in entries if "funcs" in e]) == 1
         assert len([e for e in entries if e.get("same")]) == 2
         assert cold["disk"]["ir_stores"] == len(entries)
+        # one product record per entry point and nothing else: no
+        # per-pass or per-segment intermediate outlives the process
+        by_kind = DiskCache(root).disk_stats()["by_kind"]
+        assert {k: v["entries"] for k, v in by_kind.items()} == \
+            {"compile": 3, "native": 3, "grad": 1}
 
     def test_truncated_record_is_recomputed(self, populated_store,
                                             tmp_path):
@@ -533,10 +576,20 @@ class TestWarmCompileReadsOnly:
                         if n.endswith(".so"))[0]
         os.unlink(os.path.join(native, victim))
         rep = json.loads(_run_py(_GRAD_SNIPPET, store).stdout)
+        # the index entry that names the evicted kernel is no answer:
+        # generated again, built once, indexed again
         assert rep["disk"]["gcc_runs"] == 1
         assert rep["disk"]["native_hits"] == 2
+        assert rep["disk"]["ir_misses"] == 1
+        assert rep["disk"]["ir_stores"] == 1
+        assert rep["disk"]["ir_corrupt"] == 0
         assert rep["passes"]["misses"] == 0
         assert os.path.exists(os.path.join(native, victim))
+        assert rep["hashes"] == cold["hashes"]
+        # and the next process is warm again
+        again = json.loads(_run_py(_GRAD_SNIPPET, store).stdout)
+        assert again["disk"]["gcc_runs"] == 0
+        assert again["disk"]["ir_misses"] == 0
 
     @pytest.mark.parametrize("knob", ["REPRO_VERIFY_EACH_PASS",
                                       "REPRO_DUMP_IR"])
@@ -552,3 +605,205 @@ class TestWarmCompileReadsOnly:
         assert rep["executed"] >= cold["executed"] > 0, "every pass ran"
         assert rep["deps"]["misses"] > 0, "grad() really ran"
         assert rep["disk"]["gcc_runs"] == 0
+
+
+# one snippet, two orders: build() as a user calls it, or the three
+# steps the benchmark's traced child takes one by one
+_WARM_PATH_SNIPPET = """
+import json, sys
+from repro.codegen import ccode
+
+generated = []
+_generate = ccode.CCodegen.generate
+ccode.CCodegen.generate = lambda self: (generated.append(1),
+                                        _generate(self))[1]
+
+import numpy as np
+import repro as ft
+from repro.ad import GradExecutable, grad
+from repro.workloads import longformer as wl
+
+data = wl.make_data(seq_len=48, feat_len=8, w=4, seed=5)
+args = (data["q"], data["k"], data["v"])
+if TRACED:
+    from repro.backend import get_backend
+    from repro.pipeline import compile_ir
+    from repro.runtime.driver import Executable
+    func = compile_ir(wl.make_program().func, backend="c", optimize=True)
+    exe = Executable(func, get_backend("c").build(func), "c")
+else:
+    from repro.runtime.driver import build
+    exe = build(wl.make_program(), backend="c", optimize=True)
+out = exe(*args, w=data["w"])
+gexe = GradExecutable(grad(wl.make_program(), requires=["q", "k", "v"]),
+                      backend="c")
+gexe(*args, w=data["w"])
+gexe.backward()
+modules = sorted(m for m in sys.modules if m.startswith("repro")
+                 and not m.startswith("repro.workloads"))
+np.testing.assert_allclose(out, wl.reference(data), rtol=1e-3, atol=1e-3)
+stats = ft.compile_cache_stats()
+print(json.dumps({"modules": modules, "generated": len(generated),
+                  "passes": stats["passes"], "deps": stats["deps"],
+                  "disk": stats["disk"], "source": len(exe.source)}))
+"""
+
+#: what a compile answered by the store must not even load
+_COLD_ONLY = ("repro.autosched.rules", "repro.autosched.search",
+              "repro.autosched.autotune", "repro.schedule.schedule",
+              "repro.analysis", "repro.polyhedral", "repro.passes",
+              "repro.codegen.pycode", "repro.runtime.interpreter")
+
+
+class TestOneRecordPerEntryPoint:
+    """Every public compile entry point owns one product record, looked
+    up before anything that could compute it is imported."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_warm_process_loads_no_compiler(self, tmp_path, traced):
+        cache_dir = str(tmp_path / "cache")
+        code = f"TRACED = {traced}\n" + _WARM_PATH_SNIPPET
+        cold = json.loads(_run_py(code, cache_dir).stdout)
+        assert cold["generated"] == 3 and cold["disk"]["gcc_runs"] == 3
+        assert any(m.startswith("repro.passes") for m in cold["modules"])
+        warm = json.loads(_run_py(code, cache_dir).stdout)
+        loaded = [m for m in warm["modules"]
+                  if m.startswith(_COLD_ONLY)]
+        assert not loaded, loaded
+        assert len(warm["modules"]) <= 45
+        assert warm["generated"] == 0, "CCodegen.generate ran"
+        assert warm["passes"]["misses"] == 0 == warm["deps"]["misses"]
+        assert warm["disk"]["gcc_runs"] == 0
+        assert warm["disk"]["ir_stores"] == 0
+        assert warm["disk"]["ir_misses"] == 0 and \
+            warm["disk"]["ir_hits"] == 7
+        # the source was not generated, yet it is there to read
+        assert warm["source"] == cold["source"] > 0
+
+    def test_stats_cli_names_the_kinds(self, populated_store):
+        root, _cold = populated_store
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.cache", "stats", "--json"],
+            text=True, capture_output=True, check=True,
+            env=_subenv(root)).stdout
+        by_kind = json.loads(out)["disk"]["by_kind"]
+        assert sorted(by_kind) == ["compile", "grad", "native"]
+        assert all(row["entries"] and row["bytes"]
+                   for row in by_kind.values())
+        text = subprocess.run(
+            [sys.executable, "-m", "repro.cache", "stats"],
+            text=True, capture_output=True, check=True,
+            env=_subenv(root)).stdout
+        assert "compile" in text and "native" in text and "grad" in text
+
+    @pytest.mark.parametrize("knob", ["REPRO_VERIFY_EACH_PASS",
+                                      "REPRO_DUMP_IR", "REPRO_NO_MEMO",
+                                      "REPRO_NO_DISK_CACHE"])
+    def test_switches_gate_compile_and_native_records(
+            self, disk_env, monkeypatch, tmp_path, knob):
+        from repro.backend import get_backend
+
+        func = compile_ir(gat.make_program().func, backend="c")
+        get_backend("c").build(func)
+        ft.clear_compile_caches()
+        monkeypatch.setenv(knob, str(tmp_path / "dump")
+                           if knob == "REPRO_DUMP_IR" else "1")
+        before, ran = _disk(), _passes_executed()
+        func = compile_ir(gat.make_program().func, backend="c")
+        get_backend("c").build(func)
+        after = _disk()
+        for key in ("ir_hits", "ir_misses", "ir_stores"):
+            assert after[key] == before[key], key
+        assert _passes_executed() > ran
+        # REPRO_NO_DISK_CACHE=1 builds in a private directory; the others
+        # find the kernel by the digest of the source they generated
+        if knob != "REPRO_NO_DISK_CACHE":
+            assert after["gcc_runs"] == before["gcc_runs"]
+
+
+_TRACED_GAT_SNIPPET = """
+import json
+import repro as ft
+from repro.backend import get_backend
+from repro.pipeline import compile_ir
+from repro.workloads import gat
+func = compile_ir(gat.make_program().func, backend="c", optimize=True)
+get_backend("c").build(func)
+print(json.dumps(ft.compile_cache_stats()["disk"]))
+"""
+
+
+class TestProductRecordFaults:
+    """Slower correct answer, never a wrong or lost one."""
+
+    def _built(self):
+        from repro.backend import get_backend
+
+        func = compile_ir(gat.make_program().func, backend="c",
+                          optimize=True)
+        return Executable(func, get_backend("c").build(func), "c")
+
+    @staticmethod
+    def _check(exe):
+        data = gat.make_data()
+        out = exe(data["indptr"], data["indices"], data["h"], data["wmat"],
+                  data["att_s"], data["att_d"])
+        assert abs(out - gat.reference(data)).max() < 1e-3
+
+    def test_missing_c_twin_regenerates_the_same_text(self, disk_env):
+        generated = self._built().source
+        ft.clear_compile_caches()
+        native = os.path.join(disk_env, "native")
+        (twin,) = [n for n in os.listdir(native) if n.endswith(".c")]
+        with open(os.path.join(native, twin)) as f:
+            assert f.read() == generated
+        warm = self._built()
+        assert callable(warm._run.__ft_source__), "no C was generated"
+        os.unlink(os.path.join(native, twin))
+        assert warm.source == generated
+        self._check(warm)
+
+    def test_truncated_compile_record_is_recomputed(self, disk_env):
+        first = self._built()
+        (path,) = [p for p, e in _entries(disk_env).items()
+                   if e["kind"] == "compile"]
+        with open(path) as f:
+            text = f.read()
+        with open(path, "w") as f:
+            f.write(text[:len(text) // 2])
+        ft.clear_compile_caches()
+        before, misses = _disk(), pass_cache_stats()["misses"]
+        again = self._built()
+        assert _disk()["ir_corrupt"] == before["ir_corrupt"] + 1
+        assert pass_cache_stats()["misses"] > misses, "passes really ran"
+        assert _disk()["gcc_runs"] == before["gcc_runs"]
+        assert canonical_key(again.func)[0] == canonical_key(first.func)[0]
+        assert _entries(disk_env)[path]["kind"] == "compile"  # whole again
+        self._check(again)
+
+    def test_gc_between_the_index_hit_and_the_dlopen(self, disk_env,
+                                                     monkeypatch):
+        from repro.codegen import ccode
+
+        # populated by another process: this one has not dlopen-ed the
+        # kernel yet (a loaded library survives the loss of its file)
+        _run_py(_TRACED_GAT_SNIPPET, disk_env)
+        load = ccode._load_kernel
+
+        def evicted_then_load(so_path):
+            # the index entry has been read; python -m repro.cache gc
+            # runs before the dlopen
+            assert os.path.exists(so_path)
+            assert get_store().gc(budget=0) > 0
+            monkeypatch.setattr(ccode, "_load_kernel", load)
+            return load(so_path)
+
+        monkeypatch.setattr(ccode, "_load_kernel", evicted_then_load)
+        before = _disk()["gcc_runs"]
+        exe = self._built()
+        assert _disk()["gcc_runs"] == before + 1
+        self._check(exe)
+        # rebuilt and indexed again: the next process loads it (the
+        # compile record went with that gc and was already served here)
+        warm = json.loads(_run_py(_TRACED_GAT_SNIPPET, disk_env).stdout)
+        assert warm["gcc_runs"] == 0 and warm["native_hits"] == 1

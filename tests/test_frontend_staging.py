@@ -477,3 +477,75 @@ class TestRuntimeBinding:
 
         out = f(np.arange(3))  # int64 input is cast to f32
         assert out.dtype == np.float32
+
+
+class TestStagedCodeMemo:
+    """``_rewrite_function`` compiles a source function once per process
+    and still binds every call's own globals and closure cells."""
+
+    @staticmethod
+    def _scaled(k):
+        def f(a: ft.Tensor[(4,), "f32", "input"]):
+            y = ft.empty((4,), "f32")
+            for i in range(4):                      # loop line
+                y[i] = a[i] * k
+            return y
+
+        return f
+
+    def test_one_function_is_compiled_once(self, monkeypatch):
+        from repro.frontend import staging
+
+        compiled = []
+
+        def counting(tree, **kw):
+            compiled.append(kw["filename"])
+            return compile(tree, **kw)
+
+        monkeypatch.setattr(staging, "compile", counting, raising=False)
+        staging._STAGED_CODE.clear()
+        fn = self._scaled(2.0)
+        first = staging._rewrite_function(fn)
+        second = staging._rewrite_function(fn)
+        third = staging._rewrite_function(self._scaled(3.0))  # same code
+        assert len(compiled) == 1
+        assert first is not second
+        assert first.__code__ is second.__code__ is third.__code__
+        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        staging._rewrite_function(fn)
+        assert len(compiled) == 2
+
+    def test_each_call_binds_its_own_cells(self):
+        from repro.frontend import staging
+
+        staging._STAGED_CODE.clear()
+        double, triple = (ft.transform(self._scaled(k)) for k in (2.0, 3.0))
+        a = np.arange(4, dtype=np.float32)
+        np.testing.assert_allclose(double(a), a * 2)
+        np.testing.assert_allclose(triple(a), a * 3)
+        s2 = staging._rewrite_function(self._scaled(2.0))
+        s3 = staging._rewrite_function(self._scaled(3.0))
+        assert s2.__ft_namespace__["k"] == 2.0
+        assert s3.__ft_namespace__["k"] == 3.0
+        assert s2.__ft_namespace__ is not s3.__ft_namespace__
+
+    def test_spans_are_unchanged_on_a_hit(self):
+        import os
+
+        from repro.frontend import staging
+
+        staging._STAGED_CODE.clear()
+        fn = self._scaled(2.0)
+        lines = []
+        for _ in range(2):  # a miss, then a hit
+            prog = ft.transform(fn)
+            (loop,) = collect_stmts(prog.func.body,
+                                    lambda s: isinstance(s, For))
+            lines.append(loop.span)
+        staged = staging._rewrite_function(fn)
+        assert staged.__code__.co_firstlineno == fn.__code__.co_firstlineno
+        assert lines[0] == lines[1]
+        fname, line = lines[0]
+        assert os.path.abspath(fname) == os.path.abspath(__file__)
+        with open(__file__) as f:
+            assert "# loop line" in f.read().splitlines()[line - 1]
