@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir import stmt as S
 from ..polyhedral import (Affine, AffineBuilder, LinCon, NonAffine,
-                          is_feasible)
+                          any_feasible)
 from ..state import BoundedMemo, Counters, memos_enabled
 from .access import Access, collect_accesses
 
@@ -343,11 +343,8 @@ class DepAnalyzer:
                 for j in range(n_common)
             ] if n_common else [])
 
-        for dir_alt in alternates:
-            for ord_alt in order_alts:
-                if is_feasible(base + dir_alt + ord_alt):
-                    return True
-        return False
+        return any_feasible(base, (dir_alt + ord_alt for dir_alt in alternates
+                                   for ord_alt in order_alts))
 
     @staticmethod
     def _domain(acc: Access, rename, out: List[LinCon]) -> bool:

@@ -13,7 +13,8 @@ from typing import List, Optional
 
 from ..ir import Assert, For, Func, If, Max, Min, Stmt, StmtSeq, VarDef
 from ..ir import expr as E
-from ..polyhedral import Affine, AffineBuilder, LinCon, NonAffine, is_feasible
+from ..polyhedral import (Affine, AffineBuilder, LinCon, NonAffine,
+                          any_feasible)
 
 #: blowup guard for the disjunctive context
 _MAX_ALTS = 16
@@ -94,7 +95,7 @@ def _always(cond, ctx: Ctx, negate: bool) -> bool:
     neg = _cond_alts(cond, not negate)
     if neg is None:
         return False
-    return all(not is_feasible(c + alt) for c in ctx for alt in neg)
+    return not any(any_feasible(c, neg) for c in ctx)
 
 
 def prune_branches(node):

@@ -14,12 +14,14 @@ from .build import AffineBuilder, NonAffine, try_affine
 from .iset import (BasicMap, BasicSet, IMap, ISet, eq_constraints,
                    lex_gt_constraints)
 from .linear import Affine, Infeasible, LinCon, fresh_var
-from .omega import clear_feasibility_cache, feasibility_stats, is_feasible
+from .omega import (any_feasible, clear_feasibility_cache, feasibility_stats,
+                    is_feasible)
 
 __all__ = [
     "AffineBuilder", "NonAffine", "try_affine",
     "BasicMap", "BasicSet", "IMap", "ISet", "eq_constraints",
     "lex_gt_constraints",
     "Affine", "Infeasible", "LinCon", "fresh_var",
-    "clear_feasibility_cache", "feasibility_stats", "is_feasible",
+    "any_feasible", "clear_feasibility_cache", "feasibility_stats",
+    "is_feasible",
 ]

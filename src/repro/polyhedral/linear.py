@@ -4,8 +4,7 @@ Presburger engine (our substitute for isl, see DESIGN.md)."""
 from __future__ import annotations
 
 import itertools
-from math import gcd
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 
 class Affine:
@@ -60,25 +59,9 @@ class Affine:
     def vars(self):
         return self.coeffs.keys()
 
-    def substitute(self, name: str, value: "Affine") -> "Affine":
-        """Replace variable ``name`` with an affine expression."""
-        c = self.coeffs.get(name, 0)
-        if c == 0:
-            return self
-        rest = Affine({v: k for v, k in self.coeffs.items() if v != name},
-                      self.const)
-        return rest + value * c
-
     def rename(self, mapping: Dict[str, str]) -> "Affine":
         return Affine({mapping.get(v, v): c for v, c in self.coeffs.items()},
                       self.const)
-
-    def content(self) -> int:
-        """GCD of the variable coefficients (0 when constant)."""
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, abs(c))
-        return g
 
     # -- identity ---------------------------------------------------------
     def key(self):
@@ -151,37 +134,8 @@ class LinCon:
         return LinCon(_as_affine(a) - _as_affine(b), True)
 
     # -- helpers -----------------------------------------------------------
-    def substitute(self, name: str, value: Affine) -> "LinCon":
-        return LinCon(self.expr.substitute(name, value), self.is_eq)
-
     def rename(self, mapping: Dict[str, str]) -> "LinCon":
         return LinCon(self.expr.rename(mapping), self.is_eq)
-
-    def normalized(self) -> Optional["LinCon"]:
-        """Tighten by the coefficient gcd; None when trivially true.
-
-        Raises :class:`Infeasible` for trivially false constraints.
-        """
-        e = self.expr
-        if e.is_constant():
-            ok = (e.const == 0) if self.is_eq else (e.const >= 0)
-            if not ok:
-                raise Infeasible
-            return None
-        g = e.content()
-        if g <= 1:
-            return self
-        if self.is_eq:
-            if e.const % g != 0:
-                raise Infeasible
-            return LinCon(
-                Affine({v: c // g for v, c in e.coeffs.items()},
-                       e.const // g), True)
-        # g | all coeffs: sum >= -const  <=>  sum/g >= ceil(-const/g),
-        # i.e. sum/g + floor(const/g) >= 0  (integer tightening)
-        return LinCon(
-            Affine({v: c // g for v, c in e.coeffs.items()},
-                   e.const // g), False)
 
     def key(self):
         return (self.expr.key(), self.is_eq)

@@ -10,7 +10,7 @@ from ..analysis import DirItem, analyzer_for
 from ..errors import DependenceViolation, InvalidSchedule
 from ..ir import (For, ForProperty, If, IntConst, StmtSeq, Var, VarDef,
                   collect_stmts, fresh_copy, same_expr, seq, substitute, wrap)
-from ..polyhedral import LinCon, is_feasible, try_affine
+from ..polyhedral import LinCon, any_feasible, try_affine
 from .common import (find_loop, find_stmt, fresh_iter, only_stmt_of,
                      parent_of, perfectly_nested, replace_stmt, stmts_of_body)
 
@@ -418,8 +418,8 @@ def _provably_equal(a, b) -> bool:
     aa, ca, _ = ra
     ab, cb, _ = rb
     # equal for all parameter values iff (a != b) is infeasible
-    return not (is_feasible(ca + cb + [LinCon.lt(aa, ab)])
-                or is_feasible(ca + cb + [LinCon.gt(aa, ab)]))
+    return not any_feasible(ca + cb, [[LinCon.lt(aa, ab)],
+                                      [LinCon.gt(aa, ab)]])
 
 
 def swap(func, stmt_sels: List[str], analyzer=None):
