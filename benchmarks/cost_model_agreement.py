@@ -1,7 +1,7 @@
 """Rank agreement between the static cost model and real measurements.
 
 For every paper workload, samples a set of structurally distinct
-candidate schedules (the same generator the tuner draws from), computes
+candidate schedules (random points of the tuner's knob space), computes
 each candidate's static ``time_proxy`` and measures its actual runtime,
 then checks Spearman rank correlation between the two orderings. The
 cost model only needs to *rank* candidates for dominance pruning and
@@ -19,8 +19,8 @@ Usage::
 
 import json
 import os
+import random
 import sys
-import time
 
 os.environ["REPRO_NO_DISK_CACHE"] = "1"
 
@@ -28,8 +28,13 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from common import MODULES, TINY, ft_args  # noqa: E402
 
-from repro.autosched import RandomTuner  # noqa: E402
+from repro.autosched.search.measure import measure_once  # noqa: E402
+from repro.autosched.search.screen import CandidateScreen  # noqa: E402
+from repro.autosched.search.space import ScheduleSpace  # noqa: E402
+from repro.autosched.target import default_target  # noqa: E402
+from repro.errors import FreeTensorError  # noqa: E402
 from repro.ir.hashing import struct_hash  # noqa: E402
+from repro.schedule import Schedule  # noqa: E402
 
 #: distinct candidates to sample per workload
 SAMPLE = 12
@@ -77,14 +82,17 @@ def spearman(xs, ys):
     return cov / (vx * vy) ** 0.5
 
 
-def sample_candidates(tuner):
+def sample_candidates(space, rng):
     """Structurally distinct candidates, the base schedule included."""
-    cands = [tuner.base]
-    seen = {struct_hash(tuner.base)}
+    cands = [space.base]
+    seen = {struct_hash(space.base)}
     draws = 0
     while len(cands) < SAMPLE and draws < MAX_DRAWS:
         draws += 1
-        c, _trace = tuner._random_candidate()
+        try:
+            c, _trace = space.realize(space.random_assignment(rng))
+        except FreeTensorError:
+            continue
         h = struct_hash(c)
         if h not in seen:
             seen.add(h)
@@ -99,16 +107,18 @@ def main():
         mod = MODULES[name]
         data = mod.make_data(**TINY[name])
         args, kwargs = ft_args(name, data)
-        tuner = RandomTuner(mod.make_program(),
-                            make_inputs=lambda: args,
-                            backend="pycode", rounds=1, seed=SEED,
-                            repeats=REPEATS, scalars=kwargs)
-        cands = sample_candidates(tuner)
-        proxies = [tuner._estimate(c).time_proxy for c in cands]
+        base = Schedule(mod.make_program()).func
+        target = default_target("pycode")
+        space = ScheduleSpace.extract(base, "pycode", target)
+        screen = CandidateScreen(base, lambda: args, "pycode", target,
+                                 kwargs)
+        cands = sample_candidates(space, random.Random(SEED))
+        proxies = [screen.estimate(c).time_proxy for c in cands]
         measured = [float("inf")] * len(cands)
         for _ in range(PASSES):
             for i, c in enumerate(cands):
-                measured[i] = min(measured[i], tuner._measure(c))
+                measured[i] = min(measured[i], measure_once(
+                    c, "pycode", args, kwargs, REPEATS))
         rho = spearman(proxies, measured)
         rhos.append(rho)
         out[name] = {

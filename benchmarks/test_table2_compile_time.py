@@ -7,7 +7,7 @@ time while generating faster code on most applications.
 
 Reproduction: the same architecture contrast on our substrate —
 ``auto_schedule`` (one dependence-guided pass, paper section 4.3) vs
-``RandomTuner`` (measure-and-search over the same schedule space, the
+``StructuredTuner`` (measure-and-search over the same schedule space, the
 TVM/Ansor stand-in). We report total time, tuning rounds and per-round
 cost; the shape to reproduce is *orders of magnitude* between one-shot
 analysis and measurement-driven search.
@@ -20,7 +20,7 @@ import pytest
 
 from common import MODULES, TINY, ft_args, record
 
-from repro.autosched import CPU, RandomTuner, auto_schedule
+from repro.autosched import CPU, StructuredTuner, auto_schedule
 
 #: tuning rounds per workload (the paper's TVM used 54-2944; scaled down
 #: to keep the harness quick — the per-round cost is what extrapolates)
@@ -40,10 +40,10 @@ def test_compile_time(benchmark, name):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     # -- the tuning baseline: compile+measure per round -------------------
-    tuner = RandomTuner(mod.make_program(),
-                        make_inputs=lambda: args,
-                        backend="pycode", rounds=ROUNDS, seed=0,
-                        scalars=kwargs)
+    tuner = StructuredTuner(mod.make_program(),
+                            make_inputs=lambda: args,
+                            backend="pycode", rounds=ROUNDS, seed=0,
+                            scalars=kwargs, workers=1)
     result = tuner.tune()
 
     record("table2_compile_time", name, "freetensor_s", ft_time)
@@ -55,13 +55,16 @@ def test_compile_time(benchmark, name):
     record("table2_compile_time", name, "ft_fraction_of_tuner",
            round(ft_time / result.total_time, 4))
     # the cost-model screening front-end (docs/PERFORMANCE.md): rounds
-    # that skipped compile+measure via dedup or dominance pruning
+    # that skipped compile+measure via dedup, dominance pruning or the
+    # measurement top-k
     record("table2_compile_time", name, "tuner_measured",
            result.measured)
     record("table2_compile_time", name, "tuner_dedup_skips",
            result.dedup_skips)
     record("table2_compile_time", name, "tuner_cost_pruned",
            result.cost_pruned)
+    record("table2_compile_time", name, "tuner_frontier_skips",
+           result.frontier_skips)
 
     # the paper's shape: one-shot transform is a small fraction of even a
     # heavily-truncated tuning session

@@ -6,8 +6,8 @@ traffic with innermost-stride classification, and exploited parallelism
 per backend — folded into a comparable :class:`CostEstimate` (dominance
 partial order + scalar time proxy). Consumed three ways: the
 ``cost_model`` pipeline pass / ``ft.analyze_cost()`` /
-``python -m repro.verify --cost``; the auto-tuner's dominance pruner
-(``autosched.autotune``); and the FT5xx performance lint
+``python -m repro.verify --cost``; the schedule search's dominance
+pruner (``autosched.search.screen``); and the FT5xx performance lint
 (:mod:`.lint`). See docs/PERFORMANCE.md ("Cost model & tuner pruning").
 
 Only the light data model loads eagerly; the walker, lint and API load

@@ -1,5 +1,5 @@
-"""Automatic scheduling: the paper's rule-based passes and a
-search-based tuner used as the compile-time baseline (Table 2).
+"""Automatic scheduling: the paper's rule-based passes and the
+schedule search used as the compile-time baseline (Table 2).
 
 All but the target descriptions loads on first use (``repro._lazy``):
 the rules drag in ``schedule``, ``analysis`` and ``polyhedral``."""
@@ -8,8 +8,7 @@ from .._lazy import lazy_exports
 from .target import CPU, GPU, Target, default_target
 
 __getattr__ = lazy_exports(__name__, globals(), {
-    "EvolutionaryTuner": ".autotune", "RandomTuner": ".autotune",
-    "TuneResult": ".autotune", "auto_fuse": ".rules",
+    "TuneResult": ".search.tuner", "auto_fuse": ".rules",
     "auto_mem_type": ".rules", "auto_parallelize": ".rules",
     "auto_schedule": ".rules", "auto_unroll": ".rules",
     "auto_use_lib": ".rules", "auto_vectorize": ".rules",
@@ -18,7 +17,7 @@ __getattr__ = lazy_exports(__name__, globals(), {
 })
 
 __all__ = [
-    "EvolutionaryTuner", "RandomTuner", "StructuredTuner", "TuneResult",
+    "StructuredTuner", "TuneResult",
     "MeasurementPool", "ScheduleSpace", "ScheduleTrace",
     "auto_fuse", "auto_mem_type", "auto_parallelize", "auto_schedule",
     "auto_unroll", "auto_use_lib", "auto_vectorize",

@@ -5,13 +5,12 @@ parallel measurement").
 - :mod:`.space` — typed knobs (tile chains, legal reorder permutations,
   legality-gated annotations) extracted once per program;
 - :mod:`.trace` — replayable, serializable schedule traces;
-- :mod:`.screen` — the dedup + dominance-pruning front-end shared with
-  the random/evolutionary tuners, plus per-session input caching;
+- :mod:`.screen` — the dedup + dominance-pruning front-end, plus
+  per-session input caching;
 - :mod:`.measure` — the fault-isolated worker-process measurement pool;
 - :mod:`.tuner` — :class:`StructuredTuner` tying them together.
 
-Submodules load lazily: ``autosched.autotune`` imports ``screen`` /
-``trace`` from here, so an eager ``tuner`` import would be circular.
+Submodules load lazily (``repro._lazy``), on first use of a name.
 """
 
 from ..._lazy import lazy_exports

@@ -1,11 +1,10 @@
 """Parallel candidate measurement: a task definition over the worker pool.
 
-The pre-search tuners compile and measure every surviving candidate
-serially, in-process — a miscompiled candidate that segfaults or loops
-forever kills the whole tuning session, and wall-clock is the sum of
-every measurement. :class:`MeasurementPool` runs measurements on the
-fork-worker pool of :mod:`repro.runtime.pool` instead (its docstring
-states the crash/hang/respawn protocol once):
+Measuring candidates serially in-process means a miscompiled candidate
+that segfaults or loops forever kills the whole tuning session, and
+wall-clock is the sum of every measurement. :class:`MeasurementPool`
+runs measurements on the fork-worker pool of :mod:`repro.runtime.pool`
+instead (its docstring states the crash/hang/respawn protocol once):
 
 - **isolation** — each candidate is compiled + run inside a worker; a
   crash or a hang is folded back as a *failed/timeout outcome for that
@@ -20,17 +19,16 @@ states the crash/hang/respawn protocol once):
   ``runtime.metrics.pool_stats()``;
 - **determinism** — results return in *submission order* regardless of
   completion order, so the searcher's fold (and therefore the winner) is
-  identical at any worker count given identical measured values.
+  identical at any worker count given identical measured values;
+- **deadline** — ``timeout_s`` (default 60) bounds each candidate; a
+  worker past it is killed and the candidate counted as a timeout.
 
 Environment knobs (see docs/PERFORMANCE.md):
 
-- ``REPRO_TUNE_TIMEOUT`` — per-candidate deadline in seconds (default
-  60) after which a worker is killed and the candidate counted as a
-  timeout;
 - ``REPRO_TUNE_FAKE_MEASURE=1`` — compile-only mode: the pool returns
   the deterministic pseudo-time the searcher attached to each task
   (derived from the cost model's ``time_proxy``) instead of wall-clock.
-  Used by the determinism tests and the gcc-sharing CI gate, where real
+  Used by the determinism tests and the shared-store test, where real
   timings would be noise;
 - ``REPRO_TUNE_FAULT=crash:<hash-prefix|*>`` / ``hang:<prefix|*>`` —
   fault injection for the isolation tests: a worker about to measure a
@@ -151,8 +149,8 @@ class MeasurementPool:
         self.inputs = tuple(inputs)
         self.scalars = dict(scalars or {})
         self.repeats = repeats
-        self.timeout_s = timeout_s if timeout_s is not None else float(
-            os.environ.get("REPRO_TUNE_TIMEOUT", DEFAULT_TIMEOUT_S))
+        self.timeout_s = timeout_s if timeout_s is not None \
+            else DEFAULT_TIMEOUT_S
         self._pool: Optional[WorkerPool] = None
         if self.workers >= 2:
             self._pool = WorkerPool(

@@ -1,10 +1,7 @@
-"""The shared static screening front-end for all tuners.
+"""The static screening front-end of the schedule search.
 
-PR 7 built this logic inside ``RandomTuner`` (struct-hash dedup +
-dominance pruning against the incumbent best's estimate); the structured
-searcher needs the identical policy, so it lives here now and both
-tuner families delegate to one :class:`CandidateScreen` instance per
-session. Behaviour is unchanged:
+One :class:`CandidateScreen` per tuning session decides, before any
+compile, which candidates are worth measuring:
 
 1. *dedup* — structurally identical candidates (sid-less
    ``struct_hash``) are measured once; repeats are skipped.
@@ -15,12 +12,11 @@ session. Behaviour is unchanged:
    hides a potential winner.
 
 ``REPRO_NO_COST_PRUNE=1`` disables the whole front-end (identical
-results, more rounds measured). The screen also owns the per-session
-scalar environment and — new in PR 8 — the **per-session measurement
+results, more candidates measured). The screen also owns the
+per-session scalar environment and the **per-session measurement
 inputs**: ``make_inputs()`` runs once and every measurement binds the
-same arrays (regenerating them each round was pure overhead in the
-Table 2 numbers, and sharing them is what lets worker processes receive
-the arrays once at fork time).
+same arrays (which is what lets worker processes receive the arrays
+once at fork time).
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """The structured schedule search space: typed knobs per loop nest.
 
-Instead of drawing blind random primitives (the pre-search tuners'
-``_random_step``), the structured searcher extracts a **knob space** from
-the base IR once, and every candidate is a *coherent assignment* of those
-knobs (FlexTensor-style; see ROADMAP):
+Instead of drawing blind random primitives, the searcher extracts a
+**knob space** from the base IR once, and every candidate is a *coherent
+assignment* of those knobs (FlexTensor-style; see ROADMAP):
 
 - ``tile`` knobs — a split-factor chain per loop (``[]`` = no split,
   ``[f]`` = one split, ``[f1, f2]`` = a two-level chain), offered only

@@ -71,11 +71,6 @@ class ScheduleTrace:
         self.steps.append({"prim": prim, "args": dict(args)})
         return len(self.steps) - 1
 
-    def fork(self) -> "ScheduleTrace":
-        """An independent copy (for mutating a parent candidate)."""
-        return ScheduleTrace([{"prim": s["prim"], "args": dict(s["args"])}
-                              for s in self.steps])
-
     # -- replay ------------------------------------------------------------
     def _resolve(self, v, schedule, results):
         if isinstance(v, dict) and "$loop" in v:

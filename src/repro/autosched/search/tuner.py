@@ -1,7 +1,8 @@
-"""The structured evolutionary searcher over the typed knob space.
+"""The schedule searcher: a structured evolutionary search over the typed
+knob space, the reproduction's stand-in for the TVM/Ansor tuning loop of
+the paper's Table 2 (every candidate is compiled and measured).
 
-Where :class:`~repro.autosched.autotune.RandomTuner` draws blind random
-primitives, :class:`StructuredTuner` searches coherent points of a
+:class:`StructuredTuner` searches coherent points of a
 :class:`~repro.autosched.search.space.ScheduleSpace`:
 
 1. **generate** — each generation draws a batch of knob assignments:
@@ -9,7 +10,7 @@ primitives, :class:`StructuredTuner` searches coherent points of a
    fresh random exploration (generation 0 seeds the batch with the
    identity assignment so the unscheduled base is always a measured
    baseline);
-2. **screen** — every realized candidate passes the shared
+2. **screen** — every realized candidate passes the session's
    :class:`~repro.autosched.search.screen.CandidateScreen` (struct-hash
    dedup + dominance pruning, ``REPRO_NO_COST_PRUNE=1`` to disable);
 3. **rank** — screening survivors are ordered by the cost model's
@@ -24,8 +25,8 @@ primitives, :class:`StructuredTuner` searches coherent points of a
    the determinism tests pin measurements with
    ``REPRO_TUNE_FAKE_MEASURE=1``).
 
-The result is a plain :class:`~repro.autosched.autotune.TuneResult`
-whose ``best_trace`` replays the winning schedule.
+The result is a plain :class:`TuneResult` whose ``best_trace`` replays
+the winning schedule.
 """
 
 from __future__ import annotations
@@ -44,6 +45,56 @@ from .measure import (MeasurementPool, OK, TIMEOUT, fake_measure_enabled,
                       pool_size)
 from .screen import CandidateScreen
 from .space import ScheduleSpace
+from .trace import ScheduleTrace
+
+
+class TuneResult:
+    """Outcome of a tuning session."""
+
+    def __init__(self, best_func, best_time: float,
+                 round_times: List[float], measure_times: List[float],
+                 dedup_skips: int = 0, cost_pruned: int = 0,
+                 best_trace: Optional[ScheduleTrace] = None,
+                 frontier_skips: int = 0, invalid: int = 0,
+                 timeouts: int = 0):
+        self.best_func = best_func
+        self.best_time = best_time
+        #: wall-clock share of each drawn candidate (its generation's
+        #: wall-clock split evenly over the generation's draws)
+        self.round_times = round_times
+        #: measured candidate runtimes
+        self.measure_times = measure_times
+        #: candidates skipped because they were a structural repeat
+        self.dedup_skips = dedup_skips
+        #: candidates skipped because the incumbent's estimate dominated
+        self.cost_pruned = cost_pruned
+        #: replayable schedule trace of the winner (None when nothing
+        #: was measured)
+        self.best_trace = best_trace
+        #: candidates that survived screening but ranked below the
+        #: measurement top-k
+        self.frontier_skips = frontier_skips
+        #: knob assignments that failed to realize into a schedule
+        self.invalid = invalid
+        #: measurements killed on the worker-pool deadline
+        self.timeouts = timeouts
+
+    @property
+    def rounds(self) -> int:
+        return len(self.round_times)
+
+    @property
+    def measured(self) -> int:
+        """Candidates that were actually compiled and measured."""
+        return len(self.measure_times)
+
+    @property
+    def total_time(self) -> float:
+        return sum(self.round_times)
+
+    @property
+    def time_per_round(self) -> float:
+        return self.total_time / max(1, self.rounds)
 
 
 class StructuredTuner:
@@ -61,8 +112,7 @@ class StructuredTuner:
         self.base = Schedule(program_or_func).func
         self.make_inputs = make_inputs
         self.backend = backend
-        #: total candidate budget (matches the other tuners' ``rounds``
-        #: so A/B comparisons are at equal budget)
+        #: total candidate budget (knob assignments drawn)
         self.rounds = rounds
         self.batch = max(1, batch)
         self.generations = max(1, math.ceil(rounds / self.batch))
@@ -108,11 +158,9 @@ class StructuredTuner:
         return out
 
     # -- the search loop ---------------------------------------------------
-    def tune(self):
+    def tune(self) -> TuneResult:
         from ...analysis.cost import frontier_order
         from ...runtime import metrics
-        from ..autotune import TuneResult
-        from .trace import ScheduleTrace
 
         best_func, best_time = self.base, float("inf")
         best_trace: Optional[ScheduleTrace] = None
@@ -209,8 +257,8 @@ class StructuredTuner:
                 pool_members.sort(key=lambda p: p[0])
                 del pool_members[self.population:]
 
-                # one round_times entry per drawn candidate, so budget
-                # accounting matches the other tuners
+                # one round_times entry per drawn candidate, so
+                # ``rounds`` counts the budget spent
                 gen_wall = time.perf_counter() - t0
                 round_times.extend([gen_wall / len(batch)] * len(batch))
 

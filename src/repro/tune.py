@@ -2,14 +2,13 @@
 
 Runs a tuning session on one of the paper workloads and prints the
 winner: best measured time, screening/pool counters, and the replayable
-schedule trace. The default tuner is the structured knob-space searcher
-(``repro.autosched.search.StructuredTuner``); ``--tuner random`` /
-``--tuner evolutionary`` select the PR 7 baselines.
+schedule trace. The search is the structured knob-space searcher
+(``repro.autosched.search.StructuredTuner``).
 
 Examples::
 
     PYTHONPATH=src python -m repro.tune gat --rounds 24 --workers 2
-    PYTHONPATH=src python -m repro.tune longformer --tuner evolutionary
+    PYTHONPATH=src python -m repro.tune longformer --batch 8 --topk 4
     PYTHONPATH=src python -m repro.tune softras --json --trace out.json
 
 Exits non-zero if the session measured nothing (every candidate failed).
@@ -33,8 +32,7 @@ def _workload_inputs(mod, func):
 
 
 def main(argv=None) -> int:
-    from .autosched import (EvolutionaryTuner, RandomTuner,
-                            StructuredTuner)
+    from .autosched import StructuredTuner
     from .backend import available_backends
     from .runtime import metrics
     from .schedule import Schedule
@@ -45,22 +43,18 @@ def main(argv=None) -> int:
         description="Tune a paper workload and report the best schedule.")
     parser.add_argument("workload", choices=sorted(ALL),
                         help="which workload to tune")
-    parser.add_argument("--tuner", default="structured",
-                        choices=["structured", "random", "evolutionary"],
-                        help="search strategy (default: structured)")
     parser.add_argument("--backend", default="pycode",
                         choices=available_backends(),
                         help="measurement backend (default: pycode)")
     parser.add_argument("--rounds", type=int, default=32,
                         help="candidate budget (default: 32)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="measurement worker processes (default: 1; "
-                             "structured only)")
+                        help="measurement worker processes (default: 1)")
     parser.add_argument("--batch", type=int, default=16,
-                        help="assignments per generation (structured)")
+                        help="assignments per generation (default: 16)")
     parser.add_argument("--topk", type=int, default=None,
                         help="measured survivors per generation "
-                             "(structured; default: batch/4)")
+                             "(default: batch/4)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=3,
                         help="min-of-N measurement repeats (default: 3)")
@@ -75,24 +69,16 @@ def main(argv=None) -> int:
     base = Schedule(prog).func
     inputs, scalars = _workload_inputs(mod, base)
 
-    common = dict(make_inputs=lambda: inputs, backend=args.backend,
-                  rounds=args.rounds, seed=args.seed,
-                  repeats=args.repeats, scalars=scalars)
-    if args.tuner == "structured":
-        tuner = StructuredTuner(prog, batch=args.batch, topk=args.topk,
-                                workers=args.workers, **common)
-    elif args.tuner == "evolutionary":
-        tuner = EvolutionaryTuner(prog, **common)
-    else:
-        tuner = RandomTuner(prog, **common)
-
-    result = tuner.tune()
+    result = StructuredTuner(
+        prog, make_inputs=lambda: inputs, backend=args.backend,
+        rounds=args.rounds, batch=args.batch, topk=args.topk,
+        seed=args.seed, repeats=args.repeats, scalars=scalars,
+        workers=args.workers).tune()
 
     trace_json = result.best_trace.as_json() \
         if result.best_trace is not None else None
     report = {
         "workload": args.workload,
-        "tuner": args.tuner,
         "backend": args.backend,
         "rounds": result.rounds,
         "measured": result.measured,
@@ -115,7 +101,7 @@ def main(argv=None) -> int:
         print(json.dumps(report, indent=2))
     else:
         r = result
-        print(f"{args.workload} [{args.tuner}/{args.backend}]: "
+        print(f"{args.workload} [{args.backend}]: "
               f"best {r.best_time * 1e3:.3f} ms after {r.rounds} rounds "
               f"({r.measured} measured, {r.dedup_skips} dedup, "
               f"{r.cost_pruned} cost-pruned, {r.frontier_skips} "

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import repro as ft
-from repro.autosched import (CPU, GPU, RandomTuner, Target, auto_schedule,
-                             default_target)
+from repro.autosched import (CPU, GPU, StructuredTuner, Target,
+                             auto_schedule, default_target)
 from repro.ir import For, If, LibCall, VarDef, collect_stmts, dump
 from repro.runtime import build
 from repro.schedule import Schedule
@@ -175,7 +175,7 @@ class TestEndToEnd:
         np.testing.assert_allclose(exe(x), 3 * x, rtol=1e-6)
 
 
-class TestRandomTuner:
+class TestStructuredTuner:
 
     def test_tuner_improves_or_matches(self, rng):
         @ft.transform
@@ -187,8 +187,8 @@ class TestRandomTuner:
             return y
 
         x = rng.standard_normal((64, 64)).astype(np.float32)
-        tuner = RandomTuner(f, make_inputs=lambda: (x,),
-                            backend="pycode", rounds=6, seed=1)
+        tuner = StructuredTuner(f, make_inputs=lambda: (x,),
+                                backend="pycode", rounds=6, seed=1)
         result = tuner.tune()
         assert result.rounds == 6
         assert result.best_time < float("inf")
@@ -203,8 +203,8 @@ class TestRandomTuner:
             for i in range(16):
                 y[i] = 1.0
 
-        tuner = RandomTuner(f, make_inputs=lambda: (),
-                            backend="pycode", rounds=3, seed=0)
+        tuner = StructuredTuner(f, make_inputs=lambda: (),
+                                backend="pycode", rounds=3, seed=0)
         result = tuner.tune()
         assert result.total_time > 0
         assert result.time_per_round > 0

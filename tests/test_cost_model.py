@@ -7,7 +7,8 @@ estimate the two must agree to the operation, on a *sound* one the
 static side must upper-bound the dynamic one, and only the
 assumed-trip fallback (data-dependent loops, e.g. GAT's CSR walks) may
 break the bound. The tuner-pruning tests then show dominance pruning
-never changes which candidate a deterministic tuner returns.
+never changes which candidate the search returns under deterministic
+(fake) measurement.
 """
 
 import os
@@ -21,7 +22,8 @@ from repro.analysis.cost import (COUNT_FIELDS, CostEstimate, Counts,
                                  estimate_cost, infer_scalar_env,
                                  perf_lint)
 from repro.autosched import CPU, auto_schedule
-from repro.autosched.autotune import RandomTuner
+from repro.autosched.search import StructuredTuner
+from repro.autosched.search.screen import CandidateScreen
 from repro.autosched.target import Target, default_target
 from repro.ir.hashing import struct_hash
 from repro.runtime import metrics
@@ -295,28 +297,46 @@ class TestPerfLint:
         assert all(d.code.startswith("FT5") for d in only.diags)
 
 
-class _ProxyMeasuredTuner(RandomTuner):
-    """Deterministic tuner: 'measuring' a candidate returns its static
-    time proxy. Because pruning only drops candidates the incumbent
-    dominates on *every* axis — and the proxy is monotone in those axes —
-    a pruned candidate provably cannot beat the incumbent, so the
-    pruned and unpruned searches must return the same best time."""
+_SCREEN = CandidateScreen.screen
 
-    calls = 0
 
-    def _measure(self, func):
-        type(self).calls += 1
-        return self._estimate(func).time_proxy
+def _spy_screen(monkeypatch, force=False):
+    """Collect the estimate of every candidate the screen cost-prunes;
+    with ``force`` such candidates go on to measurement instead."""
+    pruned = []
+
+    def screen(self, cand):
+        verdict, est = _SCREEN(self, cand)
+        if verdict == "cost_pruned":
+            pruned.append(est)
+            if force:
+                return "measure", est
+        return verdict, est
+
+    monkeypatch.setattr(CandidateScreen, "screen", screen)
+    return pruned
 
 
 class TestTunerPruning:
+    """Fake-measure mode makes a candidate's 'time' its static time proxy.
+    Pruning only drops candidates the incumbent dominates on *every*
+    axis, and the proxy is monotone in those axes, so a pruned candidate
+    provably cannot beat the incumbent. ``topk == batch`` measures every
+    survivor and ``population=1`` makes the incumbent the only parent,
+    so pruning cannot steer the search elsewhere either: the pruned and
+    unpruned searches must return the same best time."""
 
-    def _mk(self, **kw):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((64, 64)).astype(np.float32)
-        return _ProxyMeasuredTuner(
-            _axpy.func, make_inputs=lambda: (x,), backend="pycode",
-            rounds=32, seed=3, **kw)
+    @pytest.fixture(autouse=True)
+    def _fake_measure(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
+
+    def _mk(self, func=_axpy.func, inputs=None, rounds=32):
+        if inputs is None:
+            inputs = (np.random.default_rng(7).standard_normal(
+                (32, 32)).astype(np.float32),)
+        return StructuredTuner(func, make_inputs=lambda: inputs,
+                               backend="pycode", rounds=rounds, batch=8,
+                               topk=8, population=1, seed=3, workers=1)
 
     def test_counters_and_skips(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_COST_PRUNE", raising=False)
@@ -326,7 +346,8 @@ class TestTunerPruning:
         assert len(r.round_times) == 32
         assert r.dedup_skips > 0 or r.cost_pruned > 0
         assert r.measured == len(r.measure_times)
-        assert r.measured + r.dedup_skips + r.cost_pruned <= 32
+        assert r.measured + r.dedup_skips + r.cost_pruned \
+            + r.frontier_skips + r.invalid == 32
         st = metrics.tuner_stats()
         assert st["candidates"] == 32
         assert st["dedup_skips"] == r.dedup_skips
@@ -335,31 +356,32 @@ class TestTunerPruning:
 
     def test_pruning_never_changes_the_winner(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_COST_PRUNE", raising=False)
-        pruned = self._mk(keep_pruned=True).tune()
-        monkeypatch.setenv("REPRO_NO_COST_PRUNE", "1")
+        pruned_ests = _spy_screen(monkeypatch)
+        pruned = self._mk().tune()
+        assert len(pruned_ests) == pruned.cost_pruned > 0
+        _spy_screen(monkeypatch, force=True)
         full = self._mk().tune()
-        assert full.dedup_skips == 0 and full.cost_pruned == 0
-        assert full.measured == 32
+        assert full.cost_pruned == 0
         assert pruned.measured < full.measured
         # same deterministic best, despite measuring fewer candidates
         assert pruned.best_time == full.best_time
-        # force-measure everything the pruner dropped: none beats it
-        monkeypatch.delenv("REPRO_NO_COST_PRUNE", raising=False)
-        t = self._mk()
-        assert len(pruned.pruned_funcs) == pruned.cost_pruned
-        for cand in pruned.pruned_funcs:
-            assert t._measure(cand) >= pruned.best_time
+        # what the pruner dropped would have measured no better
+        for est in pruned_ests:
+            assert est.time_proxy >= pruned.best_time
 
     def test_no_prune_env_restores_old_behavior(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_COST_PRUNE", "1")
         a = self._mk().tune()
         b = self._mk().tune()
-        assert a.measured == b.measured == 32
+        assert a.cost_pruned == 0
+        # every distinct, realizable assignment is measured
+        assert a.measured == 32 - a.dedup_skips - a.invalid
+        assert a.measured == b.measured
         assert struct_hash(a.best_func) == struct_hash(b.best_func)
 
     def test_dedup_by_structure(self, monkeypatch):
-        # an unschedulable program yields identical candidates: the
-        # first is measured, every other round dedupes
+        # a loop with a six-point knob space: twelve draws must repeat
+        # assignments, and every repeat is skipped before measurement
         monkeypatch.delenv("REPRO_NO_COST_PRUNE", raising=False)
 
         @ft.transform
@@ -367,9 +389,10 @@ class TestTunerPruning:
             for i in range(4):
                 y[i] = 1.0
 
-        t = _ProxyMeasuredTuner(tiny.func, make_inputs=lambda: (),
-                                backend="pycode", rounds=6, seed=0)
+        t = self._mk(tiny.func, inputs=(), rounds=12)
+        assert t.space.size() == 6
         r = t.tune()
-        assert r.rounds == 6
-        assert r.measured + r.dedup_skips + r.cost_pruned == 6
-        assert r.dedup_skips > 0
+        assert r.rounds == 12
+        assert r.measured + r.dedup_skips + r.cost_pruned \
+            + r.frontier_skips + r.invalid == 12
+        assert r.dedup_skips >= 6

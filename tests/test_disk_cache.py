@@ -650,9 +650,9 @@ print(json.dumps({"modules": modules, "generated": len(generated),
 
 #: what a compile answered by the store must not even load
 _COLD_ONLY = ("repro.autosched.rules", "repro.autosched.search",
-              "repro.autosched.autotune", "repro.schedule.schedule",
-              "repro.analysis", "repro.polyhedral", "repro.passes",
-              "repro.codegen.pycode", "repro.runtime.interpreter")
+              "repro.schedule.schedule", "repro.analysis",
+              "repro.polyhedral", "repro.passes", "repro.codegen.pycode",
+              "repro.runtime.interpreter")
 
 
 class TestOneRecordPerEntryPoint:

@@ -12,8 +12,7 @@ import pytest
 
 import repro as ft
 from repro.analysis.cost import frontier_order, pareto_front
-from repro.autosched import (EvolutionaryTuner, RandomTuner,
-                             StructuredTuner)
+from repro.autosched import StructuredTuner
 from repro.autosched.search.space import ScheduleSpace
 from repro.autosched.search.trace import ScheduleTrace
 from repro.ir.hashing import struct_hash
@@ -192,9 +191,11 @@ class TestScheduleTrace:
         assert struct_hash(replayed) == struct_hash(s.func)
 
     def test_random_tuner_winner_trace_replays(self):
+        # explore_prob=1: every draw is a fresh random assignment
         prog = _mm_program()
-        tuner = RandomTuner(prog, make_inputs=_mm_inputs,
-                            backend="pycode", rounds=8, seed=1)
+        tuner = StructuredTuner(prog, make_inputs=_mm_inputs,
+                                backend="pycode", rounds=8, seed=1,
+                                explore_prob=1.0)
         res = tuner.tune()
         assert res.best_trace is not None
         replayed = res.best_trace.apply(Schedule(tuner.base)).func
@@ -204,9 +205,11 @@ class TestScheduleTrace:
             res.best_trace.as_json()
 
     def test_evolutionary_tuner_winner_trace_replays(self):
+        # three generations: later ones mutate and cross over survivors
         prog = _mm_program()
-        tuner = EvolutionaryTuner(prog, make_inputs=_mm_inputs,
-                                  backend="pycode", rounds=10, seed=2)
+        tuner = StructuredTuner(prog, make_inputs=_mm_inputs,
+                                backend="pycode", rounds=10, batch=4,
+                                seed=2, explore_prob=0.0)
         res = tuner.tune()
         assert res.best_trace is not None
         replayed = res.best_trace.apply(Schedule(tuner.base)).func
@@ -312,10 +315,10 @@ class TestIsolation:
     def test_crashing_candidate_is_counted_not_fatal(self, monkeypatch):
         monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
         monkeypatch.setenv("REPRO_TUNE_FAULT", "crash:*")
-        monkeypatch.setenv("REPRO_TUNE_TIMEOUT", "20")
         metrics.reset_pool_stats()
         prog, args = _gat()
-        res = _structured(prog, args, workers=2, rounds=8).tune()
+        res = _structured(prog, args, workers=2, rounds=8,
+                          timeout_s=20).tune()
         # every measurement crashed a worker; the session survived
         assert res.measured == 0
         assert res.best_time == float("inf")
@@ -327,11 +330,10 @@ class TestIsolation:
     def test_hanging_candidate_times_out(self, monkeypatch):
         monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
         monkeypatch.setenv("REPRO_TUNE_FAULT", "hang:*")
-        monkeypatch.setenv("REPRO_TUNE_TIMEOUT", "2")
         metrics.reset_pool_stats()
         prog, args = _gat()
         res = _structured(prog, args, workers=2, rounds=4,
-                          batch=4, topk=2).tune()
+                          batch=4, topk=2, timeout_s=2).tune()
         assert res.measured == 0
         assert res.timeouts >= 1
         st = metrics.pool_stats()
@@ -360,15 +362,103 @@ class TestIsolation:
     def test_selective_fault_spares_other_candidates(self, monkeypatch):
         # crash only one specific candidate: the others still measure
         monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
-        monkeypatch.setenv("REPRO_TUNE_TIMEOUT", "20")
         prog, args = _gat()
-        clean = _structured(prog, args, workers=2, rounds=8).tune()
+        clean = _structured(prog, args, workers=2, rounds=8,
+                            timeout_s=20).tune()
         assert clean.measured >= 2
         victim = struct_hash(clean.best_func)
         monkeypatch.setenv("REPRO_TUNE_FAULT", f"crash:{victim[:12]}")
-        res = _structured(prog, args, workers=2, rounds=8).tune()
+        res = _structured(prog, args, workers=2, rounds=8,
+                          timeout_s=20).tune()
         assert res.measured >= 1
         assert struct_hash(res.best_func) != victim
+
+
+# ---------------------------------------------------------------------------
+# the measurement pool: workers share the disk store
+# ---------------------------------------------------------------------------
+
+
+_SHARED_STORE_SESSION = '''
+import json
+import sys
+
+import numpy as np
+
+import repro as ft
+from repro.autosched import StructuredTuner
+from repro.ir.hashing import struct_hash
+from repro.runtime import metrics
+
+
+@ft.transform
+def mm(a: ft.Tensor[(8, 5), "f32", "input"],
+       b: ft.Tensor[(5, 6), "f32", "input"],
+       c: ft.Tensor[(8, 6), "f32", "output"]):
+    for i in range(8):
+        for j in range(6):
+            c[i, j] = 0.
+            for p in range(5):
+                c[i, j] += a[i, p] * b[p, j]
+
+
+inputs = (np.ones((8, 5), np.float32), np.ones((5, 6), np.float32))
+
+
+def session():
+    res = StructuredTuner(mm, make_inputs=lambda: inputs, backend="c",
+                          rounds=8, batch=4, topk=4, seed=0,
+                          workers=int(sys.argv[1])).tune()
+    disk, pool = metrics.disk_cache_stats(), metrics.pool_stats()
+    return (struct_hash(res.best_func), res.measured,
+            disk["gcc_runs"] + pool["worker_gcc_runs"],
+            disk["native_hits"] + pool["worker_native_hits"])
+
+
+winner, measured, gcc, hits = session()
+winner2, _, gcc2, hits2 = session()
+print(json.dumps({"winner": winner, "winner_repeat": winner2,
+                  "measured": measured, "gcc_runs": gcc,
+                  "gcc_runs_repeat": gcc2 - gcc,
+                  "native_hits_repeat": hits2 - hits}))
+'''
+
+
+class TestSharedStore:
+    """Measurement workers compile through the persistent disk store, so
+    gcc work does not grow with the worker count and a fresh pool is
+    served by what an earlier one compiled."""
+
+    def _run(self, tmp_path, workers):
+        import json
+        import subprocess
+        import sys
+
+        script = tmp_path / "session.py"
+        script.write_text(_SHARED_STORE_SESSION)
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"),
+                   REPRO_CACHE_DIR=str(tmp_path / f"store{workers}"),
+                   REPRO_TUNE_FAKE_MEASURE="1")
+        out = subprocess.run([sys.executable, str(script), str(workers)],
+                             env=env, capture_output=True, text=True,
+                             timeout=600, check=True).stdout
+        return json.loads(out.strip().splitlines()[-1])
+
+    def test_workers_share_the_disk_store(self, tmp_path):
+        one = self._run(tmp_path, 1)
+        two = self._run(tmp_path, 2)
+        assert one["winner"] == two["winner"]
+        assert one["measured"] == two["measured"] >= 2
+        assert one["gcc_runs"] > 0
+        # workers may race on one kernel, but gcc does not scale
+        assert two["gcc_runs"] <= one["gcc_runs"] * 1.25 + 2
+        # a repeat session forks fresh workers: the store serves them
+        assert two["winner_repeat"] == two["winner"]
+        assert two["gcc_runs_repeat"] == 0
+        assert two["native_hits_repeat"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +475,8 @@ class TestInputCaching:
             calls.append(1)
             return _mm_inputs()
 
-        tuner = RandomTuner(_mm_program(), make_inputs=make_inputs,
-                            backend="pycode", rounds=10, seed=0)
+        tuner = StructuredTuner(_mm_program(), make_inputs=make_inputs,
+                                backend="pycode", rounds=10, seed=0)
         res = tuner.tune()
         assert res.measured >= 2  # several real measurements happened
         assert len(calls) == 1
