@@ -22,7 +22,7 @@ exactly.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -205,9 +205,9 @@ reset_pool_stats = POOL.reset
 #: batch size -> number of batches of that size
 _SERVING_BATCH_HIST: Dict[int, int] = {}
 
-#: bounded reservoir of request latencies (seconds, admission->response)
-_SERVING_LATENCIES: List[float] = []
-_SERVING_LATENCY_CAP = 4096
+#: the most recent request latencies (seconds, admission->response):
+#: a full window drops its oldest sample for each new one
+_SERVING_LATENCIES: deque = deque(maxlen=4096)
 
 #: tenant -> {"submitted": n, "completed": n, "rejected": n, "failed": n}
 _SERVING_TENANTS: Dict[str, Dict[str, int]] = {}
@@ -221,8 +221,9 @@ _SERVING_LOCK = threading.Lock()
 
 class _ServingCounters(Counters):
     """The serving counters; a snapshot adds the batch-size histogram,
-    p50/p99 request latency (seconds, over a bounded reservoir) and the
-    per-tenant usage rows, and a reset empties those too."""
+    p50/p99 request latency (seconds, over the 4096 most recent
+    responses) and the per-tenant usage rows, and a reset empties those
+    too."""
 
     def snapshot(self) -> Dict[str, object]:
         with _SERVING_LOCK:
@@ -298,9 +299,7 @@ def record_serving_responses(tenant: str, status: str,
         SERVING.add(_RESPONSE_KEY[status], n)
         row = _tenant_row(tenant)
         row["completed" if status == "ok" else "failed"] += n
-        room = _SERVING_LATENCY_CAP - len(_SERVING_LATENCIES)
-        if room > 0:
-            _SERVING_LATENCIES.extend(float(x) for x in latencies[:room])
+        _SERVING_LATENCIES.extend(latencies)
 
 
 def record_serving_batch(size: int, pad_elements: int = 0):

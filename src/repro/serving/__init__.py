@@ -26,13 +26,13 @@ from .executor import injected_fault, run_batch_guarded
 from .ragged import (ConcatCSRStrategy, PadStrategy,
                      make_batched_longformer_program)
 from .server import PendingResponse, Request, Response, Server
-from .strategies import BatchStrategy, StackStrategy, array_digest
+from .strategies import BatchStrategy, StackStrategy
 
 __all__ = [
     "BatchStrategy", "BatchingUnsupported", "ConcatCSRStrategy",
     "PadStrategy", "PendingResponse", "Request", "Response",
     "SERVE_SIZES", "ServedWorkload", "Server", "StackStrategy",
-    "array_digest", "batch_axis_prepend", "default_endpoints",
+    "batch_axis_prepend", "default_endpoints",
     "injected_fault", "make_batched_longformer_program",
     "run_batch_guarded",
 ]

@@ -10,23 +10,28 @@ Two strategies cover the paper's irregular request shapes:
   tokens and its cost is bounded by the pad waste, not by attention over
   garbage. Pad lengths are quantized (``pad_to``) so the driver's
   binding-plan memo and the native-artifact store see few distinct
-  shapes.
+  shapes. Each request owns one region of the padded batch — the same
+  index tuple copies it in and slices its result out, for any ragged
+  axis.
 - :class:`ConcatCSRStrategy` (concat-with-offsets) — variable-*size*
   CSR graphs (GAT) are concatenated block-diagonally: indptr rows are
   rebased by the running edge count, indices by the running node count,
   and node features are stacked. A disjoint union of graphs is
   semantically just a bigger graph, so the *unbatched* compiled program
   serves the whole batch in one call and outputs split back by node
-  offsets. No padding, no masking, zero waste.
+  offsets. No padding, no masking, zero waste. The rebasing is two
+  concatenations and two ``np.repeat`` adds per batch, whatever its
+  size.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from itertools import accumulate
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .strategies import BatchStrategy, array_digest, scalar_items
+from .strategies import BatchStrategy, scalar_items, stack_equal
 
 __all__ = ["ConcatCSRStrategy", "PadStrategy",
            "make_batched_longformer_program"]
@@ -105,42 +110,41 @@ class PadStrategy(BatchStrategy):
             shapes.append((tuple(shape), a.dtype))
         return (self.name, tuple(shapes), scalar_items(scalars))
 
-    def _len_of(self, request) -> int:
-        return int(request.arrays[self.ragged_params[0]].shape[self.axis])
+    def _slots(self, requests) -> Tuple[List[int], List[tuple]]:
+        """True lengths, and each request's region of the padded batch:
+        ``(b, :, ..., :, slice(0, len))`` with the slice at the ragged
+        axis — one index tuple, for every ``axis``, that ``collate``
+        copies into and ``split`` views out of."""
+        p, axis = self.ragged_params[0], self.axis
+        lens = [r.arrays[p].shape[axis] for r in requests]
+        lead = (slice(None),) * axis
+        return lens, [(b,) + lead + (slice(0, n),)
+                      for b, n in enumerate(lens)]
 
     def collate(self, endpoint, requests):
-        lens = [self._len_of(r) for r in requests]
+        lens, slots = self._slots(requests)
+        n = len(requests)
         nmax = -(-max(lens) // self.pad_to) * self.pad_to
-        n_args = len(requests[0].arrays)
+        pad_rows = n * nmax - sum(lens)  # padded ragged-axis positions
         padded, pad_elements = [], 0
-        for i in range(n_args):
-            arrs = [r.arrays[i] for r in requests]
+        for i, arrs in enumerate(zip(*(r.arrays for r in requests))):
             if i not in self.ragged_params:
-                padded.append(np.stack(arrs))
+                padded.append(stack_equal(arrs))
                 continue
-            first = arrs[0]
-            shape = list(first.shape)
+            shape = list(arrs[0].shape)
             shape[self.axis] = nmax
-            out = np.zeros((len(arrs),) + tuple(shape), first.dtype)
-            for b, a in enumerate(arrs):
-                sl = [b] + [slice(None)] * first.ndim
-                sl[1 + self.axis] = slice(0, a.shape[self.axis])
-                out[tuple(sl)] = a
-                pad_elements += out[b].size - a.size
+            out = np.zeros((n,) + tuple(shape), arrs[0].dtype)
+            for slot, a in zip(slots, arrs):
+                out[slot] = a
+            pad_elements += out.size // (n * nmax) * pad_rows
             padded.append(out)
         padded.append(np.asarray(lens, np.int32))
         return endpoint.pad_func(), padded, \
             dict(requests[0].scalars), pad_elements
 
     def split(self, endpoint, outs, requests):
-        outs = self._outs_tuple(outs)
-        parts = []
-        for b, r in enumerate(requests):
-            n = self._len_of(r)
-            sl = [slice(None)] * (outs[0].ndim - 1)
-            sl[self.axis] = slice(0, n)
-            parts.append(tuple(o[b][tuple(sl)] for o in outs))
-        return self._per_request(parts)
+        _lens, slots = self._slots(requests)
+        return self._per_request(outs, lambda o: [o[s] for s in slots])
 
 
 class ConcatCSRStrategy(BatchStrategy):
@@ -149,10 +153,10 @@ class ConcatCSRStrategy(BatchStrategy):
     Parameter positions: ``indptr_param`` / ``indices_param`` are the
     CSR arrays, ``node_params`` are per-node arrays concatenated along
     axis 0, and every other parameter is *shared* (model weights): its
-    content digest joins the bucket key so requests against different
-    weights never merge, and one copy is passed through. The merged
-    batch is a plain disjoint-union graph executed by the endpoint's
-    ordinary unbatched program.
+    shape, dtype and exact bytes join the bucket key so requests
+    against different weights never merge, and one copy is passed
+    through. The merged batch is a plain disjoint-union graph executed
+    by the endpoint's ordinary unbatched program.
     """
 
     name = "concat"
@@ -163,11 +167,6 @@ class ConcatCSRStrategy(BatchStrategy):
         self.indices_param = indices_param
         self.node_params = tuple(node_params)
 
-    def _shared(self, n_args: int) -> List[int]:
-        special = {self.indptr_param, self.indices_param,
-                   *self.node_params}
-        return [i for i in range(n_args) if i not in special]
-
     def bucket_key(self, arrays, scalars):
         parts = []
         for i, a in enumerate(arrays):
@@ -176,40 +175,32 @@ class ConcatCSRStrategy(BatchStrategy):
             elif i in self.node_params:
                 parts.append((tuple(a.shape[1:]), a.dtype))
             else:
-                parts.append(("shared", array_digest(a)))
+                parts.append((a.shape, a.dtype, a.tobytes()))
         return (self.name, tuple(parts), scalar_items(scalars))
 
-    def _node_counts(self, requests) -> List[int]:
-        return [int(r.arrays[self.indptr_param].shape[0]) - 1
-                for r in requests]
-
     def collate(self, endpoint, requests):
-        n_args = len(requests[0].arrays)
-        nodes = self._node_counts(requests)
-        merged: List[object] = [None] * n_args
-        indptrs = [np.asarray(r.arrays[self.indptr_param])
-                   for r in requests]
-        indices = [np.asarray(r.arrays[self.indices_param])
-                   for r in requests]
-        edge_off = np.cumsum([0] + [len(ix) for ix in indices])
-        node_off = np.cumsum([0] + nodes)
-        merged[self.indptr_param] = np.concatenate(
-            [indptrs[0][:1]] + [p[1:] + off for p, off in
-                                zip(indptrs, edge_off[:-1])]
-        ).astype(indptrs[0].dtype)
-        merged[self.indices_param] = np.concatenate(
-            [ix + off for ix, off in zip(indices, node_off[:-1])]
-        ).astype(indices[0].dtype)
+        merged = list(requests[0].arrays)  # shared weights: the first's
+        indptrs = [r.arrays[self.indptr_param] for r in requests]
+        indices = [r.arrays[self.indices_param] for r in requests]
+        nodes = np.array([len(p) - 1 for p in indptrs])
+        edges = np.array([len(ix) for ix in indices])
+        # graph g's indptr tail moves past the edges of the graphs
+        # before it, its column ids past their nodes
+        ptr = np.concatenate([indptrs[0][:1]] + [p[1:] for p in indptrs])
+        ptr[1:] += np.repeat(np.cumsum(edges) - edges, nodes)
+        col = np.concatenate(indices)
+        col += np.repeat(np.cumsum(nodes) - nodes, edges)
+        merged[self.indptr_param] = ptr
+        merged[self.indices_param] = col
         for i in self.node_params:
             merged[i] = np.concatenate([r.arrays[i] for r in requests])
-        for i in self._shared(n_args):
-            merged[i] = requests[0].arrays[i]
         return endpoint.base_func(), merged, \
             dict(requests[0].scalars), 0
 
     def split(self, endpoint, outs, requests):
-        outs = self._outs_tuple(outs)
-        node_off = np.cumsum([0] + self._node_counts(requests))
-        parts = [tuple(o[node_off[b]:node_off[b + 1]] for o in outs)
-                 for b in range(len(requests))]
-        return self._per_request(parts)
+        offsets = list(accumulate(
+            (len(r.arrays[self.indptr_param]) - 1 for r in requests),
+            initial=0))
+        bounds = list(zip(offsets, offsets[1:]))
+        return self._per_request(outs,
+                                 lambda o: [o[a:b] for a, b in bounds])

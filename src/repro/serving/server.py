@@ -83,8 +83,9 @@ class PendingResponse:
     blocks before resolution — Event construction costs more than the
     rest of a submission's bookkeeping combined, and the common
     high-throughput pattern (submit a wave, then collect) never blocks
-    on an unresolved response. Publishing ``_response`` is GIL-atomic;
-    the shared lock only orders event creation against resolution.
+    on an unresolved response. The shared lock orders event creation
+    against resolution; the server publishes a whole batch under one
+    hold of it (:meth:`_publish`).
     """
 
     __slots__ = ("_response", "_event")
@@ -107,11 +108,18 @@ class PendingResponse:
                 raise TimeoutError("response not ready")
         return self._response
 
-    def _resolve(self, response: Response):
-        self._response = response
+    @staticmethod
+    def _publish(resolved):
+        """Resolve ``(pending, response)`` pairs under one hold of the
+        shared lock; the events of blocked callers are set after it is
+        released."""
+        events = []
         with _PENDING_LOCK:
-            event = self._event
-        if event is not None:
+            for pending, response in resolved:
+                pending._response = response
+                if pending._event is not None:
+                    events.append(pending._event)
+        for event in events:
             event.set()
 
 
@@ -191,8 +199,9 @@ class Server:
     # -- submission --------------------------------------------------------
     def _reject(self, req: Request, outcome: str, why: str):
         metrics.record_serving_submit(req.tenant, outcome)
-        req.pending._resolve(Response(
-            "rejected", error=why, request_id=req.id, tenant=req.tenant))
+        PendingResponse._publish(((req.pending, Response(
+            "rejected", error=why, request_id=req.id,
+            tenant=req.tenant)),))
 
     def _bucket_of(self, ep, req: Request) -> Optional[tuple]:
         """The request's bucket key — or None, with the request resolved
@@ -342,21 +351,28 @@ class Server:
 
     def _resolve_many(self, entries, batch_id=None, batch_size=0):
         """Resolve ``(req, status, value, error)`` entries of one batch:
-        one clock read, one lock acquisition and one metrics call per
-        (tenant, status) group cover them all."""
+        one clock read, one server-lock hold that returns each tenant's
+        in-flight slots, one ``_PENDING_LOCK`` hold that publishes every
+        response and one metrics call per (tenant, status) group cover
+        them all."""
         now = self.clock()
-        with self._lock:
-            for req, _s, _v, _e in entries:
-                n = self._tenant_inflight.get(req.tenant, 1)
-                self._tenant_inflight[req.tenant] = max(0, n - 1)
         groups: Dict[tuple, List[float]] = {}
+        resolved = []
         for req, status, value, error in entries:
             latency = max(0.0, now - req.submitted_at)
             groups.setdefault((req.tenant, status), []).append(latency)
-            req.pending._resolve(Response(
+            resolved.append((req.pending, Response(
                 status, value=value, error=error, request_id=req.id,
                 tenant=req.tenant, latency_s=latency, batch_id=batch_id,
-                batch_size=batch_size))
+                batch_size=batch_size)))
+        done: Dict[str, int] = {}
+        for (tenant, _status), lats in groups.items():
+            done[tenant] = done.get(tenant, 0) + len(lats)
+        with self._lock:
+            for tenant, k in done.items():
+                n = self._tenant_inflight.get(tenant, k)
+                self._tenant_inflight[tenant] = max(0, n - k)
+        PendingResponse._publish(resolved)
         for (tenant, status), lats in groups.items():
             metrics.record_serving_responses(tenant, status, lats)
 

@@ -10,6 +10,10 @@ A strategy answers three questions for its endpoint:
 - ``split(endpoint, outs, requests)`` — slice the batched call's
   outputs back into one result per request.
 
+``bucket_key`` runs once per request; ``collate`` and ``split`` run once
+per batch and are a few whole-batch array operations each — a result is
+a view into the batched output, never a copy.
+
 :class:`StackStrategy` is the generic dense case: identical shapes are
 stacked along the new leading axis of the ``batch_axis_prepend``
 variant. The ragged strategies for variable-length and variable-size
@@ -18,13 +22,12 @@ requests live in ``repro.serving.ragged``.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["BatchStrategy", "StackStrategy", "array_digest",
-           "scalar_items"]
+__all__ = ["BatchStrategy", "StackStrategy", "scalar_items",
+           "stack_equal"]
 
 
 def scalar_items(scalars: Dict[str, object]) -> tuple:
@@ -34,13 +37,14 @@ def scalar_items(scalars: Dict[str, object]) -> tuple:
     return tuple(sorted((k, int(v)) for k, v in scalars.items()))
 
 
-def array_digest(arr: np.ndarray) -> str:
-    """A short content fingerprint, for bucket keys that must separate
-    requests by array *contents* (e.g. different model weights)."""
-    arr = np.ascontiguousarray(arr)
-    h = hashlib.blake2b(arr.tobytes(), digest_size=8)
-    h.update(str(arr.shape).encode())
-    return h.hexdigest()
+def stack_equal(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack arrays of one shape and dtype — what equal bucket keys
+    guarantee — along a new leading axis: one concatenation and a
+    reshape, with no per-array ``expand_dims``."""
+    first = arrays[0]
+    if first.ndim == 0:
+        return np.array(arrays)
+    return np.concatenate(arrays).reshape((len(arrays),) + first.shape)
 
 
 class BatchStrategy:
@@ -61,17 +65,20 @@ class BatchStrategy:
         raise NotImplementedError
 
     @staticmethod
-    def _outs_tuple(outs) -> tuple:
-        return outs if isinstance(outs, tuple) else (outs,)
-
-    @staticmethod
-    def _per_request(parts: List[tuple]) -> List[object]:
-        return [p[0] if len(p) == 1 else p for p in parts]
+    def _per_request(outs, pieces: Callable) -> List[object]:
+        """``pieces(out)`` cuts one batched output into per-request views;
+        a request's result is its piece of the output, or the tuple of
+        its pieces when the program has several outputs."""
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        if len(outs) == 1:
+            return list(pieces(outs[0]))
+        return list(zip(*map(pieces, outs)))
 
 
 class StackStrategy(BatchStrategy):
     """Dense batching: equal-shape requests stack along a new leading
-    axis and run through the endpoint's ``batch_axis_prepend`` variant.
+    axis and run through the endpoint's ``batch_axis_prepend`` variant;
+    request ``b``'s result is row ``b`` of each output.
     """
 
     name = "stack"
@@ -84,13 +91,10 @@ class StackStrategy(BatchStrategy):
                 scalar_items(scalars))
 
     def collate(self, endpoint, requests):
-        n_args = len(requests[0].arrays)
-        stacked = [np.stack([r.arrays[i] for r in requests])
-                   for i in range(n_args)]
+        stacked = [stack_equal(column)
+                   for column in zip(*(r.arrays for r in requests))]
         return endpoint.batched_func(), stacked, \
             dict(requests[0].scalars), 0
 
     def split(self, endpoint, outs, requests):
-        outs = self._outs_tuple(outs)
-        parts = [tuple(o[i] for o in outs) for i in range(len(requests))]
-        return self._per_request(parts)
+        return self._per_request(outs, list)
