@@ -12,7 +12,7 @@ without executing anything:
 - **op counts** mirror the interpreter's dynamic semantics node for node
   (same ``op_category``, branch maxima for ``If``/``IfExpr``, an
   over-count allowance for short-circuited ``LAnd``/``LOr``), so the
-  ``REPRO_COUNT_OPS=1`` oracle can check them for equality on exact
+  ``Interpreter(op_counts=...)`` oracle can check them for equality on exact
   programs and for the upper-bound direction on sound ones;
 - **parallelism** discounts the ``seq`` axis through the backend's
   declared capabilities (``Target.capabilities``): a loop annotation the

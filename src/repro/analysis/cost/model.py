@@ -12,7 +12,7 @@ dominated candidate can only be pruned, never preferred — while the
 scalar :attr:`CostEstimate.time_proxy` gives a total order for ranking.
 
 ``op_category`` is the single classification shared by the static walker
-(`count.py`) and the interpreter's dynamic ``REPRO_COUNT_OPS`` oracle,
+(`count.py`) and the interpreter's dynamic ``OpCounts`` oracle,
 so the two sides count the same events by construction.
 """
 

@@ -4,7 +4,7 @@
 or post-lowering — and on a frontend ``Program``. It returns a
 :class:`~repro.analysis.verify.diagnostics.Diagnostics` report; it never
 raises on findings (call ``report.raise_if_errors()`` for that, or build
-with ``verify=True`` / ``REPRO_VERIFY=1`` to gate compilation).
+with ``verify=True`` to gate compilation).
 """
 
 from __future__ import annotations

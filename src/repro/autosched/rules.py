@@ -37,7 +37,7 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
     from ..pipeline import Pass, Pipeline, build_pipeline
     from ..pipeline.manager import (composite_cache_lookup,
                                     composite_cache_store,
-                                    runs_instrumented)
+                                    instrumentation)
     from ..runtime import metrics
 
     if target is None:
@@ -55,7 +55,7 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
     # (pre-Schedule) tree so a memo hit skips Schedule construction and
     # its pre-lowering outright. Skipped under the instrumentation env
     # vars, which want every pass to really run.
-    instrumented = runs_instrumented()
+    instrumented = any(instrumentation())
     raw = getattr(program_or_func, "func", program_or_func)
     # the backend discriminator is the registry cache tag
     # (name@caps_version): bumping a Backend's declared version

@@ -11,17 +11,14 @@ compile, which candidates are worth measuring:
    better on *any* axis is still measured, so a sound estimate never
    hides a potential winner.
 
-``REPRO_NO_COST_PRUNE=1`` disables the whole front-end (identical
-results, more candidates measured). The screen also owns the
-per-session scalar environment and the **per-session measurement
-inputs**: ``make_inputs()`` runs once and every measurement binds the
-same arrays (which is what lets worker processes receive the arrays
-once at fork time).
+The screen also owns the per-session scalar environment and the
+**per-session measurement inputs**: ``make_inputs()`` runs once and
+every measurement binds the same arrays (which is what lets worker
+processes receive the arrays once at fork time).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional, Tuple
 
 from ...ir import Func
@@ -46,8 +43,7 @@ class CandidateScreen:
         self.reset()
 
     def reset(self):
-        """Start a fresh session (re-reads the escape-hatch env var)."""
-        self.enabled = os.environ.get("REPRO_NO_COST_PRUNE") != "1"
+        """Start a fresh session."""
         self.best_est = None
         self._seen.clear()
 
@@ -102,8 +98,6 @@ class CandidateScreen:
         """
         from ...runtime import metrics
 
-        if not self.enabled:
-            return "measure", None
         h = struct_hash(cand)  # sid-less: same structure, same schedule
         if h in self._seen:
             metrics.record_tuner_candidate("dedup_skips")

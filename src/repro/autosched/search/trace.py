@@ -44,10 +44,6 @@ def res_ref(step: int, item: int) -> Dict[str, List[int]]:
     return {"$res": [step, item]}
 
 
-def _is_ref(v) -> bool:
-    return isinstance(v, dict) and ("$loop" in v or "$res" in v)
-
-
 class ScheduleTrace:
     """An ordered, replayable record of applied schedule primitives."""
 

@@ -12,7 +12,7 @@ the paper's Table 2 (every candidate is compiled and measured).
    baseline);
 2. **screen** — every realized candidate passes the session's
    :class:`~repro.autosched.search.screen.CandidateScreen` (struct-hash
-   dedup + dominance pruning, ``REPRO_NO_COST_PRUNE=1`` to disable);
+   dedup + dominance pruning);
 3. **rank** — screening survivors are ordered by the cost model's
    ``time_proxy`` (``analysis.cost.frontier_order``) and only the top-k
    are measured; the rest are counted as ``frontier_skips``;
@@ -38,7 +38,6 @@ from typing import Callable, List, Optional, Tuple
 import time
 
 from ...errors import FreeTensorError
-from ...ir.hashing import struct_hash
 from ...schedule import Schedule
 from ..target import default_target
 from .measure import (MeasurementPool, OK, TIMEOUT, fake_measure_enabled,
@@ -221,18 +220,9 @@ class StructuredTuner:
                 entries = []
                 for idx in chosen:
                     _a, func, _tr, est = survivors[idx]
-                    fake = None
-                    if fake_mode:
-                        # deterministic pseudo-time, computed in the
-                        # parent so every worker count sees identical
-                        # "timings": the cost model's proxy when
-                        # screening is on, else a structural hash (the
-                        # winner is then arbitrary but reproducible)
-                        if est is not None:
-                            fake = float(est.time_proxy)
-                        else:
-                            fake = 1.0 + int(struct_hash(func),
-                                             16) % 10**9 / 1e9
+                    # deterministic pseudo-time, computed in the parent
+                    # so every worker count sees identical "timings"
+                    fake = float(est.time_proxy) if fake_mode else None
                     entries.append((func, fake))
                 outcomes = mpool.measure_batch(entries)
 

@@ -1,16 +1,14 @@
 """Target descriptions for the auto-scheduler.
 
-:class:`BackendCaps` itself lives in ``repro.backend.caps`` now (it is
-declared per-backend by the registry's Backend objects) and is
-re-exported here for compatibility; ``Target.capabilities`` delegates to
-the registry query instead of the old per-backend if/elif ladder.
+``Target.capabilities`` delegates to the backend registry, where each
+backend declares its :class:`~repro.backend.BackendCaps`.
 """
 
 from __future__ import annotations
 
 from ..backend.caps import BackendCaps
 
-__all__ = ["BackendCaps", "CPU", "GPU", "Target", "default_target"]
+__all__ = ["CPU", "GPU", "Target", "default_target"]
 
 
 class Target:

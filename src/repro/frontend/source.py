@@ -7,15 +7,12 @@ executes, :func:`current_span` walks the Python call stack to the nearest
 registered frame and reports ``(filename, line)`` — the DSL line whose
 execution is emitting IR right now. The builder stamps that span onto
 every emitted statement, so diagnostics (``repro.verify``) can point at
-user code.
-
-Set ``REPRO_NO_SPANS=1`` to disable capture entirely (spans are purely
-informational; nothing in the compile path depends on them).
+user code. Spans are purely informational; nothing in the compile path
+depends on them.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import types
 from typing import Optional, Tuple
@@ -37,10 +34,6 @@ def register_staged(code) -> None:
             register_staged(const)
 
 
-def spans_enabled() -> bool:
-    return os.environ.get("REPRO_NO_SPANS", "") != "1"
-
-
 def current_span() -> Optional[Tuple[str, int]]:
     """The DSL source line currently executing, or None.
 
@@ -49,7 +42,7 @@ def current_span() -> Optional[Tuple[str, int]]:
     i.e. the innermost staged function (an ``@inline`` helper counts, so
     diagnostics point into the helper rather than at its call site).
     """
-    if not _STAGED_CODE or not spans_enabled():
+    if not _STAGED_CODE:
         return None
     frame = sys._getframe(1)
     for _ in range(_MAX_WALK):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import StagingError
-from ..ir import (DataType, Expr, IntConst, Load, ReduceTo, Store, join_dtype,
+from ..ir import (DataType, Expr, IntConst, Load, ReduceTo, Store,
                   makeIntrinsic, makeMax, makeMin, same_expr, wrap, wrap_like)
 from .context import Builder, _VarMarker
 
@@ -236,12 +236,6 @@ def as_expr(value) -> Expr:
     if isinstance(value, TensorRef):
         return value.as_load()
     return wrap(value)
-
-
-def _common_dtype(a, b) -> DataType:
-    da = a.dtype if isinstance(a, (TensorRef, Expr)) else wrap(a).dtype
-    db = b.dtype if isinstance(b, (TensorRef, Expr)) else wrap(b).dtype
-    return join_dtype(da, db)
 
 
 def _map_elementwise_store(target: TensorRef, value, reduce_op):

@@ -136,11 +136,6 @@ class MemType(enum.Enum):
         raise ValueError(f"unknown memory type: {spec!r}")
 
     @property
-    def on_gpu(self) -> bool:
-        return self in (MemType.GPU_GLOBAL, MemType.GPU_SHARED,
-                        MemType.GPU_LOCAL)
-
-    @property
     def is_global(self) -> bool:
         """Whether the memory is visible to all threads of its device."""
         return self in (MemType.CPU, MemType.CPU_HEAP, MemType.GPU_GLOBAL)

@@ -48,11 +48,6 @@ def bump_sid_counter(past: int):
 _SPANS: Dict[str, Tuple[str, int]] = {}
 
 
-def clear_spans():
-    """Drop all recorded source spans (testing aid)."""
-    _SPANS.clear()
-
-
 class Stmt:
     """Base class of all IR statements."""
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import VerificationError
 from ..ir import Func, dump, struct_hash
@@ -88,20 +88,20 @@ pass_cache_stats = _STATS.snapshot
 _DUMP_COUNTER = itertools.count()
 
 
-def runs_instrumented() -> bool:
-    """Whether ``REPRO_DUMP_IR`` / ``REPRO_VERIFY_EACH_PASS`` ask for
-    every pass to really execute (so nothing may be served from a
-    cache)."""
+def instrumentation() -> Tuple[str, bool]:
+    """``(dump_dir, verify_each_pass)`` from ``REPRO_DUMP_IR`` and
+    ``REPRO_VERIFY_EACH_PASS``. Either one asks for every pass to really
+    execute (so nothing may be served from a cache)."""
     env = os.environ
-    return (bool(env.get("REPRO_DUMP_IR", ""))
-            or env.get("REPRO_VERIFY_EACH_PASS", "") == "1")
+    return (env.get("REPRO_DUMP_IR", ""),
+            env.get("REPRO_VERIFY_EACH_PASS", "") == "1")
 
 
 def product_store():
     """The persistent store the product records live in (kinds
     ``compile``, ``native``, ``grad``), or None: disk caching off,
     ``REPRO_NO_MEMO=1``, or an instrumented run (every pass must run)."""
-    if not memos_enabled() or runs_instrumented():
+    if not memos_enabled() or any(instrumentation()):
         return None
     from ..cache.store import get_store
 
@@ -192,10 +192,10 @@ class Pipeline:
         """
         from ..runtime import metrics
 
-        dump_dir = os.environ.get("REPRO_DUMP_IR", "")
+        dump_dir, verify_each_pass = instrumentation()
         snap = _Snapshotter(dump_dir, self, func) if dump_dir else None
         baseline: Optional[Set[tuple]] = None
-        if os.environ.get("REPRO_VERIFY_EACH_PASS", "") == "1":
+        if verify_each_pass:
             baseline = _error_keys(func)
         # Instrumented runs want every pass to really execute (snapshots
         # diff pass outputs; per-pass verification attributes findings),

@@ -59,10 +59,6 @@ class Affine:
     def vars(self):
         return self.coeffs.keys()
 
-    def rename(self, mapping: Dict[str, str]) -> "Affine":
-        return Affine({mapping.get(v, v): c for v, c in self.coeffs.items()},
-                      self.const)
-
     # -- identity ---------------------------------------------------------
     def key(self):
         return (tuple(sorted(self.coeffs.items())), self.const)
@@ -133,10 +129,7 @@ class LinCon:
     def eq(a, b) -> "LinCon":
         return LinCon(_as_affine(a) - _as_affine(b), True)
 
-    # -- helpers -----------------------------------------------------------
-    def rename(self, mapping: Dict[str, str]) -> "LinCon":
-        return LinCon(self.expr.rename(mapping), self.is_eq)
-
+    # -- identity ---------------------------------------------------------
     def key(self):
         return (self.expr.key(), self.is_eq)
 

@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -357,7 +356,7 @@ def build(program_or_func,
           backend: str = "pycode",
           optimize: bool = False,
           target=None,
-          verify: Optional[bool] = None,
+          verify: bool = False,
           **opts) -> Executable:
     """Compile a staged program (or a raw Func) into an Executable.
 
@@ -368,11 +367,9 @@ def build(program_or_func,
     ``verify=True`` runs the whole-program verifier (``repro.verify``) on
     the scheduled/lowered IR before code generation and raises
     :class:`~repro.errors.VerificationError` on any error-severity finding.
-    The default (``None``) obeys the ``REPRO_VERIFY=1`` environment gate.
     """
     func = _as_func(program_or_func)
-    want_verify = bool(verify) if verify is not None \
-        else os.environ.get("REPRO_VERIFY", "") == "1"
+    want_verify = bool(verify)
     key = _build_cache_key(func, backend, optimize, target, opts)
     if key is not None:
         # want_verify is part of the key: a cached unverified Executable

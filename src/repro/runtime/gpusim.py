@@ -137,7 +137,3 @@ class GPUSimulator:
         if isinstance(s, For):
             return f"kernel@{s.sid}"
         return f"kernel@{s.sid}"
-
-    def modeled_time(self) -> float:
-        """Modeled execution time on this device (seconds)."""
-        return self.device.time(self.metrics)

@@ -13,7 +13,6 @@ collector.
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, Optional
 
 import numpy as np
@@ -30,9 +29,8 @@ class OpCounts:
     claims to predict, using the *same* ``op_category`` classification,
     so static-vs-dynamic comparisons are apples to apples: on an exact
     estimate the two agree to the operation; on a sound one the static
-    side is an upper bound. Enable globally with ``REPRO_COUNT_OPS=1``
-    (checked per :class:`Interpreter`), or pass an instance explicitly
-    as ``Interpreter(op_counts=...)``.
+    side is an upper bound. Pass an instance as
+    ``Interpreter(op_counts=...)`` to enable it.
     """
 
     FIELDS = ("flops", "int_ops", "loads", "stores", "reduces",
@@ -64,16 +62,6 @@ class OpCounts:
         return f"OpCounts({body})"
 
 
-_GLOBAL_OPS: Optional[OpCounts] = None
-
-
-def global_op_counts() -> OpCounts:
-    """The process-wide counter used when ``REPRO_COUNT_OPS=1``."""
-    global _GLOBAL_OPS
-    if _GLOBAL_OPS is None:
-        _GLOBAL_OPS = OpCounts()
-    return _GLOBAL_OPS
-
 _INTRIN_IMPL = {
     "abs": abs,
     "sqrt": math.sqrt,
@@ -98,8 +86,6 @@ class Interpreter:
 
     def __init__(self, metrics=None, op_counts: Optional[OpCounts] = None):
         self.metrics = metrics
-        if op_counts is None and os.environ.get("REPRO_COUNT_OPS") == "1":
-            op_counts = global_op_counts()
         self.ops = op_counts
 
     # -- expressions ------------------------------------------------------

@@ -88,11 +88,6 @@ def loops_on_path(root, sid: str) -> List[For]:
     return [s for s in path_to(root, sid)[:-1] if isinstance(s, For)]
 
 
-def outer_iters(root, sid: str) -> List[str]:
-    """Iterator names defined outside the statement (usable in bounds)."""
-    return [l.iter_var for l in loops_on_path(root, sid)]
-
-
 def fresh_iter(root, base: str) -> str:
     return fresh_name(base, used_names(root))
 

@@ -70,9 +70,6 @@ def main(argv: List[str] = None) -> int:
                     default="thread")
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--max-batch", type=int, default=8)
-    ap.add_argument("--max-wait-ms", type=float, default=None,
-                    help="deprecated, ignored: dispatcher threads flush "
-                         "as soon as one is idle (no batching window)")
     ap.add_argument("--backend", default="pycode")
     ap.add_argument("--no-optimize", action="store_true")
     ap.add_argument("--tenants", type=int, default=1)

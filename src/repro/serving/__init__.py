@@ -22,7 +22,7 @@ Layering::
 
 from .batching import BatchingUnsupported, batch_axis_prepend
 from .endpoints import SERVE_SIZES, ServedWorkload, default_endpoints
-from .executor import injected_fault, run_batch_guarded
+from .executor import injected_faults, run_batch_guarded
 from .ragged import (ConcatCSRStrategy, PadStrategy,
                      make_batched_longformer_program)
 from .server import PendingResponse, Request, Response, Server
@@ -33,6 +33,6 @@ __all__ = [
     "PadStrategy", "PendingResponse", "Request", "Response",
     "SERVE_SIZES", "ServedWorkload", "Server", "StackStrategy",
     "batch_axis_prepend", "default_endpoints",
-    "injected_fault", "make_batched_longformer_program",
+    "injected_faults", "make_batched_longformer_program",
     "run_batch_guarded",
 ]

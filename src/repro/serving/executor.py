@@ -16,7 +16,8 @@ Two execution modes back the server's dispatcher threads:
   once per host.
 
 Fault injection (tests / drills): ``REPRO_SERVE_FAULT=crash:<endpoint>``
-or ``hang:<endpoint>`` (``*`` matches all). In process mode the worker
+or ``hang:<endpoint>`` (``*`` matches all), read once when a
+:class:`~repro.serving.Server` is constructed. In process mode the worker
 genuinely exits without cleanup or sleeps; in thread mode both degrade
 to a raised error (a real crash would kill the server — which is the
 point of process mode) so the request still resolves as failed.
@@ -24,18 +25,20 @@ point of process mode) so the request still resolves as failed.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..runtime.pool import FAILED, OK, fault_spec, inject
 
 DEFAULT_TIMEOUT_S = 30.0
 
 
-def injected_fault(endpoint: str) -> Optional[str]:
-    """The fault (``"crash"``/``"hang"``) configured for an endpoint via
-    ``REPRO_SERVE_FAULT``, or None."""
+def injected_faults(endpoints: Iterable[str]) -> Dict[str, str]:
+    """Endpoint name -> the fault (``"crash"``/``"hang"``) that
+    ``REPRO_SERVE_FAULT`` configures for it; endpoints it does not
+    name are absent."""
     kind, pattern = fault_spec("REPRO_SERVE_FAULT")
-    return kind if kind and pattern in ("*", endpoint) else None
+    return {name: kind for name in endpoints
+            if kind and pattern in ("*", name)}
 
 
 def run_batch(endpoint, kind: str, arrays, scalars):
@@ -47,12 +50,11 @@ def run_batch(endpoint, kind: str, arrays, scalars):
     return exe(*arrays, **scalars)
 
 
-def run_batch_guarded(endpoint, kind: str, arrays, scalars
-                      ) -> Tuple[str, object]:
+def run_batch_guarded(endpoint, kind: str, arrays, scalars,
+                      fault: Optional[str]) -> Tuple[str, object]:
     """Thread-mode execution: ``(outcome, payload)`` where payload is
-    the outputs on ``ok`` or a message on ``failed``. Injected faults
-    degrade to failures (see module docstring)."""
-    fault = injected_fault(endpoint.name)
+    the outputs on ``ok`` or a message on ``failed``. An injected
+    ``fault`` degrades to a failure (see module docstring)."""
     if fault is not None:
         return FAILED, f"injected {fault} (thread mode)"
     try:
@@ -61,10 +63,11 @@ def run_batch_guarded(endpoint, kind: str, arrays, scalars
         return FAILED, f"{type(e).__name__}: {e}"
 
 
-def _run_task(endpoints, task):
+def _run_task(endpoints, faults, task):
     """The process-mode pool handler: run one ``(endpoint_name, kind,
-    arrays, scalars)`` batch inside a worker. A raised error is the
-    pool's to report."""
+    arrays, scalars)`` batch inside a worker, acting first on the fault
+    ``faults`` (from :func:`injected_faults`) names for the endpoint. A
+    raised error is the pool's to report."""
     name, kind, arrays, scalars = task
-    inject(injected_fault(name))
+    inject(faults.get(name))
     return run_batch(endpoints[name], kind, arrays, scalars)

@@ -40,7 +40,8 @@ from typing import Dict, List, Optional, Sequence
 from ..runtime import metrics
 from .endpoints import ServedWorkload
 from ..runtime.pool import FAILED, OK, TIMEOUT, WorkerPool
-from .executor import DEFAULT_TIMEOUT_S, _run_task, run_batch_guarded
+from .executor import (DEFAULT_TIMEOUT_S, _run_task, injected_faults,
+                       run_batch_guarded)
 
 __all__ = ["PendingResponse", "Request", "Response", "Server"]
 
@@ -174,6 +175,7 @@ class Server:
         self.default_quota = default_quota
         self.timeout_s = float(timeout_s)
         self.clock = clock
+        self._faults = injected_faults(self.endpoints)
 
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
@@ -185,8 +187,9 @@ class Server:
         self._closed = False
 
         self._pool = (WorkerPool(
-            functools.partial(_run_task, self.endpoints), self.workers,
-            self.timeout_s, on_respawn=metrics.record_serving_respawn)
+            functools.partial(_run_task, self.endpoints, self._faults),
+            self.workers, self.timeout_s,
+            on_respawn=metrics.record_serving_respawn)
             if mode == "process" else None)
         self._threads: List[threading.Thread] = []
         if start:
@@ -407,8 +410,8 @@ class Server:
                 (ep.name, kind, arrays, scalars),
                 timeout_s=max(0.05, budget))
         else:
-            outcome, payload = run_batch_guarded(ep, kind, arrays,
-                                                 scalars)
+            outcome, payload = run_batch_guarded(
+                ep, kind, arrays, scalars, self._faults.get(ep.name))
         if outcome == OK:
             try:
                 parts = ep.strategy.split(ep, payload, live)

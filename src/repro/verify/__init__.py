@@ -5,8 +5,8 @@ Usable three ways:
 - as a function: ``repro.verify(func_or_program, level=...)`` returns a
   :class:`~repro.analysis.verify.diagnostics.Diagnostics` report (this
   module is callable);
-- as a build gate: ``repro.build(prog, verify=True)`` or ``REPRO_VERIFY=1``
-  raises :class:`~repro.errors.VerificationError` on errors;
+- as a build gate: ``repro.build(prog, verify=True)`` raises
+  :class:`~repro.errors.VerificationError` on errors;
 - as a CLI: ``python -m repro.verify <workload|file.py> ...`` pretty-prints
   findings with source carets (see ``__main__.py``).
 """

@@ -19,6 +19,7 @@ from typing import List, Tuple
 from ..analysis.verify import verify
 from ..errors import VerificationError
 from ..frontend.staging import Program
+from ..pipeline.manager import instrumentation
 
 
 def _workload_targets(names) -> List[Tuple[str, object]]:
@@ -173,7 +174,7 @@ def main(argv=None) -> int:
                 from ..pipeline import compile_ir
 
                 func = compile_ir(func, optimize=True)
-            elif os.environ.get("REPRO_VERIFY_EACH_PASS", "") == "1":
+            elif instrumentation()[1]:
                 # raw mode still reports on the staged IR, but run the
                 # standard build pipeline so per-pass verification
                 # covers every lowering pass too

@@ -1,7 +1,7 @@
 """The static cost model (repro.analysis.cost) and its consumers.
 
 The load-bearing property is *oracle agreement*: the static walker and
-the interpreter's ``REPRO_COUNT_OPS`` dynamic counter count the same
+the interpreter's ``OpCounts`` dynamic counter count the same
 events by construction (shared ``op_category``), so on an *exact*
 estimate the two must agree to the operation, on a *sound* one the
 static side must upper-bound the dynamic one, and only the
@@ -27,8 +27,8 @@ from repro.autosched.search.screen import CandidateScreen
 from repro.autosched.target import Target, default_target
 from repro.ir.hashing import struct_hash
 from repro.runtime import metrics
-from repro.runtime.driver import build, clear_build_cache
-from repro.runtime.interpreter import Interpreter, global_op_counts
+from repro.runtime.driver import Executable, build
+from repro.runtime.interpreter import Interpreter, OpCounts
 from repro.workloads import ALL
 
 #: interpreter-friendly sizes (the oracle executes every scalar op)
@@ -62,15 +62,14 @@ def _workload_args(name, data, func):
 def _check_agreement(name, func, monkeypatch):
     data = ALL[name].make_data(**ORACLE_SIZES[name])
     arrays, scalars = _workload_args(name, data, func)
-    monkeypatch.setenv("REPRO_COUNT_OPS", "1")
-    clear_build_cache()  # the cached exe may predate REPRO_COUNT_OPS
-    exe = build(func, backend="interp")
+    lowered = build(func, backend="interp").func
+    ops = OpCounts()
+    interp = Interpreter(op_counts=ops)
+    exe = Executable(lowered, lambda env: interp.run(lowered, env), "interp")
     # estimate exactly the lowered tree the interpreter executes
     # (build() runs standard lowering before handing off)
     env = infer_scalar_env(exe.func, arrays, data)
     est = estimate_cost(exe.func, backend="pycode", scalar_env=env)
-    ops = global_op_counts()
-    ops.reset()
     exe(*arrays, **scalars)
     dyn = ops.as_dict()
     stat = {f: getattr(est.counts, f) for f in COUNT_FIELDS}
@@ -115,7 +114,6 @@ class TestOracleAgreement:
         _check_agreement(name, func, monkeypatch)
 
     def test_interpreter_counts_off_by_default(self, rng, monkeypatch):
-        monkeypatch.delenv("REPRO_COUNT_OPS", raising=False)
         assert Interpreter().ops is None
 
 
@@ -339,7 +337,6 @@ class TestTunerPruning:
                                topk=8, population=1, seed=3, workers=1)
 
     def test_counters_and_skips(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_COST_PRUNE", raising=False)
         metrics.reset_tuner_stats()
         r = self._mk().tune()
         assert r.rounds == 32
@@ -355,7 +352,6 @@ class TestTunerPruning:
         assert st["measured"] == r.measured
 
     def test_pruning_never_changes_the_winner(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_COST_PRUNE", raising=False)
         pruned_ests = _spy_screen(monkeypatch)
         pruned = self._mk().tune()
         assert len(pruned_ests) == pruned.cost_pruned > 0
@@ -370,7 +366,7 @@ class TestTunerPruning:
             assert est.time_proxy >= pruned.best_time
 
     def test_no_prune_env_restores_old_behavior(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COST_PRUNE", "1")
+        _spy_screen(monkeypatch, force=True)
         a = self._mk().tune()
         b = self._mk().tune()
         assert a.cost_pruned == 0
@@ -382,7 +378,6 @@ class TestTunerPruning:
     def test_dedup_by_structure(self, monkeypatch):
         # a loop with a six-point knob space: twelve draws must repeat
         # assignments, and every repeat is skipped before measurement
-        monkeypatch.delenv("REPRO_NO_COST_PRUNE", raising=False)
 
         @ft.transform
         def tiny(y: ft.Tensor[(4,), "f32", "output"]):

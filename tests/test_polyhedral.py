@@ -1,5 +1,5 @@
-"""Tests for the Presburger engine: affine algebra, the Omega test, and
-set/map operations."""
+"""Tests for the Presburger engine: affine algebra, the Omega test and
+the IR-to-affine builder."""
 
 import itertools
 
@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir import DataType, Load, Var, wrap
-from repro.polyhedral import (Affine, AffineBuilder, BasicMap, BasicSet,
-                              LinCon, NonAffine, any_feasible,
-                              clear_feasibility_cache, eq_constraints,
-                              feasibility_stats, is_feasible,
-                              lex_gt_constraints, try_affine)
+from repro.polyhedral import (Affine, AffineBuilder, LinCon, NonAffine,
+                              any_feasible, clear_feasibility_cache,
+                              feasibility_stats, is_feasible, try_affine)
 
 x, y, z, N = (Affine.var(v) for v in "xyzN")
 
@@ -34,9 +32,6 @@ class TestAffine:
         assert is_feasible([LinCon.eq(x, y + 1), LinCon.eq(e, y * 3 + 2)])
         assert not is_feasible([LinCon.eq(x, y + 1),
                                 LinCon.ge(e, y * 3 + 3)])
-
-    def test_rename(self):
-        assert (x + y).rename({"x": "w"}).coeff("w") == 1
 
     def test_content(self):
         # the coefficient gcd of 4x + 6y is 2: only even values are reached
@@ -278,69 +273,6 @@ class TestOmegaOracle:
         # first appearance, not spelling, numbers the columns
         assert is_feasible(system("a", "b")) == is_feasible(system("z", "c"))
         assert len(omega._MEMO) == 1
-
-
-class TestSetsMaps:
-
-    def test_empty_set(self):
-        s = BasicSet(["i"], [LinCon.ge(x.rename({"x": "i"}), 0),
-                             LinCon.le(Affine.var("i"), -1)])
-        assert s.is_empty()
-
-    def test_intersect(self):
-        a = BasicSet(["i"], [LinCon.ge(Affine.var("i"), 0)])
-        b = BasicSet(["i"], [LinCon.le(Affine.var("i"), -1)])
-        assert not a.is_empty()
-        assert a.intersect(b).is_empty()
-
-    def test_map_compose(self):
-        # f(i) = i + 1 on 0<=i<10 ; g(j) = 2*j ; g∘f (i) = 2i + 2
-        f = BasicMap.from_affine(["i"], [Affine.var("i") + 1],
-                                 [LinCon.ge(Affine.var("i"), 0),
-                                  LinCon.lt(Affine.var("i"), 10)],
-                                 out_prefix="f")
-        g = BasicMap.from_affine(["j"], [Affine.var("j") * 2],
-                                 out_prefix="g")
-        gf = g.compose(f)
-        # check: exists i with out = 2i+2 = 5? no (odd)
-        odd = gf.with_constraints([LinCon.eq(Affine.var("g0"),
-                                             Affine.constant(5))])
-        assert odd.is_empty()
-        ok = gf.with_constraints([LinCon.eq(Affine.var("g0"),
-                                            Affine.constant(6))])
-        assert not ok.is_empty()
-
-    def test_map_reverse_domain_range(self):
-        f = BasicMap.from_affine(["i"], [Affine.var("i") + 1],
-                                 [LinCon.ge(Affine.var("i"), 3)],
-                                 out_prefix="o")
-        dom = f.domain().with_constraints(
-            [LinCon.le(Affine.var("i"), 2)])
-        assert dom.is_empty()
-        rng = f.range().with_constraints(
-            [LinCon.le(Affine.var("o0"), 3)])
-        assert rng.is_empty()  # outputs are >= 4
-
-    def test_lex_gt(self):
-        alts = lex_gt_constraints(["a0", "a1"], ["b0", "b1"])
-        assert len(alts) == 2
-        # (1, 0) >lex (0, 5): satisfied by first alternative
-        bind = [LinCon.eq(Affine.var("a0"), Affine.constant(1)),
-                LinCon.eq(Affine.var("a1"), Affine.constant(0)),
-                LinCon.eq(Affine.var("b0"), Affine.constant(0)),
-                LinCon.eq(Affine.var("b1"), Affine.constant(5))]
-        assert any(is_feasible(bind + alt) for alt in alts)
-        # (0, 0) >lex (0, 0): none
-        bind_eq = [LinCon.eq(Affine.var(v), Affine.constant(0))
-                   for v in ("a0", "a1", "b0", "b1")]
-        assert not any(is_feasible(bind_eq + alt) for alt in alts)
-
-    def test_eq_constraints(self):
-        cons = eq_constraints(["a"], ["b"])
-        assert not is_feasible(cons + [
-            LinCon.eq(Affine.var("a"), Affine.constant(0)),
-            LinCon.eq(Affine.var("b"), Affine.constant(1))
-        ])
 
 
 class TestAffineBuilder:

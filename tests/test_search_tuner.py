@@ -276,9 +276,14 @@ class TestDeterminism:
     def test_same_winner_at_1_2_4_workers(self, monkeypatch, no_prune):
         monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
         if no_prune:
-            monkeypatch.setenv("REPRO_NO_COST_PRUNE", "1")
-        else:
-            monkeypatch.delenv("REPRO_NO_COST_PRUNE", raising=False)
+            from repro.autosched.search.screen import CandidateScreen
+
+            def screen(self, cand, _screen=CandidateScreen.screen):
+                verdict, est = _screen(self, cand)
+                return ("measure" if verdict == "cost_pruned"
+                        else verdict), est
+
+            monkeypatch.setattr(CandidateScreen, "screen", screen)
         prog, args = _gat()
         results = []
         for workers in (1, 2, 4):

@@ -128,18 +128,3 @@ class TestPrinter:
         assert f"/* {base}:" in text
         assert dump(func).count(base) == 0  # off by default
 
-
-class TestDisable:
-
-    def test_repro_no_spans(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SPANS", "1")
-
-        @ft.transform
-        def f(x: ft.Tensor[(4,), "f32", "input"]):
-            y = ft.empty((4,), "f32")
-            for i in range(4):
-                y[i] = x[i]
-            return y
-
-        stmts = collect_stmts(f.func.body, lambda s: True)
-        assert all(s.span is None for s in stmts)

@@ -428,11 +428,6 @@ class TestBuildGate:
         assert isinstance(exc.value.diagnostics, Diagnostics)
         assert exc.value.diagnostics.by_code("FT101")
 
-    def test_env_gate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "1")
-        with pytest.raises(VerificationError):
-            build(_broken_prog())
-
     def test_default_is_off(self, rng):
         prog = _broken_prog()
         exe = build(prog)  # compiles; the bug only bites at runtime
