@@ -59,7 +59,7 @@ class _MarkVectorizable(Mutator):
     def mutate_For(self, s: For) -> S.Stmt:
         out = self.generic_mutate_stmt(s)
         if out.sid in self._sids:
-            out.property.vectorize = True
+            return out.with_property(vectorize=True)
         return out
 
 

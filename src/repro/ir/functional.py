@@ -1,9 +1,10 @@
 """Functional helpers over IR trees: substitution, renaming, matching,
-collection, and deep copies with fresh statement identities.
+collection, and copies with fresh statement identities.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, Iterable, List, Optional
 
 from . import expr as E
@@ -30,32 +31,39 @@ def rename_tensor(node, old: str, new: str):
     class Renamer(Mutator):
 
         def mutate_Load(self, e):
-            idx = [self.mutate_expr(i) for i in e.indices]
-            return E.Load(new if e.var == old else e.var, idx, e.dtype)
+            if e.var != old:
+                return self.generic_mutate_expr(e)
+            return E.Load(new, [self.mutate_expr(i) for i in e.indices],
+                          e.dtype)
 
         def mutate_VarDef(self, s):
+            if s.name != old:
+                return self.generic_mutate_stmt(s)
             body = self.mutate_stmt(s.body)
-            name = new if s.name == old else s.name
-            out = S.VarDef(name, [self.mutate_expr(d) for d in s.shape],
+            out = S.VarDef(new, [self.mutate_expr(d) for d in s.shape],
                            s.dtype, s.atype, s.mtype, body, s.pinned)
             out.sid, out.label, out.init_data = s.sid, s.label, s.init_data
             return out
 
         def mutate_Store(self, s):
-            out = S.Store(new if s.var == old else s.var,
-                          [self.mutate_expr(i) for i in s.indices],
+            if s.var != old:
+                return self.generic_mutate_stmt(s)
+            out = S.Store(new, [self.mutate_expr(i) for i in s.indices],
                           self.mutate_expr(s.expr))
             out.sid, out.label = s.sid, s.label
             return out
 
         def mutate_ReduceTo(self, s):
-            out = S.ReduceTo(new if s.var == old else s.var,
-                             [self.mutate_expr(i) for i in s.indices], s.op,
-                             self.mutate_expr(s.expr), s.atomic)
+            if s.var != old:
+                return self.generic_mutate_stmt(s)
+            out = S.ReduceTo(new, [self.mutate_expr(i) for i in s.indices],
+                             s.op, self.mutate_expr(s.expr), s.atomic)
             out.sid, out.label = s.sid, s.label
             return out
 
         def mutate_LibCall(self, s):
+            if old not in s.outs and old not in s.args:
+                return s
             ren = lambda n: new if n == old else n
             out = S.LibCall(s.kind, [ren(n) for n in s.outs],
                             [ren(n) for n in s.args], s.attrs)
@@ -65,25 +73,29 @@ def rename_tensor(node, old: str, new: str):
     return Renamer()(node)
 
 
+class _Copier(Mutator):
+    """Copies every statement under a fresh sid, dropping labels."""
+
+    def mutate_stmt(self, s):
+        span = s.span
+        out = self.generic_mutate_stmt(s)
+        if out is s:  # a leaf: the walk hands back the input node itself
+            out = copy.copy(s)
+        out.sid = S.fresh_sid()
+        out.label = None
+        if span is not None:
+            out.span = span  # the copy still comes from the same line
+        return out
+
+
 def fresh_copy(stmt: S.Stmt) -> S.Stmt:
-    """Deep-copy a statement tree, assigning fresh sids (labels dropped).
+    """Copy a statement tree, assigning fresh sids (labels dropped);
+    expressions are shared with the input.
 
     Used by ``unroll``/``blend``-style transformations that duplicate code:
     the duplicates must not alias the original statements' identities.
     """
-
-    class Copier(Mutator):
-
-        def mutate_stmt(self, s):
-            span = s.span
-            out = super().generic_mutate_stmt(s)
-            out.sid = S.fresh_sid()
-            out.label = None
-            if span is not None:
-                out.span = span  # the copy still comes from the same line
-            return out
-
-    return Copier()(stmt)
+    return _Copier()(stmt)
 
 
 def collect_stmts(node, pred: Callable[[S.Stmt], bool]) -> List[S.Stmt]:

@@ -8,10 +8,15 @@ lifetime is nested under the loops being transformed (paper Figure 12(d)).
 
 Every statement carries a unique ``sid`` and an optional user ``label``;
 schedules address statements through either (see ``repro.schedule``).
+
+A node is not written after it is built: rewrites share every subtree
+they leave unchanged (``repro.ir.visitor``), so a node may belong to many
+trees at once.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -206,6 +211,17 @@ class For(Stmt):
         from .expr import makeSub
 
         return makeSub(self.end, self.begin)
+
+    def with_property(self, **changes) -> "For":
+        """A copy of this loop (same sid, label, bounds and body) whose
+        property is a clone with ``changes`` applied; ``self`` and its
+        property are left untouched."""
+        prop = self.property.clone()
+        for name, value in changes.items():
+            setattr(prop, name, value)
+        out = copy.copy(self)
+        out.property = prop
+        return out
 
     def children_stmts(self):
         return (self.body,)

@@ -23,6 +23,9 @@ class _Flatten(Mutator):
                 flat.append(c)
         if len(flat) == 1 and s.label is None:
             return flat[0]
+        if len(flat) == len(s.stmts) and \
+                all(a is b for a, b in zip(flat, s.stmts)):
+            return s
         out = StmtSeq(flat)
         out.sid, out.label = s.sid, s.label
         return out

@@ -21,12 +21,8 @@ def _self_load(store: Store, e) -> bool:
 class _MakeReduction(Mutator):
 
     def mutate_Store(self, s: Store):
-        idx = [self.mutate_expr(i) for i in s.indices]
-        expr = self.mutate_expr(s.expr)
-        s2 = Store(s.var, idx, expr)
-        s2.sid, s2.label = s.sid, s.label
-        red = self._recognise(s2)
-        return red if red is not None else s2
+        red = self._recognise(s)
+        return red if red is not None else s
 
     @staticmethod
     def _recognise(s: Store):

@@ -49,7 +49,7 @@ class _SuppressIllegalSimd(Mutator):
     def mutate_For(self, s: For) -> Stmt:
         out = self.generic_mutate_stmt(s)
         if out.property.vectorize and not simd_body_ok(out.body):
-            out.property.vectorize = False
+            return out.with_property(vectorize=False)
         return out
 
 

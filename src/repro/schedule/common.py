@@ -3,11 +3,12 @@ replacing subtrees, and collecting context."""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import copy
+from typing import List, Optional
 
 from ..errors import InvalidSchedule
-from ..ir import (For, Func, If, Mutator, Stmt, StmtSeq, VarDef, collect_stmts,
-                  fresh_name, used_names)
+from ..ir import (For, Func, If, Stmt, StmtSeq, collect_stmts, fresh_name,
+                  used_names)
 
 
 def find_stmt(root: Stmt, selector) -> Stmt:
@@ -31,30 +32,39 @@ def find_loop(root: Stmt, selector) -> For:
     return s
 
 
-class _Replacer(Mutator):
-
-    def __init__(self, sid: str, fn: Callable[[Stmt], Stmt]):
-        self.sid = sid
-        self.fn = fn
-        self.hit = False
-
-    def mutate_stmt(self, s: Stmt) -> Stmt:
-        if s.sid == self.sid:
-            self.hit = True
-            return self.fn(s)
-        return super().mutate_stmt(s)
+def _with_child(parent: Stmt, old: Stmt, new: Stmt) -> Stmt:
+    """A shallow copy of ``parent`` (same sid, label and other children)
+    whose child ``old`` is ``new``."""
+    out = copy.copy(parent)
+    if isinstance(parent, StmtSeq):
+        k = next(i for i, c in enumerate(parent.stmts) if c is old)
+        out.stmts = parent.stmts[:k] + [new] + parent.stmts[k + 1:]
+    elif isinstance(parent, If):
+        if parent.then_case is old:
+            out.then_case = new
+        else:
+            out.else_case = new
+    else:  # VarDef, For, Assert
+        out.body = new
+    return out
 
 
 def replace_stmt(root, sid: str, new_stmt_or_fn) -> Stmt:
     """Replace the statement with ``sid``; ``new_stmt_or_fn`` is either the
-    replacement or a function old->new."""
-    fn = new_stmt_or_fn if callable(new_stmt_or_fn) \
-        else (lambda _s: new_stmt_or_fn)
-    rep = _Replacer(sid, fn)
-    out = rep(root)
-    if not rep.hit:
-        raise InvalidSchedule(f"statement {sid!r} not found")
-    return out
+    replacement or a function old->new.
+
+    Only the spine from ``root`` down to the statement is rebuilt, one
+    shallow copy per ancestor; every other subtree is shared with
+    ``root``."""
+    path = path_to(root, sid)
+    new = new_stmt_or_fn(path[-1]) if callable(new_stmt_or_fn) \
+        else new_stmt_or_fn
+    for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
+        new = _with_child(parent, child, new)
+    if isinstance(root, Func):
+        return Func(root.name, list(root.params), list(root.returns), new,
+                    scalar_params=list(root.scalar_params))
+    return new
 
 
 def path_to(root: Stmt, sid: str) -> List[Stmt]:

@@ -56,10 +56,9 @@ def parallelize(func, loop_sel, kind: str = "openmp", analyzer=None):
         class MarkAtomic(Mutator):
 
             def mutate_ReduceTo(self, s: ReduceTo):
-                out = ReduceTo(s.var,
-                               [self.mutate_expr(i) for i in s.indices],
-                               s.op, self.mutate_expr(s.expr),
-                               atomic=s.atomic or s.var in atomic_targets)
+                if s.atomic or s.var not in atomic_targets:
+                    return s
+                out = ReduceTo(s.var, s.indices, s.op, s.expr, atomic=True)
                 out.sid, out.label = s.sid, s.label
                 return out
 
@@ -76,14 +75,8 @@ def unroll(func, loop_sel, immediate: bool = True):
     with ``immediate=False`` only marks the loop for the backend."""
     loop = find_loop(func.body, loop_sel)
     if not immediate:
-        def mark(l: For):
-            prop = l.property.clone()
-            prop.unroll = True
-            out = For(l.iter_var, l.begin, l.end, l.body, prop)
-            out.sid, out.label = l.sid, l.label
-            return out
-
-        return replace_stmt(func, loop.sid, mark)
+        return replace_stmt(func, loop.sid,
+                            lambda l: l.with_property(unroll=True))
 
     if not (isinstance(loop.begin, IntConst)
             and isinstance(loop.end, IntConst)):
@@ -111,14 +104,8 @@ def vectorize(func, loop_sel, analyzer=None):
         raise DependenceViolation(
             f"cannot vectorize {loop_sel!r}: loop-carried {deps[0]}", deps)
 
-    def mark(l: For):
-        prop = l.property.clone()
-        prop.vectorize = True
-        out = For(l.iter_var, l.begin, l.end, l.body, prop)
-        out.sid, out.label = l.sid, l.label
-        return out
-
-    return replace_stmt(func, loop.sid, mark)
+    return replace_stmt(func, loop.sid,
+                        lambda l: l.with_property(vectorize=True))
 
 
 def blend(func, loop_sel, analyzer=None):
