@@ -14,6 +14,13 @@ the analyser builds a Presburger system over the two statement *instances*
 A dependence *exists under a direction* iff the system has an integer
 solution (decided exactly by the Omega test).
 
+Systems are integer rows from end to end. Each access's half — its domain
+rows, index expressions and loop begins over local columns — is built once
+per content signature (:class:`_Local`); a pair's system is the two halves
+renamed into pair columns and concatenated with the index equalities, the
+stack-scope equalities and the direction and order alternates, and goes to
+the solver's row entry as it is.
+
 Directions are expressed as :class:`DirItem` tuples; helper constructors
 cover the common cases used by the schedules:
 
@@ -28,9 +35,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..ir import stmt as S
-from ..polyhedral import (Affine, AffineBuilder, LinCon, NonAffine,
-                          any_feasible)
+from ..polyhedral import (Linearizer, append_row, combine, feasible_rows,
+                          relation)
 from ..state import BoundedMemo, Counters, memos_enabled
 from .access import Access, collect_accesses
 
@@ -71,13 +77,115 @@ def _access_signature(a: Access) -> tuple:
         )
     return a.cached_sig
 
-_REL_BUILDERS = {
-    "<": LinCon.lt,
-    "<=": LinCon.le,
-    "=": LinCon.eq,
-    ">=": LinCon.ge,
-    ">": LinCon.gt,
-}
+
+#: each access's half of its dependence systems, keyed by its content
+#: signature: one access takes part in many pairs, and in every candidate
+#: of a search whose schedule leaves it unchanged (a few kB per entry; a
+#: tune_search sweep builds 171)
+_LOCAL_MEMO = BoundedMemo("deps_local", 1 << 14)
+
+
+class _Local:
+    """One access's half of every dependence system it takes part in.
+
+    ``domain`` holds its iteration-domain rows (loop bounds, conjunctive
+    affine guards, the bounds of their div/mod quotients) as sparse
+    gcd-tightened rows ``(is_eq, const, ((col, coeff), ...))``;
+    ``indices`` (None for a whole-tensor access) and ``begins`` hold, per
+    index and per loop, None when it is not affine, else its quotient rows
+    and its linear form ``(((col, coeff), ...), const)``. Columns are
+    local: the access's iterators by depth, then the symbols it reads by
+    name, then its existentials (from ``exists`` on).
+
+    A pair renames local columns through ``keys[side]`` (0 for the earlier
+    access, 1 for the later): a symbol is the same variable on both sides
+    (its name), every other column is the side's own (``j`` / ``~j``).
+    Rows keep the order the constraints are stated in, and terms the order
+    the linearizer inserts variables in, so a composed system numbers its
+    columns by first appearance exactly as a translation of the whole
+    constraint list at once would.
+    """
+
+    __slots__ = ("feasible", "domain", "indices", "begins", "exists", "keys")
+
+    def __init__(self, acc: Access):
+        depth = {l.iter_var: k for k, l in enumerate(acc.loops)}
+        symbols, quotients = set(), []
+
+        def column(name):
+            k = depth.get(name)
+            if k is None:
+                symbols.add(name)
+                return name
+            return k
+
+        def fresh():
+            quotients.append(("q", len(quotients)))
+            return quotients[-1]
+
+        def linear(e):
+            lin = Linearizer(column, fresh)
+            form = lin.try_linear(e)
+            return None if form is None else (lin.rows, form)
+
+        rows, begins = [], []
+        for loop in acc.loops:
+            iv = {depth[loop.iter_var]: 1}, 0
+            b, e = linear(loop.begin), linear(loop.end)
+            begins.append(b)
+            for bound in (b, e):
+                if bound is not None:
+                    rows += bound[0]
+            if b is not None:
+                rows.append(relation(">=", iv, b[1]))
+            if e is not None:
+                rows.append(relation("<", iv, e[1]))
+        for cond, polarity in acc.conds:
+            lin = Linearizer(column, fresh)
+            alts = lin.try_condition(cond, not polarity)
+            # unknown guards are dropped, and so are disjunctive ones
+            # (an over-approximation)
+            if alts is not None and len(alts) == 1:
+                rows += lin.rows + alts[0]
+        indices = None if acc.indices is None else \
+            [linear(i) for i in acc.indices]
+
+        d = len(acc.loops)
+        cols = {k: k for k in range(d)}
+        cols.update((v, n) for n, v in enumerate(sorted(symbols), d))
+        self.exists = len(cols)
+        cols.update((q, n) for n, q in enumerate(quotients, self.exists))
+        domain: list = []
+        self.feasible = all([append_row(domain, cols, *r) for r in rows])
+        self.domain = tuple(domain)
+
+        def local(part):
+            if part is None:
+                return None
+            extra, (coeffs, k) = part
+            out: list = []
+            for r in extra:  # quotient bounds: never ground
+                append_row(out, cols, *r)
+            return tuple(out), (tuple([(cols[v], c)
+                                       for v, c in coeffs.items()]), k)
+
+        self.begins = tuple(local(b) for b in begins)
+        self.indices = None if indices is None else \
+            tuple(local(x) for x in indices)
+        earlier = list(range(len(cols)))
+        later = [~j for j in earlier]
+        for v in symbols:
+            earlier[cols[v]] = later[cols[v]] = v
+        self.keys = (earlier, later)
+
+
+def _local(acc: Access) -> _Local:
+    sig = _access_signature(acc)
+    local = _LOCAL_MEMO.get(sig)
+    if local is None:
+        local = _Local(acc)
+        _LOCAL_MEMO.put(sig, local)
+    return local
 
 
 class DirItem:
@@ -267,25 +375,30 @@ class DepAnalyzer:
         return result
 
     def _dep_exists_uncached(self, earlier, later, direction) -> bool:
-        e_ren = {l.iter_var: f"$s{k}" for k, l in enumerate(earlier.loops)}
-        l_ren = {l.iter_var: f"$t{k}" for k, l in enumerate(later.loops)}
-
-        base: List[LinCon] = []
-        if not self._domain(earlier, e_ren, base):
-            return False
-        if not self._domain(later, l_ren, base):
-            return False
+        """Compose the pair's rows, constraint by constraint in the
+        order below, and decide them."""
+        se, sl = _local(earlier), _local(later)
+        ke, kl = se.keys[0], sl.keys[1]
+        cols: Dict = {}
+        base: list = []
+        # one trivially false base row makes every alternative a gcd
+        # reject, but the checks that return early below still decide
+        ok = se.feasible and sl.feasible
+        _place(se.domain, ke, cols, base)
+        _place(sl.domain, kl, cols, base)
 
         # May-alias: equate affine index pairs dimension-wise.
-        if earlier.indices is not None and later.indices is not None:
-            if len(earlier.indices) != len(later.indices):
+        if se.indices is not None and sl.indices is not None:
+            if len(se.indices) != len(sl.indices):
                 return True  # malformed; be conservative
-            for ie, il in zip(earlier.indices, later.indices):
-                ae = _affine_of(ie, e_ren, base)
-                al = _affine_of(il, l_ren, base)
-                if ae is None or al is None:
-                    continue  # non-affine: may match anything
-                base.append(LinCon.eq(ae, al))
+            for xe, xl in zip(se.indices, sl.indices):
+                if xe is not None:
+                    _place(xe[0], ke, cols, base)
+                if xl is not None:
+                    _place(xl[0], kl, cols, base)
+                if xe is not None and xl is not None:  # else: may match
+                    ok = ok and append_row(base, cols, *relation(
+                        "=", _form(xe[1], ke), _form(xl[1], kl)))
 
         # Common loops and stack-scope projection.
         n_common = 0
@@ -295,89 +408,116 @@ class DepAnalyzer:
             n_common += 1
         def_depth = min(earlier.def_depth, later.def_depth, n_common)
         for k in range(def_depth):
-            base.append(
-                LinCon.eq(Affine.var(f"$s{k}"), Affine.var(f"$t{k}")))
+            append_row(base, cols, *_same(k))
 
-        # Direction constraints.
-        sid2e = {l.sid: f"$s{k}" for k, l in enumerate(earlier.loops)}
-        sid2l = {l.sid: f"$t{k}" for k, l in enumerate(later.loops)}
-        e_begin = {l.sid: l.begin for l in earlier.loops}
-        l_begin = {l.sid: l.begin for l in later.loops}
-        alternates: List[List[LinCon]] = [[]]
-        for item in direction:
-            if item.earlier_loop not in sid2e or \
-                    item.later_loop not in sid2l:
+        # Direction constraints, over the iterators' pair keys (``k`` for
+        # the earlier access's k-th loop, ``~k`` for the later's).
+        sid2e = {l.sid: k for k, l in enumerate(earlier.loops)}
+        sid2l = {l.sid: k for k, l in enumerate(later.loops)}
+        relations = []
+        for n, item in enumerate(direction):
+            ve, vl = sid2e.get(item.earlier_loop), sid2l.get(item.later_loop)
+            if ve is None or vl is None:
                 return False  # the loop does not enclose the access
-            ev = Affine.var(sid2e[item.earlier_loop])
-            lv = Affine.var(sid2l[item.later_loop])
+            ev, lv = ({ve: 1}, 0), ({~vl: 1}, 0)
             if item.earlier_loop != item.later_loop:
                 # normalise to begin-relative positions for cross-loop dirs
-                eb = _affine_of(e_begin[item.earlier_loop], e_ren, base)
-                lb = _affine_of(l_begin[item.later_loop], l_ren, base)
+                eb, lb = se.begins[ve], sl.begins[vl]
                 if eb is None or lb is None:
                     return True  # cannot reason; conservative
-                ev = ev - eb
-                lv = lv - lb
-            if item.rel == "!=":
-                alternates = [alt + [c] for alt in alternates
-                              for c in (LinCon.lt(lv, ev),
-                                        LinCon.gt(lv, ev))]
-            else:
-                con = _REL_BUILDERS[item.rel](lv, ev)
-                alternates = [alt + [con] for alt in alternates]
+                ev = combine(ev, _begin(se, eb, 0, n, cols, base), -1)
+                lv = combine(lv, _begin(sl, lb, 1, n, cols, base), -1)
+            relations.append((item.rel, lv, ev))
+
+        # The base is complete: each alternate row is placed once, over
+        # its columns, and shared by the alternatives holding it.
+        alternates: List[list] = [[]]
+        for rel, lv, ev in relations:
+            rows = [_fix(relation(r, lv, ev), cols)
+                    for r in (("<", ">") if rel == "!=" else (rel,))]
+            alternates = [alt + [r] for alt in alternates for r in rows]
 
         # Execution order: earlier precedes later (lexicographic on common
         # loops, pre-order position as the tie-break).
-        order_alts: List[List[LinCon]] = []
-        for k in range(n_common):
-            cons = [
-                LinCon.eq(Affine.var(f"$s{j}"), Affine.var(f"$t{j}"))
-                for j in range(k)
-            ]
-            cons.append(LinCon.lt(Affine.var(f"$s{k}"),
-                                  Affine.var(f"$t{k}")))
-            order_alts.append(cons)
+        same = [_fix(_same(j), cols) for j in range(n_common)]
+        order_alts = [same[:k] + [_fix(_before(k), cols)]
+                      for k in range(n_common)]
         if earlier.order < later.order:
-            order_alts.append([
-                LinCon.eq(Affine.var(f"$s{j}"), Affine.var(f"$t{j}"))
-                for j in range(n_common)
-            ] if n_common else [])
+            order_alts.append(same)
 
-        return any_feasible(base, (dir_alt + ord_alt for dir_alt in alternates
-                                   for ord_alt in order_alts))
+        def systems():
+            for dir_alt in alternates:
+                for ord_alt in order_alts:
+                    yield _alternative(dir_alt + ord_alt, cols)
 
-    @staticmethod
-    def _domain(acc: Access, rename, out: List[LinCon]) -> bool:
-        """Append iteration-domain constraints; False if domain is void."""
-        for k, loop in enumerate(acc.loops):
-            iv = Affine.var(rename[loop.iter_var])
-            b = _affine_of(loop.begin, rename, out)
-            e = _affine_of(loop.end, rename, out)
-            if b is not None:
-                out.append(LinCon.ge(iv, b))
-            if e is not None:
-                out.append(LinCon.lt(iv, e))
-        for cond, polarity in acc.conds:
-            builder = AffineBuilder(rename)
-            try:
-                alts = builder.build_condition(cond, not polarity)
-            except NonAffine:
-                continue  # unknown guard: conservative (no constraint)
-            if len(alts) == 1:
-                out.extend(builder.extra_cons)
-                out.extend(alts[0])
-            # disjunctive guards are dropped (over-approximation)
-        return True
+        return feasible_rows(base if ok else None, len(cols), systems())
 
 
-def _affine_of(expr, rename, out_cons: List[LinCon]) -> Optional[Affine]:
-    builder = AffineBuilder(rename)
-    try:
-        a = builder.build(expr)
-    except NonAffine:
-        return None
-    out_cons.extend(builder.extra_cons)
-    return a
+def _place(rows, keys, cols: dict, out: list):
+    """Append local ``rows`` to ``out``, renamed through ``keys`` into the
+    pair's columns ``cols`` (a new variable gets the next column)."""
+    for is_eq, k, terms in rows:
+        out.append((is_eq, k, tuple([
+            (cols.setdefault(keys[j], len(cols) + 1), c) for j, c in terms])))
+
+
+def _form(form, keys):
+    """A local linear form as ``({pair key: coeff}, const)``."""
+    terms, k = form
+    return {keys[j]: c for j, c in terms}, k
+
+
+def _same(k: int):
+    """``s_k == t_k``: both instances in one iteration of common loop k
+    (``k`` / ``~k`` are its earlier / later iterator's pair keys)."""
+    return True, 0, {k: 1, ~k: -1}
+
+
+def _before(k: int):
+    """``s_k < t_k``, as ``t_k - s_k - 1 >= 0``."""
+    return False, -1, {~k: 1, k: -1}
+
+
+def _fix(row, cols: dict):
+    """An alternate row ready for :func:`_alternative`: placed over the
+    base's ``cols`` as a list of no or one sparse rows (None when trivially
+    false) if they number all its variables; else the row itself, to be
+    placed per alternative."""
+    if cols.keys() >= row[2].keys():
+        placed: list = []
+        return placed if append_row(placed, cols, *row) else None
+    return row
+
+
+def _alternative(fixed, cols: dict):
+    """``feasible_rows``' ``(rows, n)`` of one alternative from
+    :func:`_fix`'s rows: an alternative with variables the base does not
+    number gives them columns of its own, as translating it would."""
+    rows: list = []
+    own = None
+    for f in fixed:
+        if f is None:
+            return None, 0
+        if type(f) is list:
+            rows += f
+            continue
+        if own is None:
+            own = dict(cols)
+        if not append_row(rows, own, *f):
+            return None, 0
+    return rows, len(cols if own is None else own)
+
+
+def _begin(local: _Local, begin, side: int, n: int, cols: dict,
+           base: list):
+    """A loop begin's linear form over pair keys for direction item ``n``.
+    Its quotient bounds go into ``base`` over existentials of this use
+    only, as a fresh translation of the begin would have them."""
+    keys = local.keys[side][:local.exists] + [
+        ("begin", n, side, j) for j in range(local.exists,
+                                             len(local.keys[side]))]
+    _place(begin[0], keys, cols, base)
+    return _form(begin[1], keys)
 
 
 def analyze(node) -> DepAnalyzer:

@@ -62,13 +62,10 @@ class _AtomizingBuilder(AffineBuilder):
         self.atoms = atoms
         self._state = state  # {"exact": bool} shared across builders
 
-    def build(self, e) -> Affine:
-        try:
-            return AffineBuilder.build(self, e)
-        except NonAffine:
-            self._state["exact"] = False
-            name = self.atoms.setdefault(e.key(), f"$atom{len(self.atoms)}")
-            return Affine.var(name)
+    def non_affine(self, e):
+        self._state["exact"] = False
+        name = self.atoms.setdefault(e.key(), f"$atom{len(self.atoms)}")
+        return {name: 1}, 0
 
 
 def _domain_cons(acc: Access, atoms: Dict[str, str], state: dict

@@ -35,43 +35,6 @@ _CTYPE = {
     DataType.BOOL: "uint8_t",
 }
 
-_PRELUDE = """\
-#include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
-static inline int64_t ft_floordiv(int64_t a, int64_t b) {
-    int64_t q = a / b, r = a % b;
-    return (r != 0 && ((r < 0) != (b < 0))) ? q - 1 : q;
-}
-static inline int64_t ft_mod(int64_t a, int64_t b) {
-    int64_t r = a % b;
-    return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;
-}
-static inline double ft_sigmoid(double x) { return 1.0/(1.0+exp(-x)); }
-static inline float ft_sigmoidf(float x) { return 1.0f/(1.0f+expf(-x)); }
-
-static void ft_matmul(double alpha_unused, const float* A, const float* B,
-                      float* C, int64_t M, int64_t N, int64_t K,
-                      int ta, int tb, int accumulate) {
-    (void)alpha_unused;
-    for (int64_t i = 0; i < M; i++) {
-        for (int64_t j = 0; j < N; j++) {
-            float acc = accumulate ? C[i*N + j] : 0.0f;
-            for (int64_t k = 0; k < K; k++) {
-                float a = ta ? A[k*M + i] : A[i*K + k];
-                float b = tb ? B[j*K + k] : B[k*N + j];
-                acc += a * b;
-            }
-            C[i*N + j] = acc;
-        }
-    }
-}
-"""
-
 _INTRIN_C = {
     "abs": "fabs",
     "sqrt": "sqrt",
@@ -87,9 +50,64 @@ _INTRIN_C = {
     "erf": "erf",
 }
 
+_LIBM = [fn for fn in _INTRIN_C.values() if not fn.startswith("ft_")]
+
+#: every declaration a unit may need beyond <stdint.h> and <stddef.h>, in
+#: the order a unit declares the ones it uses: prototypes of the libc and
+#: libm functions it calls (gcc spends ~10 ms per unit parsing <stdlib.h>,
+#: <math.h> and <omp.h>, which no kernel needs), then the helpers
+_DECLS = {
+    "malloc": "void *malloc(size_t);",
+    "free": "void free(void *);",
+    **{fn: f"double {fn}(double);" for fn in _LIBM},
+    **{fn + "f": f"float {fn}f(float);" for fn in _LIBM},
+    "pow": "double pow(double, double);",
+    "powf": "float powf(float, float);",
+    "ft_floordiv": """\
+static inline int64_t ft_floordiv(int64_t a, int64_t b) {
+    int64_t q = a / b, r = a % b;
+    return (r != 0 && ((r < 0) != (b < 0))) ? q - 1 : q;
+}""",
+    "ft_mod": """\
+static inline int64_t ft_mod(int64_t a, int64_t b) {
+    int64_t r = a % b;
+    return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;
+}""",
+    "ft_sigmoid":
+        "static inline double ft_sigmoid(double x) "
+        "{ return 1.0/(1.0+exp(-x)); }",
+    "ft_sigmoidf":
+        "static inline float ft_sigmoidf(float x) "
+        "{ return 1.0f/(1.0f+expf(-x)); }",
+    "ft_matmul": """\
+static void ft_matmul(double alpha_unused, const float* A, const float* B,
+                      float* C, int64_t M, int64_t N, int64_t K,
+                      int ta, int tb, int accumulate) {
+    (void)alpha_unused;
+    for (int64_t i = 0; i < M; i++) {
+        for (int64_t j = 0; j < N; j++) {
+            float acc = accumulate ? C[i*N + j] : 0.0f;
+            for (int64_t k = 0; k < K; k++) {
+                float a = ta ? A[k*M + i] : A[i*K + k];
+                float b = tb ? B[j*K + k] : B[k*N + j];
+                acc += a * b;
+            }
+            C[i*N + j] = acc;
+        }
+    }
+}""",
+}
+
+#: what a helper itself calls
+_HELPER_CALLS = {"ft_sigmoid": "exp", "ft_sigmoidf": "expf"}
+
 
 class CCodegen:
     """Generates a C translation unit exporting ``void entry(void**)``."""
+
+    #: the special float constants, as the gcc builtins <math.h> would
+    #: expand them to
+    INF, NAN = "__builtin_inff()", '__builtin_nanf("")'
 
     def __init__(self, func: Func):
         self.func = func
@@ -114,6 +132,20 @@ class CCodegen:
         #: 0-D interface tensors temporarily aliased to a C local while
         #: inside a reduction-clause loop
         self._scalar_alias: Dict[str, str] = {}
+        #: the ``_DECLS`` names the unit's code calls
+        self.used = set()
+
+    def call(self, fn: str) -> str:
+        """``fn``, recorded as called (with what it calls itself)."""
+        self.used.add(fn)
+        if fn in _HELPER_CALLS:
+            self.used.add(_HELPER_CALLS[fn])
+        return fn
+
+    def prelude(self) -> str:
+        """The headers and the declarations of what the unit calls."""
+        return "#include <stdint.h>\n#include <stddef.h>\n\n" + "".join(
+            text + "\n" for fn, text in _DECLS.items() if fn in self.used)
 
     # -- names -----------------------------------------------------------
     def mangle(self, name: str) -> str:
@@ -271,11 +303,11 @@ class CCodegen:
         if isinstance(e, E.FloatConst):
             v = e.val
             if v != v:
-                return "NAN"
+                return self.NAN
             if v == float("inf"):
-                return "INFINITY"
+                return self.INF
             if v == float("-inf"):
-                return "-INFINITY"
+                return "-" + self.INF
             return repr(v)
         if isinstance(e, E.BoolConst):
             return "1" if e.val else "0"
@@ -293,9 +325,9 @@ class CCodegen:
             ct = "float" if e.dtype is DataType.FLOAT32 else "double"
             return f"(({ct})({p(e.lhs)}) / ({ct})({p(e.rhs)}))"
         if isinstance(e, E.FloorDiv):
-            return f"ft_floordiv({p(e.lhs)}, {p(e.rhs)})"
+            return f"{self.call('ft_floordiv')}({p(e.lhs)}, {p(e.rhs)})"
         if isinstance(e, E.Mod):
-            return f"ft_mod({p(e.lhs)}, {p(e.rhs)})"
+            return f"{self.call('ft_mod')}({p(e.lhs)}, {p(e.rhs)})"
         if isinstance(e, E.Min):
             a, b = p(e.lhs), p(e.rhs)
             return f"(({a}) < ({b}) ? ({a}) : ({b}))"
@@ -319,7 +351,7 @@ class CCodegen:
             f32 = (e.dtype is DataType.FLOAT32 and all(
                 a.dtype is DataType.FLOAT32 for a in e.args))
             if e.name == "pow":
-                fn = "powf" if f32 else "pow"
+                fn = self.call("powf" if f32 else "pow")
                 return f"{fn}({p(e.args[0])}, {p(e.args[1])})"
             if e.name in ("unbound_min", "unbound_max"):
                 op = "<" if e.name == "unbound_min" else ">"
@@ -328,7 +360,7 @@ class CCodegen:
             fn = _INTRIN_C[e.name]
             if f32:  # single-precision math: ~2-4x faster on f32 data
                 fn = "ft_sigmoidf" if fn == "ft_sigmoid" else fn + "f"
-            return f"{fn}({p(e.args[0])})"
+            return f"{self.call(fn)}({p(e.args[0])})"
         raise BackendError(f"C backend cannot lower {type(e).__name__}")
 
     # -- statements -------------------------------------------------------------
@@ -440,7 +472,7 @@ class CCodegen:
             return
         size = " * ".join(f"(size_t)({self.pexpr(d)})"
                           for d in s.shape) or "1"
-        self.line(indent, f"{ct}* {name} = ({ct}*)malloc("
+        self.line(indent, f"{ct}* {name} = ({ct}*){self.call('malloc')}("
                           f"({size}) * sizeof({ct}));")
         if s.init_data is not None:
             cname = f"c_{len(self.consts)}"
@@ -449,7 +481,7 @@ class CCodegen:
             self.line(indent, f"for (size_t q_ = 0; q_ < ({size}); q_++) "
                               f"{name}[q_] = {cname}[q_];")
         self.pstmt(s.body, indent)
-        self.line(indent, f"free({name});")
+        self.line(indent, f"{self.call('free')}({name});")
 
     _OMP_RED_OP = {"+": "+", "*": "*", "min": "min", "max": "max"}
 
@@ -535,7 +567,8 @@ class CCodegen:
             acc = 1 if s.attrs.get("accumulate") else 0
             tb = 1 if s.attrs.get("trans_b") else 0
             self.line(indent,
-                      f"ft_matmul(0.0, {self.mangle(a)}, {self.mangle(b)},"
+                      f"{self.call('ft_matmul')}(0.0, {self.mangle(a)}, "
+                      f"{self.mangle(b)},"
                       f" {self.mangle(c)}, {m}, {n}, {k}, {ta}, {tb},"
                       f" {acc});")
             return
@@ -577,7 +610,7 @@ class CCodegen:
             flat = ", ".join(repr(x) for x in arr.ravel().tolist())
             const_decls.append(
                 f"static const {ct} {cname}[] = {{{flat}}};")
-        return _PRELUDE + "\n" + "\n".join(const_decls) + "\n\n" + \
+        return self.prelude() + "\n" + "\n".join(const_decls) + "\n\n" + \
             "\n".join(self.lines) + "\n"
 
 

@@ -39,6 +39,8 @@ def _parallel_kind(loop: For) -> Tuple[str, str]:
 class CUDACodegen(CCodegen):
     """Generates one translation unit: kernels plus a host entry."""
 
+    INF, NAN = "INFINITY", "NAN"  # the unit includes <math.h>
+
     def __init__(self, func: Func):
         super().__init__(func)
         self.kernels: List[str] = []

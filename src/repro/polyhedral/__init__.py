@@ -3,19 +3,21 @@
 Layers:
 
 - ``linear``: integer affine expressions and constraints;
-- ``omega``: exact integer feasibility (Pugh's Omega test);
+- ``omega``: exact integer feasibility (Pugh's Omega test) of integer rows;
 - ``build``: translation from IR expressions (including ``//`` and ``%`` by
-  constants) into affine form.
+  constants) into linear forms and rows.
 """
 
-from .build import AffineBuilder, NonAffine, try_affine
+from .build import (AffineBuilder, Linearizer, NonAffine, combine, relation,
+                    try_affine)
 from .linear import Affine, Infeasible, LinCon, fresh_var
-from .omega import (any_feasible, clear_feasibility_cache, feasibility_stats,
-                    is_feasible)
+from .omega import (any_feasible, append_row, clear_feasibility_cache,
+                    feasibility_stats, feasible_rows, is_feasible)
 
 __all__ = [
-    "AffineBuilder", "NonAffine", "try_affine",
+    "AffineBuilder", "Linearizer", "NonAffine", "combine", "relation",
+    "try_affine",
     "Affine", "Infeasible", "LinCon", "fresh_var",
-    "any_feasible", "clear_feasibility_cache", "feasibility_stats",
-    "is_feasible",
+    "any_feasible", "append_row", "clear_feasibility_cache",
+    "feasibility_stats", "feasible_rows", "is_feasible",
 ]

@@ -1,122 +1,204 @@
-"""Translate IR expressions into affine form for the Presburger engine.
+"""Translate IR expressions into linear form for the Presburger engine.
 
 ``FloorDiv`` and ``Mod`` by positive constants are linearised exactly with
 an existential quotient (this is what makes accesses like ``(j + 1) % 3``
 analysable). Anything non-affine (data-dependent indices such as
 ``adj[i, j]``, products of iterators, float arithmetic) is reported to the
 caller, which models it conservatively as an unconstrained value.
+
+The one translator is :class:`Linearizer`: an expression becomes
+``({column: coeff}, const)`` and a condition a disjunction of rows
+``(is_eq, const, {column: coeff})`` meaning ``const + sum(coeff * column)
+(== | >=) 0``. The caller names the columns. The dependence analyser keys
+them by an access's own iterators, symbols and existentials;
+:class:`AffineBuilder` keys them by variable name and wraps the results as
+``Affine`` / ``LinCon`` for the callers that build those.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..ir import expr as E
 from .linear import Affine, LinCon, fresh_var
+
+#: a linear form ``({column: coeff}, const)``: no zero coefficient, columns
+#: in the order ``Affine`` arithmetic would insert them
+Linear = Tuple[Dict[Hashable, int], int]
+#: ``(is_eq, const, {column: coeff})``
+Row = Tuple[bool, int, Dict[Hashable, int]]
 
 
 class NonAffine(Exception):
     """The expression cannot be represented affinely."""
 
 
-class AffineBuilder:
-    """Builds Affine forms, accumulating existentials for div/mod."""
+def combine(x: Linear, y: Linear, sign: int) -> Linear:
+    """``x + sign * y``, with ``Affine``'s column order: ``x``'s columns,
+    then ``y``'s new ones, minus any that cancel."""
+    coeffs = dict(x[0])
+    for v, c in y[0].items():
+        coeffs[v] = coeffs.get(v, 0) + sign * c
+    return {v: c for v, c in coeffs.items() if c}, x[1] + sign * y[1]
 
-    def __init__(self, rename: Optional[Dict[str, str]] = None):
-        self.rename = rename or {}
-        self.extra_cons: List[LinCon] = []
-        self.exists: List[str] = []
 
-    def build(self, e: E.Expr) -> Affine:
-        if isinstance(e, E.IntConst):
-            return Affine.constant(e.val)
-        if isinstance(e, E.BoolConst):
-            return Affine.constant(int(e.val))
-        if isinstance(e, E.Var):
-            return Affine.var(self.rename.get(e.name, e.name))
-        if isinstance(e, E.Add):
-            return self.build(e.lhs) + self.build(e.rhs)
-        if isinstance(e, E.Sub):
-            return self.build(e.lhs) - self.build(e.rhs)
-        if isinstance(e, E.Mul):
-            if isinstance(e.lhs, E.IntConst):
-                return self.build(e.rhs) * e.lhs.val
-            if isinstance(e.rhs, E.IntConst):
-                return self.build(e.lhs) * e.rhs.val
-            raise NonAffine(e)
-        if isinstance(e, E.FloorDiv):
-            return self._quotient(e)[0]
-        if isinstance(e, E.Mod):
-            a, c, q = self._quotient(e)
-            del a
-            return c - q  # value = dividend - divisor*quotient
-        if isinstance(e, E.Min):
-            raise NonAffine(e)
-        if isinstance(e, E.Max):
-            raise NonAffine(e)
+def relation(rel: str, a: Linear, b: Linear) -> Row:
+    """The row of ``a REL b``, laid out as ``LinCon.<rel>(a, b)`` is:
+    ``a - b`` for ``= >= >``, ``b - a`` for ``<= <``."""
+    if rel in ("<", "<="):
+        coeffs, k = combine(b, a, -1)
+    else:
+        coeffs, k = combine(a, b, -1)
+    if rel in ("<", ">"):
+        k -= 1
+    return rel == "=", k, coeffs
+
+
+_CMP = {E.LT: "<", E.LE: "<=", E.GT: ">", E.GE: ">=", E.EQ: "=", E.NE: "!="}
+_NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
+
+
+class Linearizer:
+    """IR expressions and conditions to linear forms and rows.
+
+    ``column(name)`` is the column of an IR variable, ``fresh()`` a new
+    existential column for the quotient of a ``//`` or ``%``; the two rows
+    bounding each quotient collect in ``rows``. Subclasses may override
+    :meth:`non_affine` to model a non-affine subexpression instead of
+    failing.
+    """
+
+    def __init__(self, column: Callable[[str], Hashable],
+                 fresh: Callable[[], Hashable]):
+        self.column = column
+        self.fresh = fresh
+        self.rows: List[Row] = []
+
+    def non_affine(self, e: E.Expr) -> Linear:
         raise NonAffine(e)
 
-    def _quotient(self, e):
-        """Linearise ``a // d`` / ``a % d`` for a positive constant d.
+    def linear(self, e: E.Expr) -> Linear:
+        if isinstance(e, E.IntConst):
+            return {}, e.val
+        if isinstance(e, E.BoolConst):
+            return {}, int(e.val)
+        if isinstance(e, E.Var):
+            return {self.column(e.name): 1}, 0
+        if isinstance(e, E.Add):
+            return combine(self.linear(e.lhs), self.linear(e.rhs), 1)
+        if isinstance(e, E.Sub):
+            return combine(self.linear(e.lhs), self.linear(e.rhs), -1)
+        if isinstance(e, E.Mul):
+            if isinstance(e.lhs, E.IntConst):
+                return _scale(self.linear(e.rhs), e.lhs.val)
+            if isinstance(e.rhs, E.IntConst):
+                return _scale(self.linear(e.lhs), e.rhs.val)
+            return self.non_affine(e)
+        if isinstance(e, (E.FloorDiv, E.Mod)):
+            if not isinstance(e.rhs, E.IntConst) or e.rhs.val <= 0:
+                return self.non_affine(e)
+            d = e.rhs.val
+            a = self.linear(e.lhs)
+            q = self.fresh()
+            dq = {q: d}, 0
+            # rem = a - d*q in [0, d); rem is also the value of a % d
+            rem = combine(a, dq, -1)
+            self.rows.append((False, rem[1], rem[0]))
+            coeffs, k = combine(dq, a, -1)
+            self.rows.append((False, k + d - 1, coeffs))
+            return ({q: 1}, 0) if isinstance(e, E.FloorDiv) else rem
+        return self.non_affine(e)
 
-        Returns (quotient_affine, dividend_affine, divisor*quotient_affine).
-        """
-        if not isinstance(e.rhs, E.IntConst) or e.rhs.val <= 0:
-            raise NonAffine(e)
-        d = e.rhs.val
-        a = self.build(e.lhs)
-        q = fresh_var("q")
-        self.exists.append(q)
-        qa = Affine.var(q)
-        # a - d*q in [0, d)
-        self.extra_cons.append(LinCon.ge0(a - qa * d))
-        self.extra_cons.append(LinCon.ge0(qa * d - a + (d - 1)))
-        return qa, a, qa * d
+    def try_linear(self, e: E.Expr) -> Optional[Linear]:
+        """:meth:`linear`, or None (and no new rows) when ``e`` is not
+        affine."""
+        n = len(self.rows)
+        try:
+            return self.linear(e)
+        except NonAffine:
+            del self.rows[n:]
+            return None
 
-    # -- conditions -----------------------------------------------------------
-    def build_condition(self, e: E.Expr,
-                        negate: bool = False) -> List[List[LinCon]]:
-        """Translate a boolean expression to a disjunction of conjunctions.
+    def try_condition(self, e: E.Expr,
+                      negate: bool = False) -> Optional[List[List[Row]]]:
+        """:meth:`condition`, or None (and no new rows) when it cannot be
+        modelled."""
+        n = len(self.rows)
+        try:
+            return self.condition(e, negate)
+        except NonAffine:
+            del self.rows[n:]
+            return None
+
+    def condition(self, e: E.Expr, negate: bool = False) -> List[List[Row]]:
+        """A boolean expression as a disjunction of conjunctions of rows.
 
         Raises :class:`NonAffine` for conditions the engine cannot model.
         """
         if isinstance(e, E.LNot):
-            return self.build_condition(e.operand, not negate)
+            return self.condition(e.operand, not negate)
         if isinstance(e, E.LAnd) and not negate or \
                 isinstance(e, E.LOr) and negate:
-            left = self.build_condition(e.lhs, negate)
-            right = self.build_condition(e.rhs, negate)
+            left = self.condition(e.lhs, negate)
+            right = self.condition(e.rhs, negate)
             return [l + r for l in left for r in right]
         if isinstance(e, E.LOr) and not negate or \
                 isinstance(e, E.LAnd) and negate:
-            return (self.build_condition(e.lhs, negate) +
-                    self.build_condition(e.rhs, negate))
+            return (self.condition(e.lhs, negate) +
+                    self.condition(e.rhs, negate))
         if isinstance(e, E.CmpOp):
-            a = self.build(e.lhs)
-            b = self.build(e.rhs)
-            cls = type(e)
+            a = self.linear(e.lhs)
+            b = self.linear(e.rhs)
+            rel = _CMP[type(e)]
             if negate:
-                cls = {E.LT: E.GE, E.LE: E.GT, E.GT: E.LE, E.GE: E.LT,
-                       E.EQ: E.NE, E.NE: E.EQ}[cls]
-            if cls is E.LT:
-                return [[LinCon.lt(a, b)]]
-            if cls is E.LE:
-                return [[LinCon.le(a, b)]]
-            if cls is E.GT:
-                return [[LinCon.gt(a, b)]]
-            if cls is E.GE:
-                return [[LinCon.ge(a, b)]]
-            if cls is E.EQ:
-                return [[LinCon.eq(a, b)]]
-            # NE: a < b or a > b
-            return [[LinCon.lt(a, b)], [LinCon.gt(a, b)]]
+                rel = _NEGATE[rel]
+            if rel == "!=":  # a < b or a > b
+                return [[relation("<", a, b)], [relation(">", a, b)]]
+            return [[relation(rel, a, b)]]
         if isinstance(e, E.BoolConst):
-            val = e.val != negate
-            if val:
+            if e.val != negate:
                 return [[]]
-            # unsatisfiable conjunction
-            return [[LinCon.ge0(Affine.constant(-1))]]
+            return [[(False, -1, {})]]  # unsatisfiable conjunction
         raise NonAffine(e)
+
+
+def _scale(x: Linear, k: int) -> Linear:
+    return {v: c * k for v, c in x[0].items() if c * k}, x[1] * k
+
+
+def _lincon(row: Row) -> LinCon:
+    is_eq, k, coeffs = row
+    return LinCon(Affine(coeffs, k), is_eq)
+
+
+class AffineBuilder(Linearizer):
+    """Builds Affine forms over variable names (``rename`` maps some of
+    them), accumulating existentials for div/mod."""
+
+    def __init__(self, rename: Optional[Dict[str, str]] = None):
+        self.rename = rename or {}
+        self.exists: List[str] = []
+        super().__init__(lambda name: self.rename.get(name, name),
+                         self._fresh)
+
+    def _fresh(self) -> str:
+        q = fresh_var("q")
+        self.exists.append(q)
+        return q
+
+    @property
+    def extra_cons(self) -> List[LinCon]:
+        """The quotient bounds of every expression built so far."""
+        return [_lincon(r) for r in self.rows]
+
+    def build(self, e: E.Expr) -> Affine:
+        return Affine(*self.linear(e))
+
+    def build_condition(self, e: E.Expr,
+                        negate: bool = False) -> List[List[LinCon]]:
+        """:meth:`Linearizer.condition` as ``LinCon`` conjunctions."""
+        return [[_lincon(r) for r in alt]
+                for alt in self.condition(e, negate)]
 
 
 def try_affine(e: E.Expr, rename=None):

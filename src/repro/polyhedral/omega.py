@@ -14,11 +14,14 @@ All variables are treated as existentially quantified integers, so
 ``is_feasible(cons)`` decides ``∃ x ∈ Z^n . cons(x)`` — unbounded symbolic
 parameters (tensor extents) are handled for free.
 
-The solver works on integer rows, not on ``LinCon`` objects: a system is
-translated once at entry into dense tuples ``(const, c1, ..., cn)`` meaning
-``const + c1*x1 + ... + cn*xn (>= | ==) 0``, with columns numbered by the
-variables' first appearance. The same numbering makes the memo key
-rename-invariant.
+The solver works on integer rows, not on ``LinCon`` objects. Its entry,
+:func:`feasible_rows`, takes sparse gcd-tightened rows whose columns are
+numbered by the variables' first appearance — the dependence analyser
+composes them directly — and expands them into dense tuples
+``(const, c1, ..., cn)`` meaning ``const + c1*x1 + ... + cn*xn (>= | ==)
+0``. The first-appearance numbering makes the memo key rename-invariant.
+``is_feasible`` / ``any_feasible`` translate ``LinCon`` systems into such
+rows for the callers that build those.
 
 Safety valve: pathological systems (never produced by the DSL in practice)
 give up after a budget and return ``True`` ("may be feasible"), which is the
@@ -64,36 +67,66 @@ def any_feasible(base: Iterable[LinCon],
     same memo keys and counters, translating ``base`` only once."""
     cols: Dict[str, int] = {}
     try:
-        # gcd-tightens every constraint and raises Infeasible for
-        # trivially-false ground constraints and for equalities whose
-        # coefficient gcd does not divide the constant (the single-
-        # constraint GCD quick-reject)
         base_rows = _translate(base, cols)
     except Infeasible:
         base_rows = None
-    else:
-        width = len(cols) + 1
-        base_items = _dense(base_rows, width)
-        base_seen = set(base_items)
-        base_lo: Dict[int, int] = {}
-        base_hi: Dict[int, int] = {}
-        base_clash = _bounds(base_rows, base_lo, base_hi)
-    for alt in alternatives:
-        if base_rows is None:
+    return feasible_rows(base_rows, len(cols),
+                         _translate_each(alternatives, cols))
+
+
+def append_row(out: list, cols: Dict, is_eq: bool, const: int,
+               coeffs: Dict) -> bool:
+    """Append the sparse gcd-tightened row of ``const + sum(c * v for v, c
+    in coeffs) (== | >=) 0`` to ``out``; a variable new to ``cols`` gets
+    the next column. A trivially true ground row is dropped; False for a
+    trivially false one, and for an equality whose coefficient gcd does
+    not divide its constant (the single-constraint GCD quick-reject). An
+    inequality is tightened with the floor rule:
+    ``g*s + k >= 0  <=>  s + floor(k/g) >= 0``."""
+    if not coeffs:
+        return const >= 0 and not (is_eq and const)
+    g = gcd(*coeffs.values())
+    if is_eq and const % g:
+        return False
+    out.append((is_eq, const // g,
+                tuple([(cols.setdefault(v, len(cols) + 1), c // g)
+                       for v, c in coeffs.items()])))
+    return True
+
+
+def feasible_rows(base: Optional[list], ncols: int,
+                  alternatives: Iterable[Tuple[Optional[list], int]]
+                  ) -> bool:
+    """The row-level entry: is ``base + alt`` feasible for some
+    alternative?
+
+    ``base`` holds sparse gcd-tightened rows ``(is_eq, const, ((col,
+    coeff), ...))`` over columns ``1..ncols`` (:func:`append_row`'s), or
+    is None when one of its rows is trivially false. Each alternative is
+    ``(rows, n)``: its rows over the base's columns plus its own new ones
+    (``n`` columns in all), or ``(None, 0)`` when trivially false.
+    Alternatives are consumed lazily and each one counts once, so a
+    caller's generator builds only the rows that are decided."""
+    if base is None:
+        for _alt in alternatives:
             _STATS.add("gcd_rejects")
-            continue
-        alt_cols = dict(cols)
-        try:
-            alt_rows = _translate(alt, alt_cols)
-        except Infeasible:
+        return False
+    width = ncols + 1
+    base_items = _dense(base, width)
+    base_seen = set(base_items)
+    base_lo: Dict[int, int] = {}
+    base_hi: Dict[int, int] = {}
+    base_clash = _bounds(base, base_lo, base_hi)
+    for alt_rows, n in alternatives:
+        if alt_rows is None:
             _STATS.add("gcd_rejects")
             continue
         items, seen = base_items, base_seen
-        if len(alt_cols) + 1 > width:  # new variables: pad the base rows
-            pad = (0,) * (len(alt_cols) + 1 - width)
+        if n + 1 > width:  # new variables: pad the base rows
+            pad = (0,) * (n + 1 - width)
             items = [(is_eq, row + pad) for is_eq, row in base_items]
             seen = set(items)
-        system = items + [it for it in _dense(alt_rows, len(alt_cols) + 1)
+        system = items + [it for it in _dense(alt_rows, n + 1)
                           if it not in seen]
         if not system:
             return True
@@ -120,25 +153,25 @@ def any_feasible(base: Iterable[LinCon],
 
 
 def _translate(constraints, cols: Dict[str, int]) -> list:
-    """Sparse gcd-tightened rows ``(is_eq, const, ((col, coeff), ...))``;
-    variables new to ``cols`` get the next column. Trivially true ground
-    constraints are dropped; raises :class:`Infeasible` for a trivially
-    false one. An inequality is tightened with the floor rule:
-    ``g*s + k >= 0  <=>  s + floor(k/g) >= 0``."""
-    out = []
+    """:func:`append_row`'s rows of ``LinCon`` constraints; raises
+    :class:`Infeasible` for a trivially false one."""
+    out: list = []
     for con in constraints:
-        coeffs, k = con.expr.coeffs, con.expr.const
-        if not coeffs:
-            if k < 0 or (con.is_eq and k):
-                raise Infeasible
-            continue
-        g = gcd(*coeffs.values())
-        if con.is_eq and k % g:
+        if not append_row(out, cols, con.is_eq, con.expr.const,
+                          con.expr.coeffs):
             raise Infeasible
-        terms = tuple((cols.setdefault(v, len(cols) + 1), c // g)
-                      for v, c in coeffs.items())
-        out.append((con.is_eq, k // g, terms))
     return out
+
+
+def _translate_each(alternatives, cols: Dict[str, int]):
+    """``feasible_rows``' alternatives from ``LinCon`` lists over a
+    translated base's ``cols``."""
+    for alt in alternatives:
+        alt_cols = dict(cols)
+        try:
+            yield _translate(alt, alt_cols), len(alt_cols)
+        except Infeasible:
+            yield None, 0
 
 
 def _dense(rows, width: int) -> List[Tuple[bool, Row]]:
