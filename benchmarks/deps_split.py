@@ -13,8 +13,10 @@ layer the sources under test do not have prints ``-``. Point
 
 Layers: ``find`` (every query), ``uncached`` (queries the pair memo
 misses), ``systems`` (per-access systems: ``_Local`` builds, or the old
-per-pair ``_domain``), ``entry`` (the solver entry the analyser calls,
-solve included), ``_translate`` and ``_solve`` (outermost calls only).
+per-pair ``_domain``), ``entry`` (``feasible_rows``, the solver entry
+the analyser calls, solve included), ``_translate`` (the tightening of the
+``Linearizer`` rows other callers hand ``is_feasible`` / ``any_feasible``)
+and ``_solve`` (outermost calls only).
 """
 
 import argparse
@@ -73,7 +75,6 @@ def main():
     _wrap(deps, "_Local", "systems")
     _wrap(deps.DepAnalyzer, "_domain", "systems", static=True)
     _wrap(deps, "feasible_rows", "entry")
-    _wrap(deps, "any_feasible", "entry")
     _wrap(omega, "_translate", "_translate")
     _wrap(omega, "_solve", "_solve")
     sessions = [w_tune.Session(name, 1) for name in P.PROGRAMS]

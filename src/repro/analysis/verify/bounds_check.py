@@ -9,6 +9,8 @@ analysis. The check is two-tiered:
    affine, the violation system ``domain ∧ (index < 0 ∨ index ≥ extent)``
    is decided exactly by the Omega test: feasible means a *proven*
    out-of-bounds access (FT101, error); infeasible means proven safe.
+   A system the solver gives up on (``omega.UNKNOWN``) proves neither:
+   it is reported as "cannot prove" (FT102).
 
 2. **Atomized tier.** Non-affine sub-expressions (data-dependent indices
    like ``indptr[i]``, products of iterators, ``min``/``max``) are
@@ -36,7 +38,8 @@ from typing import Dict, List
 from ...ir import defined_tensors
 from ...ir import stmt as S
 from ...ir.printer import print_expr
-from ...polyhedral import Affine, AffineBuilder, LinCon, NonAffine, is_feasible
+from ...polyhedral import Linearizer, is_feasible, relation
+from ...polyhedral.build import Row
 from ..access import Access, collect_accesses
 from ..bounds import BoundsCtx, bound_candidates
 from .diagnostics import Diagnostic, ir_path
@@ -46,9 +49,10 @@ from .diagnostics import Diagnostic, ir_path
 _MAX_CANDIDATES = 24
 
 
-class _AtomizingBuilder(AffineBuilder):
-    """An :class:`AffineBuilder` that never fails: non-affine
-    sub-expressions become fresh unconstrained variables ("atoms").
+class _AtomizingBuilder(Linearizer):
+    """A :class:`Linearizer` over variable names that never fails:
+    non-affine sub-expressions become fresh unconstrained variables
+    ("atoms").
 
     Atoms are shared through ``atoms`` (keyed by expression content), so
     the same non-affine value appearing in a loop bound and in an index
@@ -57,8 +61,8 @@ class _AtomizingBuilder(AffineBuilder):
     has a single value.
     """
 
-    def __init__(self, atoms: Dict[str, str], state: dict, rename=None):
-        super().__init__(rename)
+    def __init__(self, atoms: Dict[str, str], state: dict):
+        super().__init__(lambda name: name, object)
         self.atoms = atoms
         self._state = state  # {"exact": bool} shared across builders
 
@@ -69,46 +73,45 @@ class _AtomizingBuilder(AffineBuilder):
 
 
 def _domain_cons(acc: Access, atoms: Dict[str, str], state: dict
-                 ) -> List[LinCon]:
-    """Constraints describing one instance of the access's iteration
-    domain. Atomizes non-affine pieces; drops (and marks inexact)
-    disjunctive or unmodellable guards."""
-    out: List[LinCon] = []
+                 ) -> List[Row]:
+    """Rows describing one instance of the access's iteration domain.
+    Atomizes non-affine pieces; drops (and marks inexact) disjunctive or
+    unmodellable guards."""
+    out: List[Row] = []
     b = _AtomizingBuilder(atoms, state)
     for loop in acc.loops:
-        iv = Affine.var(loop.iter_var)
-        out.append(LinCon.ge(iv, b.build(loop.begin)))
-        out.append(LinCon.lt(iv, b.build(loop.end)))
+        iv = {loop.iter_var: 1}, 0
+        out.append(relation(">=", iv, b.linear(loop.begin)))
+        out.append(relation("<", iv, b.linear(loop.end)))
     for cond, polarity in acc.conds:
         cb = _AtomizingBuilder(atoms, state)
-        try:
-            alts = cb.build_condition(cond, not polarity)
-        except NonAffine:
+        alts = cb.try_condition(cond, not polarity)
+        if alts is None:
             state["exact"] = False  # guard dropped: domain over-approximated
             continue
         if len(alts) == 1:
-            out.extend(cb.extra_cons)
+            out.extend(cb.rows)
             out.extend(alts[0])
         else:
             state["exact"] = False  # disjunctive guard dropped
-    out.extend(b.extra_cons)
+    out.extend(b.rows)
     return out
 
 
-def _candidate_cons(idx, idx_a: Affine, ctx: BoundsCtx,
-                    atoms: Dict[str, str]) -> List[LinCon]:
+def _candidate_cons(idx, idx_a, ctx: BoundsCtx,
+                    atoms: Dict[str, str]) -> List[Row]:
     """Sound extra constraints on an index from its symbolic bound
     candidates. These only ever *prove more* accesses safe, so they never
     affect the exactness verdict (they use a throwaway state)."""
-    out: List[LinCon] = []
+    out: List[Row] = []
     scratch = {"exact": True}
     b = _AtomizingBuilder(atoms, scratch)
     lowers, uppers = bound_candidates(idx, ctx)
     for lo in lowers[:_MAX_CANDIDATES]:
-        out.append(LinCon.ge(idx_a, b.build(lo)))
+        out.append(relation(">=", idx_a, b.linear(lo)))
     for up in uppers[:_MAX_CANDIDATES]:
-        out.append(LinCon.le(idx_a, b.build(up)))
-    out.extend(b.extra_cons)
+        out.append(relation("<=", idx_a, b.linear(up)))
+    out.extend(b.rows)
     return out
 
 
@@ -140,22 +143,22 @@ def check_bounds(func: S.Func) -> List[Diagnostic]:
             {l.iter_var: (l.begin, l.end) for l in acc.loops})
         builder = _AtomizingBuilder(atoms, state)
         for dim, (idx, extent) in enumerate(zip(acc.indices, vd.shape)):
-            idx_a = builder.build(idx)
-            ext_a = builder.build(extent)
-            cons = base + builder.extra_cons
-            cons += _candidate_cons(idx, idx_a, ctx, atoms)
+            idx_a = builder.linear(idx)
+            ext_a = builder.linear(extent)
+            rows = base + builder.rows
+            rows += _candidate_cons(idx, idx_a, ctx, atoms)
             # Assume the accessed tensor is non-empty: without it, every
             # constant-index access (y[0] on a tensor of symbolic extent
             # n) would be flagged for the degenerate n = 0 case.
-            cons.append(LinCon.ge(ext_a, Affine.constant(1)))
-            low_bad = is_feasible(cons + [LinCon.lt(idx_a,
-                                                    Affine.constant(0))])
-            high_bad = is_feasible(cons + [LinCon.ge(idx_a, ext_a)])
+            rows.append(relation(">=", ext_a, ({}, 1)))
+            low_bad = is_feasible(rows + [relation("<", idx_a, ({}, 0))])
+            high_bad = is_feasible(rows + [relation(">=", idx_a, ext_a)])
             if not (low_bad or high_bad):
                 continue
-            side = "is negative" if low_bad else \
-                f"reaches or exceeds extent {print_expr(extent)}"
-            if state["exact"]:
+            # UNKNOWN (the solver gave up) is truthy but proves nothing
+            if state["exact"] and (low_bad is True or high_bad is True):
+                side = "is negative" if low_bad is True else \
+                    f"reaches or exceeds extent {print_expr(extent)}"
                 diags.append(
                     Diagnostic(
                         "FT101", "error",
@@ -165,12 +168,13 @@ def check_bounds(func: S.Func) -> List[Diagnostic]:
                         stmt=acc.stmt, tensor=acc.tensor,
                         path=ir_path(func, acc.stmt.sid)))
             else:
+                why = "is beyond the solver, which gave up" \
+                    if state["exact"] else "is data-dependent or non-affine"
                 diags.append(
                     Diagnostic(
                         "FT102", "warning",
                         f"cannot prove {kind} {acc.tensor!r} in bounds: "
-                        f"index {print_expr(idx)} of dimension {dim} "
-                        f"is data-dependent or non-affine "
+                        f"index {print_expr(idx)} of dimension {dim} {why} "
                         f"(extent {print_expr(extent)})",
                         stmt=acc.stmt, tensor=acc.tensor,
                         path=ir_path(func, acc.stmt.sid)))

@@ -1,9 +1,9 @@
 """Prune provably-taken/untaken branches using the polyhedral engine.
 
 Walks the tree carrying the affine iteration context (loop bounds and
-enclosing conditions) as a *disjunction of conjunctions* — ``min``/``max``
-in loop bounds (as produced by ``separate_tail``'s clamped cuts) expand to
-case alternatives. An ``If`` whose condition must hold (or must fail) under
+enclosing conditions) as a *disjunction of conjunctions* of ``Linearizer``
+rows — ``min``/``max`` in loop bounds (as produced by ``separate_tail``'s
+clamped cuts) expand to case alternatives. An ``If`` whose condition must hold (or must fail) under
 every context alternative collapses to a single branch.
 """
 
@@ -12,64 +12,34 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..ir import Assert, For, Func, If, Max, Min, Stmt, StmtSeq, VarDef
-from ..ir import expr as E
-from ..polyhedral import (Affine, AffineBuilder, LinCon, NonAffine,
-                          any_feasible)
+from ..polyhedral import Linearizer, any_feasible, relation
+from ..polyhedral.build import Linear, Row
 
 #: blowup guard for the disjunctive context
 _MAX_ALTS = 16
 
-Ctx = List[List[LinCon]]  # disjunction of conjunctions
+Ctx = List[List[Row]]  # disjunction of conjunctions
 
 
-def _affine(e) -> Optional[tuple]:
-    b = AffineBuilder()
-    try:
-        return b.build(e), b.extra_cons
-    except NonAffine:
-        return None
+def _linearizer() -> Linearizer:
+    return Linearizer(lambda name: name, object)
 
 
-def _upper_alts(it: Affine, e) -> Optional[Ctx]:
-    """Alternatives for ``it < e`` (Min joins, Max splits)."""
-    if isinstance(e, Min):
-        l = _upper_alts(it, e.lhs)
-        r = _upper_alts(it, e.rhs)
-        if l is None or r is None:
-            return None
-        return [a + b for a in l for b in r]
-    if isinstance(e, Max):
-        l = _upper_alts(it, e.lhs)
-        r = _upper_alts(it, e.rhs)
-        if l is None or r is None:
-            return None
+def _bound_alts(it: Linear, e, rel: str) -> Ctx:
+    """Alternatives for ``it REL e``, an upper (``<``) or lower (``>=``)
+    loop bound: a ``Min`` upper or ``Max`` lower bound joins its sides'
+    alternatives, the other kind splits them."""
+    if isinstance(e, (Min, Max)):
+        l = _bound_alts(it, e.lhs, rel)
+        r = _bound_alts(it, e.rhs, rel)
+        if isinstance(e, Min if rel == "<" else Max):
+            return [a + b for a in l for b in r]
         return l + r
-    res = _affine(e)
-    if res is None:
+    lin = _linearizer()
+    a = lin.try_linear(e)
+    if a is None:
         return [[]]
-    a, extra = res
-    return [[LinCon.lt(it, a)] + extra]
-
-
-def _lower_alts(it: Affine, e) -> Optional[Ctx]:
-    """Alternatives for ``it >= e`` (Max joins, Min splits)."""
-    if isinstance(e, Max):
-        l = _lower_alts(it, e.lhs)
-        r = _lower_alts(it, e.rhs)
-        if l is None or r is None:
-            return None
-        return [a + b for a in l for b in r]
-    if isinstance(e, Min):
-        l = _lower_alts(it, e.lhs)
-        r = _lower_alts(it, e.rhs)
-        if l is None or r is None:
-            return None
-        return l + r
-    res = _affine(e)
-    if res is None:
-        return [[]]
-    a, extra = res
-    return [[LinCon.ge(it, a)] + extra]
+    return [[relation(rel, it, a)] + lin.rows]
 
 
 def _combine(ctx: Ctx, alts: Optional[Ctx]) -> Ctx:
@@ -82,12 +52,11 @@ def _combine(ctx: Ctx, alts: Optional[Ctx]) -> Ctx:
 
 
 def _cond_alts(cond, negate: bool) -> Optional[Ctx]:
-    builder = AffineBuilder()
-    try:
-        alts = builder.build_condition(cond, negate)
-    except NonAffine:
+    lin = _linearizer()
+    alts = lin.try_condition(cond, negate)
+    if alts is None:
         return None
-    return [alt + builder.extra_cons for alt in alts]
+    return [alt + lin.rows for alt in alts]
 
 
 def _always(cond, ctx: Ctx, negate: bool) -> bool:
@@ -112,9 +81,9 @@ def prune_branches(node):
             nd.sid, nd.label, nd.init_data = s.sid, s.label, s.init_data
             return nd
         if isinstance(s, For):
-            it = Affine.var(s.iter_var)
-            inner = _combine(ctx, _lower_alts(it, s.begin))
-            inner = _combine(inner, _upper_alts(it, s.end))
+            it = {s.iter_var: 1}, 0
+            inner = _combine(ctx, _bound_alts(it, s.begin, ">="))
+            inner = _combine(inner, _bound_alts(it, s.end, "<"))
             out = For(s.iter_var, s.begin, s.end, walk(s.body, inner),
                       s.property.clone())
             out.sid, out.label = s.sid, s.label

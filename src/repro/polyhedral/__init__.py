@@ -2,22 +2,18 @@
 
 Layers:
 
-- ``linear``: integer affine expressions and constraints;
-- ``omega``: exact integer feasibility (Pugh's Omega test) of integer rows;
 - ``build``: translation from IR expressions (including ``//`` and ``%`` by
-  constants) into linear forms and rows.
+  constants) into linear forms and rows, the one constraint format;
+- ``omega``: exact integer feasibility (Pugh's Omega test) of rows.
 """
 
-from .build import (AffineBuilder, Linearizer, NonAffine, combine, relation,
-                    try_affine)
-from .linear import Affine, Infeasible, LinCon, fresh_var
-from .omega import (any_feasible, append_row, clear_feasibility_cache,
-                    feasibility_stats, feasible_rows, is_feasible)
+from .build import Linearizer, NonAffine, combine, relation
+from .omega import (UNKNOWN, any_feasible, append_row,
+                    clear_feasibility_cache, feasibility_stats,
+                    feasible_rows, is_feasible)
 
 __all__ = [
-    "AffineBuilder", "Linearizer", "NonAffine", "combine", "relation",
-    "try_affine",
-    "Affine", "Infeasible", "LinCon", "fresh_var",
-    "any_feasible", "append_row", "clear_feasibility_cache",
+    "Linearizer", "NonAffine", "combine", "relation",
+    "UNKNOWN", "any_feasible", "append_row", "clear_feasibility_cache",
     "feasibility_stats", "feasible_rows", "is_feasible",
 ]

@@ -6,13 +6,14 @@ analysable). Anything non-affine (data-dependent indices such as
 ``adj[i, j]``, products of iterators, float arithmetic) is reported to the
 caller, which models it conservatively as an unconstrained value.
 
-The one translator is :class:`Linearizer`: an expression becomes
-``({column: coeff}, const)`` and a condition a disjunction of rows
-``(is_eq, const, {column: coeff})`` meaning ``const + sum(coeff * column)
-(== | >=) 0``. The caller names the columns. The dependence analyser keys
-them by an access's own iterators, symbols and existentials;
-:class:`AffineBuilder` keys them by variable name and wraps the results as
-``Affine`` / ``LinCon`` for the callers that build those.
+The one translator is :class:`Linearizer`: an expression becomes a
+linear form ``({column: coeff}, const)`` and a condition a disjunction of
+rows ``(is_eq, const, {column: coeff})`` meaning ``const + sum(coeff *
+column) (== | >=) 0``; :func:`combine` and :func:`relation` build more of
+both. Rows are the solver's input format (``omega.is_feasible``). The
+caller names the columns: the dependence analyser keys them by an
+access's own iterators, symbols and existentials; ``prune``,
+``loop_trans`` and the bounds checker by variable name.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..ir import expr as E
-from .linear import Affine, LinCon, fresh_var
 
 #: a linear form ``({column: coeff}, const)``: no zero coefficient, columns
-#: in the order ``Affine`` arithmetic would insert them
+#: in the order the arithmetic that built it first met them
 Linear = Tuple[Dict[Hashable, int], int]
 #: ``(is_eq, const, {column: coeff})``
 Row = Tuple[bool, int, Dict[Hashable, int]]
@@ -34,8 +34,8 @@ class NonAffine(Exception):
 
 
 def combine(x: Linear, y: Linear, sign: int) -> Linear:
-    """``x + sign * y``, with ``Affine``'s column order: ``x``'s columns,
-    then ``y``'s new ones, minus any that cancel."""
+    """``x + sign * y``, over ``x``'s columns, then ``y``'s new ones,
+    minus any that cancel."""
     coeffs = dict(x[0])
     for v, c in y[0].items():
         coeffs[v] = coeffs.get(v, 0) + sign * c
@@ -43,8 +43,9 @@ def combine(x: Linear, y: Linear, sign: int) -> Linear:
 
 
 def relation(rel: str, a: Linear, b: Linear) -> Row:
-    """The row of ``a REL b``, laid out as ``LinCon.<rel>(a, b)`` is:
-    ``a - b`` for ``= >= >``, ``b - a`` for ``<= <``."""
+    """The row of ``a REL b``: ``a - b`` for ``= >= >``, ``b - a`` for
+    ``<= <``, less one when strict. The column order of a row fixes the
+    solver's memo key, so every caller states a relation this one way."""
     if rel in ("<", "<="):
         coeffs, k = combine(b, a, -1)
     else:
@@ -165,47 +166,3 @@ class Linearizer:
 def _scale(x: Linear, k: int) -> Linear:
     return {v: c * k for v, c in x[0].items() if c * k}, x[1] * k
 
-
-def _lincon(row: Row) -> LinCon:
-    is_eq, k, coeffs = row
-    return LinCon(Affine(coeffs, k), is_eq)
-
-
-class AffineBuilder(Linearizer):
-    """Builds Affine forms over variable names (``rename`` maps some of
-    them), accumulating existentials for div/mod."""
-
-    def __init__(self, rename: Optional[Dict[str, str]] = None):
-        self.rename = rename or {}
-        self.exists: List[str] = []
-        super().__init__(lambda name: self.rename.get(name, name),
-                         self._fresh)
-
-    def _fresh(self) -> str:
-        q = fresh_var("q")
-        self.exists.append(q)
-        return q
-
-    @property
-    def extra_cons(self) -> List[LinCon]:
-        """The quotient bounds of every expression built so far."""
-        return [_lincon(r) for r in self.rows]
-
-    def build(self, e: E.Expr) -> Affine:
-        return Affine(*self.linear(e))
-
-    def build_condition(self, e: E.Expr,
-                        negate: bool = False) -> List[List[LinCon]]:
-        """:meth:`Linearizer.condition` as ``LinCon`` conjunctions."""
-        return [[_lincon(r) for r in alt]
-                for alt in self.condition(e, negate)]
-
-
-def try_affine(e: E.Expr, rename=None):
-    """Affine form of ``e`` or None; returns (affine, extra_cons, exists)."""
-    b = AffineBuilder(rename)
-    try:
-        a = b.build(e)
-    except NonAffine:
-        return None
-    return a, b.extra_cons, b.exists

@@ -1,4 +1,4 @@
-"""Exact integer feasibility of affine constraint systems (the Omega test).
+"""Exact integer feasibility of linear constraint systems (the Omega test).
 
 This is the decision procedure at the bottom of the dependence analyser —
 our stand-in for isl's emptiness check. It follows Pugh's Omega test:
@@ -11,21 +11,32 @@ our stand-in for isl's emptiness check. It follows Pugh's Omega test:
    (necessary), with exact *splintering* in the gap between them.
 
 All variables are treated as existentially quantified integers, so
-``is_feasible(cons)`` decides ``∃ x ∈ Z^n . cons(x)`` — unbounded symbolic
+``is_feasible(rows)`` decides ``∃ x ∈ Z^n . rows(x)`` — unbounded symbolic
 parameters (tensor extents) are handled for free.
 
-The solver works on integer rows, not on ``LinCon`` objects. Its entry,
-:func:`feasible_rows`, takes sparse gcd-tightened rows whose columns are
-numbered by the variables' first appearance — the dependence analyser
-composes them directly — and expands them into dense tuples
-``(const, c1, ..., cn)`` meaning ``const + c1*x1 + ... + cn*xn (>= | ==)
-0``. The first-appearance numbering makes the memo key rename-invariant.
-``is_feasible`` / ``any_feasible`` translate ``LinCon`` systems into such
-rows for the callers that build those.
+A constraint is written one way from the IR down to here: a
+:class:`~repro.polyhedral.build.Linearizer` row ``(is_eq, const, {column:
+coeff})`` meaning ``const + sum(coeff * column) (== | >=) 0``, over
+columns the caller names. :func:`append_row` tightens such a row into a
+sparse row whose columns are numbered by first appearance, which makes
+the memo key rename-invariant; :func:`feasible_rows`, the entry every
+query goes through, expands sparse rows into dense tuples ``(const, c1,
+..., cn)``. The dependence analyser composes sparse rows itself;
+``is_feasible`` / ``any_feasible`` tighten ``Linearizer`` rows for
+``prune``, ``loop_trans`` and the bounds checker.
 
-Safety valve: pathological systems (never produced by the DSL in practice)
-give up after a budget and return ``True`` ("may be feasible"), which is the
-conservative answer for dependence analysis.
+Safety valve: a system that grows past ``_MAX_CONSTRAINTS`` rows or
+``_MAX_DEPTH`` eliminations, or whose equalities do not vanish within 500
+substitutions, is given up on. The DSL does produce pathological systems:
+split-then-merge schedules of small programs leave nested ``//`` / ``%``
+indices that make the solver splinter for minutes. A verdict that depends
+on a give-up is :data:`UNKNOWN`, counted in ``gave_up`` and memoized like
+any other; a ``False`` is always a proof. ``UNKNOWN`` is truthy, so the
+callers that ask "may it be feasible?" — dependences, ``prune`` and
+``loop_trans``'s equality proof — read it as feasible and refuse the
+transformation or keep the branch. The bounds checker, for which feasible
+means a *proven* out-of-bounds access, reports it as "cannot prove"
+instead.
 """
 
 from __future__ import annotations
@@ -34,11 +45,29 @@ from math import gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..state import BoundedMemo, Counters
-from .linear import Infeasible, LinCon
 
 #: give-up budget: constraint-count ceiling during elimination
 _MAX_CONSTRAINTS = 4000
 _MAX_DEPTH = 64
+
+
+class _Infeasible(Exception):
+    """A constraint system is trivially unsatisfiable."""
+
+
+class _Unknown:
+    __slots__ = ()
+
+    def __bool__(self):
+        return True
+
+    def __repr__(self):
+        return "UNKNOWN"
+
+
+#: the verdict of a query the solver gave up on: truthy ("may be
+#: feasible"), and distinct from ``True`` ("is feasible")
+UNKNOWN = _Unknown()
 
 #: memo of translated constraint systems -> feasibility verdict. Shared
 #: across all queries (dependence direction queries over one program repeat
@@ -48,7 +77,7 @@ _MEMO = BoundedMemo("omega", 1 << 20)
 
 #: counters for the fast paths and the feasibility memo
 _STATS = Counters("omega", memo_hits=0, memo_misses=0, gcd_rejects=0,
-                  interval_rejects=0, full_solves=0)
+                  interval_rejects=0, full_solves=0, gave_up=0)
 
 clear_feasibility_cache = _MEMO.clear
 feasibility_stats = _STATS.snapshot
@@ -56,19 +85,22 @@ feasibility_stats = _STATS.snapshot
 Row = Tuple[int, ...]
 
 
-def is_feasible(constraints: Iterable[LinCon]) -> bool:
-    """Whether an integer point satisfies all constraints."""
-    return any_feasible(constraints, [()])
+def is_feasible(rows: Iterable[tuple]):
+    """Whether an integer point satisfies every ``Linearizer`` row:
+    ``True``, ``False`` or :data:`UNKNOWN`."""
+    return any_feasible(rows, [()])
 
 
-def any_feasible(base: Iterable[LinCon],
-                 alternatives: Iterable[Iterable[LinCon]]) -> bool:
+def any_feasible(base: Iterable[tuple],
+                 alternatives: Iterable[Iterable[tuple]]):
     """``any(is_feasible(base + alt) for alt in alternatives)``, with the
-    same memo keys and counters, translating ``base`` only once."""
-    cols: Dict[str, int] = {}
+    same memo keys and counters, tightening ``base`` only once. The
+    verdict is the first truthy one (``True`` or :data:`UNKNOWN`), else
+    ``False``."""
+    cols: Dict = {}
     try:
         base_rows = _translate(base, cols)
-    except Infeasible:
+    except _Infeasible:
         base_rows = None
     return feasible_rows(base_rows, len(cols),
                          _translate_each(alternatives, cols))
@@ -95,10 +127,10 @@ def append_row(out: list, cols: Dict, is_eq: bool, const: int,
 
 
 def feasible_rows(base: Optional[list], ncols: int,
-                  alternatives: Iterable[Tuple[Optional[list], int]]
-                  ) -> bool:
+                  alternatives: Iterable[Tuple[Optional[list], int]]):
     """The row-level entry: is ``base + alt`` feasible for some
-    alternative?
+    alternative? ``True``, ``False`` or :data:`UNKNOWN`, as
+    :func:`any_feasible`.
 
     ``base`` holds sparse gcd-tightened rows ``(is_eq, const, ((col,
     coeff), ...))`` over columns ``1..ncols`` (:func:`append_row`'s), or
@@ -144,33 +176,34 @@ def feasible_rows(base: Optional[list], ncols: int,
             _STATS.add("full_solves")
             verdict = _solve([row for is_eq, row in system if is_eq],
                              [row for is_eq, row in system if not is_eq], 0)
+            if verdict is UNKNOWN:
+                _STATS.add("gave_up")
             _MEMO.put(key, verdict)
         else:
             _STATS.add("memo_hits")
         if verdict:
-            return True
+            return verdict
     return False
 
 
-def _translate(constraints, cols: Dict[str, int]) -> list:
-    """:func:`append_row`'s rows of ``LinCon`` constraints; raises
-    :class:`Infeasible` for a trivially false one."""
+def _translate(rows, cols: Dict) -> list:
+    """:func:`append_row`'s rows of ``Linearizer`` rows; raises
+    :class:`_Infeasible` for a trivially false one."""
     out: list = []
-    for con in constraints:
-        if not append_row(out, cols, con.is_eq, con.expr.const,
-                          con.expr.coeffs):
-            raise Infeasible
+    for row in rows:
+        if not append_row(out, cols, *row):
+            raise _Infeasible
     return out
 
 
-def _translate_each(alternatives, cols: Dict[str, int]):
-    """``feasible_rows``' alternatives from ``LinCon`` lists over a
-    translated base's ``cols``."""
+def _translate_each(alternatives, cols: Dict):
+    """``feasible_rows``' alternatives from ``Linearizer`` row lists over
+    a translated base's ``cols``."""
     for alt in alternatives:
         alt_cols = dict(cols)
         try:
             yield _translate(alt, alt_cols), len(alt_cols)
-        except Infeasible:
+        except _Infeasible:
             yield None, 0
 
 
@@ -218,26 +251,30 @@ def _bounds(rows, lo: Dict[int, int], hi: Dict[int, int]) -> bool:
 def _tighten(row, is_eq: bool) -> Optional[Row]:
     """A row divided by its coefficient gcd; None when trivially true.
 
-    Raises :class:`Infeasible` for a trivially false row."""
+    Raises :class:`_Infeasible` for a trivially false row."""
     g = gcd(*row[1:])
     if g == 1:
         return tuple(row)
     if not g:
         if row[0] < 0 or (is_eq and row[0]):
-            raise Infeasible
+            raise _Infeasible
         return None
     if is_eq and row[0] % g:
-        raise Infeasible
+        raise _Infeasible
     return tuple([c // g for c in row])
 
 
-def _solve(eqs: List[Row], ineqs: List[Row], depth: int) -> bool:
+def _solve(eqs: List[Row], ineqs: List[Row], depth: int):
+    """``True``, ``False`` or :data:`UNKNOWN`: a verdict reached through a
+    give-up is never ``True``, and ``False`` never needs one."""
     if depth > _MAX_DEPTH or len(eqs) + len(ineqs) > _MAX_CONSTRAINTS:
-        return True  # give up conservatively
+        return UNKNOWN
     try:
-        ineqs = _eliminate_equalities(eqs, ineqs)
-    except Infeasible:
+        ineqs, exact = _eliminate_equalities(eqs, ineqs)
+    except _Infeasible:
         return False
+    if not exact:  # equalities dropped: the rest can only prove "no"
+        return _solve([], ineqs, depth) and UNKNOWN
 
     # Drop variables unbounded on one side (they can always be satisfied).
     while True:
@@ -261,16 +298,18 @@ def _solve(eqs: List[Row], ineqs: List[Row], depth: int) -> bool:
     others = [r for r in ineqs if not r[j]]
     try:
         real = _shadow(others, lows, ups, j, False)
-    except Infeasible:
+    except _Infeasible:
         return False
     if exact:
         return _solve([], real, depth + 1)
     try:
         dark = _shadow(others, lows, ups, j, True)
-    except Infeasible:
+    except _Infeasible:
         dark = None
-    if dark is not None and _solve([], dark, depth + 1):
-        return True
+    if dark is not None:
+        verdict = _solve([], dark, depth + 1)
+        if verdict:
+            return verdict
     if not _solve([], real, depth + 1):
         return False
     return _splinter(ineqs, lows, j, -min(cols[j]), depth)
@@ -280,15 +319,16 @@ def _solve(eqs: List[Row], ineqs: List[Row], depth: int) -> bool:
 
 
 def _splinter(ineqs: List[Row], lows: List[Row], j: int, a_max: int,
-              depth: int) -> bool:
+              depth: int):
     """Search the gap between the dark and real shadows (Pugh, 1991): a
     point there has some lower bound ``L = b*x + ...`` equal to a small
     ``i >= 0``, so ``ineqs`` plus ``L - i == 0`` is solved for each."""
     for low in lows:
         b = low[j]
         for i in range((a_max * b - a_max - b) // a_max + 1):
-            if _solve([(low[0] - i,) + low[1:]], ineqs, depth + 1):
-                return True
+            verdict = _solve([(low[0] - i,) + low[1:]], ineqs, depth + 1)
+            if verdict:
+                return verdict
     return False
 
 
@@ -312,7 +352,7 @@ def _shadow(others: List[Row], lows: List[Row], ups: List[Row], j: int,
     """``others`` plus ``a*L + b*U`` for every lower bound ``L = b*x + ...``
     and upper bound ``U = -a*x + ...`` of column ``j`` (the real shadow);
     the dark shadow lowers each constant by ``(a-1)*(b-1)``. Tightened and
-    deduplicated; raises :class:`Infeasible`."""
+    deduplicated; raises :class:`_Infeasible`."""
     out, seen = list(others), set(others)
     for low in lows:
         b = low[j]
@@ -328,14 +368,14 @@ def _shadow(others: List[Row], lows: List[Row], ups: List[Row], j: int,
     return out
 
 
-def _eliminate_equalities(eqs: List[Row], ineqs: List[Row]) -> List[Row]:
-    """The inequalities left once every equality is substituted away;
-    raises :class:`Infeasible`."""
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 500 or not eqs:  # 500: pathological; bail out feasible
-            return ineqs
+def _eliminate_equalities(eqs: List[Row], ineqs: List[Row]
+                          ) -> Tuple[List[Row], bool]:
+    """The inequalities left once every equality is substituted away, and
+    whether they all were: past 500 substitutions (pathological) the
+    equalities left are dropped. Raises :class:`_Infeasible`."""
+    for _ in range(500):
+        if not eqs:
+            return ineqs, True
         for n, e in enumerate(eqs):
             j = next((j for j in range(1, len(e)) if e[j] in (1, -1)), 0)
             if j:
@@ -354,6 +394,7 @@ def _eliminate_equalities(eqs: List[Row], ineqs: List[Row]) -> List[Row]:
             eqs = [r + (0,) for r in eqs]
             eqs.append(tuple(_mod_hat(c, m) for c in e) + (-m,))
             ineqs = [r + (0,) for r in ineqs]
+    return ineqs, not eqs
 
 
 def _substitute(rows: List[Row], e: Row, j: int, is_eq: bool) -> List[Row]:

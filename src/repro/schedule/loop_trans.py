@@ -10,7 +10,7 @@ from ..analysis import DirItem, analyzer_for
 from ..errors import DependenceViolation, InvalidSchedule
 from ..ir import (For, ForProperty, If, IntConst, StmtSeq, Var, VarDef,
                   collect_stmts, fresh_copy, same_expr, seq, substitute, wrap)
-from ..polyhedral import LinCon, any_feasible, try_affine
+from ..polyhedral import Linearizer, any_feasible, relation
 from .common import (find_loop, find_stmt, fresh_iter, only_stmt_of,
                      parent_of, perfectly_nested, replace_stmt, stmts_of_body)
 
@@ -411,15 +411,13 @@ def _make_siblings(func, l0_sid: str, l1_sid: str, analyzer=None):
 def _provably_equal(a, b) -> bool:
     if same_expr(a, b):
         return True
-    ra = try_affine(a)
-    rb = try_affine(b)
-    if ra is None or rb is None:
+    lin = Linearizer(lambda name: name, object)
+    la, lb = lin.try_linear(a), lin.try_linear(b)
+    if la is None or lb is None:
         return False
-    aa, ca, _ = ra
-    ab, cb, _ = rb
     # equal for all parameter values iff (a != b) is infeasible
-    return not any_feasible(ca + cb, [[LinCon.lt(aa, ab)],
-                                      [LinCon.gt(aa, ab)]])
+    return not any_feasible(lin.rows, [[relation("<", la, lb)],
+                                       [relation(">", la, lb)]])
 
 
 def swap(func, stmt_sels: List[str], analyzer=None):

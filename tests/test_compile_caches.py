@@ -13,10 +13,12 @@ import pytest
 
 import repro as ft
 from repro import state
-from repro.ir import struct_hash
-from repro.polyhedral import (Affine, LinCon, clear_feasibility_cache,
-                              feasibility_stats, is_feasible)
+from repro.ir import Var, struct_hash
+from repro.polyhedral import (clear_feasibility_cache, feasibility_stats,
+                              is_feasible)
 from repro.runtime import build, build_cache_stats, clear_build_cache
+
+from .test_polyhedral import rows
 
 
 def make_program():
@@ -66,45 +68,34 @@ class TestStructHash:
         assert struct_hash(f) == struct_hash(f)
 
 
+x, y, z, w, i, j = (Var(v) for v in "xyzwij")
+
+
 class TestOmegaFastPaths:
 
     def test_gcd_reject(self):
         # 2x == 1 has no integer solution; caught before any elimination
         before = feasibility_stats()["gcd_rejects"]
-        assert not is_feasible([LinCon.eq(Affine.var("x", 2),
-                                          Affine.constant(1))])
+        assert not is_feasible(rows(x * 2 == 1))
         assert feasibility_stats()["gcd_rejects"] == before + 1
 
     def test_interval_reject(self):
         # x >= 5 and x <= 3: disjoint constant bounds
         before = feasibility_stats()["interval_rejects"]
-        assert not is_feasible([
-            LinCon.ge(Affine.var("x"), Affine.constant(5)),
-            LinCon.le(Affine.var("x"), Affine.constant(3)),
-        ])
+        assert not is_feasible(rows(x >= 5, x <= 3))
         assert feasibility_stats()["interval_rejects"] == before + 1
 
     def test_interval_reject_scaled(self):
         # 3x >= 10 (x >= 4) and 2x <= 7 (x <= 3)
-        assert not is_feasible([
-            LinCon.ge(Affine.var("x", 3), Affine.constant(10)),
-            LinCon.le(Affine.var("x", 2), Affine.constant(7)),
-        ])
+        assert not is_feasible(rows(x * 3 >= 10, x * 2 <= 7))
 
     def test_feasible_single_var_not_rejected(self):
-        assert is_feasible([
-            LinCon.ge(Affine.var("x"), Affine.constant(3)),
-            LinCon.le(Affine.var("x"), Affine.constant(5)),
-        ])
+        assert is_feasible(rows(x >= 3, x <= 5))
 
     def test_memo_hit_and_rename_invariance(self):
         clear_feasibility_cache()
-        sys_x = [LinCon.ge(Affine.var("x") + Affine.var("y"),
-                           Affine.constant(0)),
-                 LinCon.lt(Affine.var("x"), Affine.var("y"))]
-        sys_z = [LinCon.ge(Affine.var("z") + Affine.var("w"),
-                           Affine.constant(0)),
-                 LinCon.lt(Affine.var("z"), Affine.var("w"))]
+        sys_x = rows(x + y >= 0, x < y)
+        sys_z = rows(z + w >= 0, z < w)
         before = feasibility_stats()
         r1 = is_feasible(sys_x)
         # same system under renamed variables must hit the memo
@@ -114,14 +105,8 @@ class TestOmegaFastPaths:
         assert after["memo_hits"] == before["memo_hits"] + 1
 
     def test_memo_disabled_agrees(self, monkeypatch):
-        systems = [
-            [LinCon.eq(Affine.var("i"), Affine.var("j")),
-             LinCon.lt(Affine.var("i"), Affine.var("j"))],
-            [LinCon.ge(Affine.var("i"), Affine.constant(0)),
-             LinCon.lt(Affine.var("i"), Affine.constant(8))],
-            [LinCon.eq(Affine.var("i", 4), Affine.var("j", 6) +
-                       Affine.constant(1))],
-        ]
+        systems = [rows(i == j, i < j), rows(i >= 0, i < 8),
+                   rows(i * 4 == j * 6 + 1)]
         clear_feasibility_cache()
         with_memo = [is_feasible(s) for s in systems]
         monkeypatch.setenv("REPRO_NO_MEMO", "1")
@@ -395,10 +380,9 @@ class TestBoundedMemos:
 
         clear_feasibility_cache()
         monkeypatch.setattr(omega._MEMO, "limit", 4)
-        s = Affine.var("x") + Affine.var("y")
+        s = x + y
         for k in range(6):  # six distinct systems no quick reject decides
-            assert is_feasible([LinCon.ge(s, Affine.constant(k)),
-                                LinCon.le(s, Affine.constant(k + 1))])
+            assert is_feasible(rows(s >= k, s <= k + 1))
         assert len(omega._MEMO) == 4
 
     def test_clear_compile_caches_covers_cost_and_batching(self):

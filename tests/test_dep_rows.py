@@ -3,7 +3,8 @@
 The analyser builds each access's half of a system once (``deps._Local``)
 and composes a pair's system from two halves by renaming columns. The
 ``Affine`` / ``LinCon`` system builder it replaced is kept below, in this
-file only, as the reference of a differential oracle: for every
+file only and with its own dict-based ``Affine`` / ``LinCon``, as the
+reference of a differential oracle: for every
 ``_dep_exists_uncached`` call made while compiling, differentiating,
 searching and randomly scheduling, the composed rows must equal the
 translation of the reference system item for item — the same sparse rows,
@@ -12,6 +13,7 @@ the Omega memo keys, and with them every counter, are unchanged. The
 verdicts must agree too, decided without any memo.
 """
 
+import itertools
 import os
 
 import pytest
@@ -29,8 +31,7 @@ from repro.ir import (DataType, For, Func, Load, Store, StmtSeq, VarDef,
                       collect_stmts)
 from repro.ir import expr as E
 from repro.pipeline import compile_ir
-from repro.polyhedral import Affine, Infeasible, LinCon, NonAffine, omega
-from repro.polyhedral.linear import fresh_var
+from repro.polyhedral import NonAffine, omega
 from repro.schedule import Schedule
 from repro.schedule.common import only_stmt_of
 from repro.workloads import ALL
@@ -57,6 +58,94 @@ ARRAY_PARAMS = {
 # ---------------------------------------------------------------------------
 # the reference: Affine arithmetic, LinCon systems
 # ---------------------------------------------------------------------------
+
+
+class Affine:
+    """An integer affine expression ``sum(coeffs[v] * v) + const``."""
+
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs=None, const=0):
+        self.coeffs = {v: c for v, c in (coeffs or {}).items() if c}
+        self.const = const
+
+    @staticmethod
+    def var(name):
+        return Affine({name: 1})
+
+    @staticmethod
+    def constant(c):
+        return Affine({}, c)
+
+    def __add__(self, other):
+        other = other if isinstance(other, Affine) else Affine.constant(other)
+        coeffs = dict(self.coeffs)
+        for v, c in other.coeffs.items():
+            coeffs[v] = coeffs.get(v, 0) + c
+        return Affine(coeffs, self.const + other.const)
+
+    def __sub__(self, other):
+        other = other if isinstance(other, Affine) else Affine.constant(other)
+        return self + other * -1
+
+    def __mul__(self, k):
+        return Affine({v: c * k for v, c in self.coeffs.items()},
+                      self.const * k)
+
+
+class LinCon:
+    """``expr >= 0`` or ``expr == 0``."""
+
+    __slots__ = ("expr", "is_eq")
+
+    def __init__(self, expr, is_eq=False):
+        self.expr = expr
+        self.is_eq = is_eq
+
+    @staticmethod
+    def ge0(expr):
+        return LinCon(expr)
+
+    @staticmethod
+    def ge(a, b):
+        return LinCon(a - b)
+
+    @staticmethod
+    def le(a, b):
+        return LinCon(b - a)
+
+    @staticmethod
+    def gt(a, b):
+        return LinCon(a - b - 1)
+
+    @staticmethod
+    def lt(a, b):
+        return LinCon(b - a - 1)
+
+    @staticmethod
+    def eq(a, b):
+        return LinCon(a - b, True)
+
+    def row(self):
+        """The solver's row ``(is_eq, const, {var: coeff})``."""
+        return self.is_eq, self.expr.const, self.expr.coeffs
+
+
+_fresh = itertools.count()
+
+
+def fresh_var(prefix):
+    return f"${prefix}{next(_fresh)}"
+
+
+def _translate(cons, cols):
+    """The sparse rows of ``cons`` over ``cols``, as the solver tightens
+    them, or None when one is trivially false."""
+    out = []
+    for con in cons:
+        if not omega.append_row(out, cols, *con.row()):
+            return None
+    return out
 
 
 class _AffineBuilder:
@@ -226,7 +315,9 @@ def _decide_without_memo(base, alternatives):
     old = os.environ.get("REPRO_NO_MEMO")
     os.environ["REPRO_NO_MEMO"] = "1"
     try:
-        return omega.any_feasible(base, alternatives)
+        return omega.any_feasible([c.row() for c in base],
+                                  [[c.row() for c in alt]
+                                   for alt in alternatives])
     finally:
         if old is None:
             del os.environ["REPRO_NO_MEMO"]
@@ -270,11 +361,13 @@ class _Oracle:
         _, base, alternatives = ref
         (got_base, got_ncols, got_alts), = captured
         cols = {}
-        try:
-            ref_base = omega._translate(base, cols)
-        except Infeasible:
-            ref_base = None
-        ref_alts = list(omega._translate_each(alternatives, cols))
+        ref_base = _translate(base, cols)
+        ref_alts = []
+        for alt in alternatives:
+            alt_cols = dict(cols)
+            rows = _translate(alt, alt_cols)
+            ref_alts.append((rows, len(alt_cols)) if rows is not None
+                            else (None, 0))
         if ref_base is None:
             # every alternative is a gcd reject; its rows are never read
             assert got_base is None, what

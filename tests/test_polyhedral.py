@@ -1,5 +1,5 @@
-"""Tests for the Presburger engine: affine algebra, the Omega test and
-the IR-to-affine builder."""
+"""Tests for the Presburger engine: row tightening, the Omega test and the
+IR-to-linear translator (``Linearizer``)."""
 
 import itertools
 
@@ -7,67 +7,79 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir import DataType, Load, Var, wrap
-from repro.polyhedral import (Affine, AffineBuilder, LinCon, NonAffine,
-                              any_feasible, clear_feasibility_cache,
-                              feasibility_stats, is_feasible, try_affine)
+from repro.ir import DataType, Load, Var
+from repro.polyhedral import (UNKNOWN, Linearizer, NonAffine, any_feasible,
+                              append_row, clear_feasibility_cache,
+                              feasibility_stats, is_feasible, relation)
 
-x, y, z, N = (Affine.var(v) for v in "xyzN")
+x, y, z, N = (Var(v) for v in "xyzN")
+
+
+def _linearizer():
+    return Linearizer(lambda name: name, object)
+
+
+def rows(*conds):
+    """The rows of conjunctive IR conditions, columns by variable name."""
+    lin = _linearizer()
+    out = []
+    for cond in conds:
+        (alt,) = lin.condition(cond)
+        out += alt
+    return out + lin.rows
 
 
 class TestAffine:
-
-    def test_algebra(self):
-        e = x * 2 + y - 3
-        assert e.coeff("x") == 2
-        assert e.coeff("y") == 1
-        assert e.const == -3
-
-    def test_cancellation(self):
-        assert (x - x).is_constant()
+    """Substitution and coefficient content, through the solver."""
 
     def test_substitute(self):
         # unit-equality substitution: x = y + 1 turns 2x + y into 3y + 2
         e = x * 2 + y
-        assert is_feasible([LinCon.eq(x, y + 1), LinCon.eq(e, y * 3 + 2)])
-        assert not is_feasible([LinCon.eq(x, y + 1),
-                                LinCon.ge(e, y * 3 + 3)])
+        assert is_feasible(rows(x == y + 1, e == y * 3 + 2))
+        assert not is_feasible(rows(x == y + 1, e >= y * 3 + 3))
 
     def test_content(self):
         # the coefficient gcd of 4x + 6y is 2: only even values are reached
-        assert is_feasible([LinCon.eq(x * 4 + y * 6, Affine.constant(2))])
-        assert not is_feasible([LinCon.eq(x * 4 + y * 6,
-                                          Affine.constant(1))])
+        assert is_feasible(rows(x * 4 + y * 6 == 2))
+        assert not is_feasible(rows(x * 4 + y * 6 == 1))
 
 
 class TestLinCon:
-    """Translation into rows: gcd tightening, the equality gcd reject and
-    dropping trivially-true constraints, seen through the verdicts and
+    """``append_row``: gcd tightening, the equality gcd reject and dropping
+    trivially-true rows, seen in its output and through the verdicts and
     the ``omega`` counters."""
 
     def test_normalize_tightens(self):
         # 2x - 1 >= 0 tightens to x - 1 >= 0 (x >= 1), which together
         # with x <= 0 is an interval clash — no elimination needed
+        out, cols = [], {}
+        assert append_row(out, cols, False, -1, {"x": 2})
+        assert out == [(False, -1, ((1, 1),))] and cols == {"x": 1}
         before = feasibility_stats()
-        assert not is_feasible([LinCon.ge0(x * 2 - 1), LinCon.le(x, 0)])
+        assert not is_feasible([(False, -1, {"x": 2})] + rows(x <= 0))
         after = feasibility_stats()
         assert after["interval_rejects"] == before["interval_rejects"] + 1
         assert after["full_solves"] == before["full_solves"]
 
     def test_normalize_eq_gcd_infeasible(self):
+        out = []
+        assert not append_row(out, {}, True, -1, {"x": 2})
+        assert out == []
         before = feasibility_stats()["gcd_rejects"]
-        assert not is_feasible([LinCon.ge(y, 0), LinCon.eq0(x * 2 - 1)])
+        assert not is_feasible(rows(y >= 0) + [(True, -1, {"x": 2})])
         assert feasibility_stats()["gcd_rejects"] == before + 1
 
     def test_trivial_true_dropped(self):
+        out = []
+        assert append_row(out, {}, False, 5, {}) and out == []
         before = feasibility_stats()
-        assert is_feasible([LinCon.ge0(Affine.constant(5))])
+        assert is_feasible([(False, 5, {})])
         assert feasibility_stats() == before  # nothing left to decide
         clear_feasibility_cache()
-        cons = [LinCon.ge(x, y), LinCon.le(x, y * 2)]
-        assert is_feasible(cons)
+        system = rows(x >= y, x <= y * 2)
+        assert is_feasible(system)
         before = feasibility_stats()
-        assert is_feasible(cons + [LinCon.ge0(Affine.constant(5))])
+        assert is_feasible(system + [(False, 5, {})])
         assert feasibility_stats()["memo_hits"] == before["memo_hits"] + 1
 
 
@@ -75,67 +87,56 @@ class TestOmega:
     """Hand-checked feasibility cases including dark-shadow territory."""
 
     def test_simple_box(self):
-        assert is_feasible([LinCon.ge(x, 0), LinCon.le(x, 10)])
-        assert not is_feasible([LinCon.ge(x, 1), LinCon.le(x, 0)])
+        assert is_feasible(rows(x >= 0, x <= 10))
+        assert not is_feasible(rows(x >= 1, x <= 0))
 
     def test_equality_chain(self):
-        assert not is_feasible([
-            LinCon.ge(x, 0), LinCon.lt(x, N),
-            LinCon.eq(x, y + 1), LinCon.ge(y, N - 1)
-        ])
+        assert not is_feasible(rows(x >= 0, x < N, x == y + 1, y >= N - 1))
 
     def test_parity(self):
-        assert not is_feasible([LinCon.eq(x * 2, y * 2 + 1)])
-        assert is_feasible([LinCon.eq(x * 2, y * 3 + 1)])
+        assert not is_feasible(rows(x * 2 == y * 2 + 1))
+        assert is_feasible(rows(x * 2 == y * 3 + 1))
 
     def test_diophantine_gcd(self):
-        assert is_feasible([LinCon.eq(x * 3 + y * 5, Affine.constant(1))])
-        assert not is_feasible([LinCon.eq(x * 6 + y * 10,
-                                          Affine.constant(1))])
+        assert is_feasible(rows(x * 3 + y * 5 == 1))
+        assert not is_feasible(rows(x * 6 + y * 10 == 1))
 
     def test_integer_gap(self):
         # 2 <= 4x <= 3 has no integer x
-        assert not is_feasible([LinCon.ge(x * 4, 2), LinCon.le(x * 4, 3)])
+        assert not is_feasible(rows(x * 4 >= 2, x * 4 <= 3))
         # 0 <= 2x <= 1 has x = 0
-        assert is_feasible([LinCon.ge(x * 2, 0), LinCon.le(x * 2, 1)])
+        assert is_feasible(rows(x * 2 >= 0, x * 2 <= 1))
 
     def test_symbolic_parameters(self):
-        assert is_feasible([LinCon.ge(x, N), LinCon.le(x, N)])
-        assert not is_feasible([LinCon.le(x, N), LinCon.ge(x, N + 1)])
+        assert is_feasible(rows(x >= N, x <= N))
+        assert not is_feasible(rows(x <= N, x >= N + 1))
 
     def test_three_vars(self):
         # x + y + z = 10, 0<=x,y,z<=3 -> max sum 9 < 10
-        cons = [LinCon.eq(x + y + z, Affine.constant(10))]
-        for v in (x, y, z):
-            cons += [LinCon.ge(v, 0), LinCon.le(v, 3)]
-        assert not is_feasible(cons)
-        cons[0] = LinCon.eq(x + y + z, Affine.constant(9))
-        assert is_feasible(cons)
+        box = rows(*(c for v in (x, y, z) for c in (v >= 0, v <= 3)))
+        assert not is_feasible(rows(x + y + z == 10) + box)
+        assert is_feasible(rows(x + y + z == 9) + box)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 5),
            st.integers(1, 5))
     def test_matches_bruteforce_2d(self, lo1, lo2, w1, w2):
         """Feasibility of a random 2-D system agrees with brute force."""
-        cons = [
-            LinCon.ge(x, lo1), LinCon.le(x, lo1 + w1),
-            LinCon.ge(y, lo2), LinCon.le(y, lo2 + w2),
-            LinCon.ge(x * 2 + y * 3, 0),
-            LinCon.le(x + y, lo1 + lo2 + w1),
-        ]
+        system = rows(x >= lo1, x <= lo1 + w1, y >= lo2, y <= lo2 + w2,
+                      x * 2 + y * 3 >= 0, x + y <= lo1 + lo2 + w1)
         brute = any(
             2 * a + 3 * b >= 0 and a + b <= lo1 + lo2 + w1
             for a in range(lo1, lo1 + w1 + 1)
             for b in range(lo2, lo2 + w2 + 1))
-        assert is_feasible(cons) == brute
+        assert is_feasible(system) == brute
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 7), st.integers(2, 7), st.integers(-20, 20))
     def test_diophantine_matches_gcd(self, a, b, c):
         import math
 
-        cons = [LinCon.eq(x * a + y * b, Affine.constant(c))]
-        assert is_feasible(cons) == (c % math.gcd(a, b) == 0)
+        assert is_feasible(rows(x * a + y * b == c)) \
+            == (c % math.gcd(a, b) == 0)
 
 
 @st.composite
@@ -156,10 +157,10 @@ def _boxed_system(draw):
 
 
 def _cons(boxes, extra):
-    box = [c for v, (lo, hi) in boxes.items()
-           for c in (LinCon.ge(Affine.var(v), lo),
-                     LinCon.le(Affine.var(v), hi))]
-    return box, [(LinCon.eq0 if eq else LinCon.ge0)(Affine(co, k))
+    box = [relation(rel, ({v: 1}, 0), ({}, bound))
+           for v, (lo, hi) in boxes.items()
+           for rel, bound in ((">=", lo), ("<=", hi))]
+    return box, [(eq, k, {v: c for v, c in co.items() if c})
                  for co, k, eq in extra]
 
 
@@ -223,21 +224,16 @@ class TestOmegaOracle:
 
     @pytest.mark.parametrize("name, cons, feasible, paths", [
         # no unit coefficient: the mod-hat change of variables
-        ("mod_hat", [LinCon.eq(x * 3 + y * 5, Affine.constant(1))], True,
-         {"mod_hat"}),
+        ("mod_hat", rows(x * 3 + y * 5 == 1), True, {"mod_hat"}),
         # non-unit bounds on both sides, decided by the dark shadow
-        ("dark", [LinCon.ge(x * 3, y * 2 + 1), LinCon.le(x * 3, y * 2 + 5),
-                  LinCon.ge(y, 0), LinCon.le(y, 10)], True, {"dark"}),
+        ("dark", rows(x * 3 >= y * 2 + 1, x * 3 <= y * 2 + 5, y >= 0,
+                      y <= 10), True, {"dark"}),
         # 3x == 2y + 1 as two inequalities: only splintering finds x = 1
-        ("splinter", [LinCon.ge(x * 3, y * 2 + 1),
-                      LinCon.le(x * 3, y * 2 + 1),
-                      LinCon.ge(y, 0), LinCon.le(y, 10)], True,
-         {"dark", "splinter"}),
+        ("splinter", rows(x * 3 >= y * 2 + 1, x * 3 <= y * 2 + 1, y >= 0,
+                          y <= 10), True, {"dark", "splinter"}),
         # Pugh's example: real solutions, no integer one
-        ("pugh", [LinCon.ge(x * 11 + y * 13, 27),
-                  LinCon.le(x * 11 + y * 13, 45),
-                  LinCon.ge(x * 7 - y * 9, -10),
-                  LinCon.le(x * 7 - y * 9, 4)], False,
+        ("pugh", rows(x * 11 + y * 13 >= 27, x * 11 + y * 13 <= 45,
+                      x * 7 - y * 9 >= -10, x * 7 - y * 9 <= 4), False,
          {"dark", "splinter"}),
     ])
     def test_solver_paths(self, monkeypatch, name, cons, feasible, paths):
@@ -266,8 +262,8 @@ class TestOmegaOracle:
         from repro.polyhedral import omega
 
         def system(u, v):
-            u, v = Affine.var(u), Affine.var(v)
-            return [LinCon.ge(u * 2, v), LinCon.le(u, v * 3 - 1)]
+            u, v = Var(u), Var(v)
+            return rows(u * 2 >= v, u <= v * 3 - 1)
 
         clear_feasibility_cache()
         # first appearance, not spelling, numbers the columns
@@ -275,52 +271,98 @@ class TestOmegaOracle:
         assert len(omega._MEMO) == 1
 
 
+class TestGiveUp:
+    """A tripped safety valve is UNKNOWN: truthy, counted, memoized, and
+    never reported as ``True``."""
+
+    def test_valve_answers_unknown(self, monkeypatch):
+        from repro.polyhedral import omega
+
+        monkeypatch.setattr(omega, "_MAX_CONSTRAINTS", 0)
+        clear_feasibility_cache()
+        system = rows(x >= y, x <= y * 2)
+        before = feasibility_stats()
+        assert is_feasible(system) is UNKNOWN
+        assert is_feasible(system) is UNKNOWN  # memoized
+        after = feasibility_stats()
+        assert after["gave_up"] == before["gave_up"] + 1
+        assert after["memo_hits"] == before["memo_hits"] + 1
+        # a may-answer reads it as feasible
+        assert any_feasible(system, [[]])
+        clear_feasibility_cache()
+
+    def test_no_for_an_answer_needs_no_give_up(self, monkeypatch):
+        from repro.polyhedral import omega
+
+        # the real shadow is past the depth budget, yet the splinters
+        # alone prove Pugh's example empty
+        monkeypatch.setattr(omega, "_MAX_DEPTH", 1)
+        clear_feasibility_cache()
+        assert is_feasible(rows(x * 11 + y * 13 >= 27, x * 11 + y * 13 <= 45,
+                                x * 7 - y * 9 >= -10, x * 7 - y * 9 <= 4)) \
+            is False
+        clear_feasibility_cache()
+
+
+    def test_dropped_equalities_prove_only_no(self, monkeypatch):
+        from repro.polyhedral import omega
+
+        # the equality guard gives up at once: the inequalities left
+        # still prove "no", but a point they allow proves nothing
+        monkeypatch.setattr(omega, "_eliminate_equalities",
+                            lambda eqs, ineqs: (ineqs, not eqs))
+        clear_feasibility_cache()
+        assert is_feasible(rows(x == y * 2, x + y >= 3, x + y <= 1)) \
+            is False
+        assert is_feasible(rows(x == y * 2 + 1, x + y >= 0, x + y <= 3)) \
+            is UNKNOWN
+        clear_feasibility_cache()
+
+
 class TestAffineBuilder:
+    """``Linearizer``: IR expressions and conditions to linear forms and
+    rows, with an existential quotient per ``//`` and ``%``."""
 
     def test_mod_linearised_exactly(self):
         i = Var("i")
-        res = try_affine((i + 1) % 3)
-        assert res is not None
-        a, cons, exists = res
-        assert len(exists) == 1
+        lin = _linearizer()
+        a = lin.linear((i + 1) % 3)
+        assert len(lin.rows) == 2  # the bounds of one quotient
         # (i+1) % 3 == 0 and i == 1 must be infeasible (1+1=2 mod 3)
-        sys = cons + [LinCon.eq0(a),
-                      LinCon.eq(Affine.var("i"), Affine.constant(1))]
-        assert not is_feasible(sys)
+        assert not is_feasible(lin.rows + [relation("=", a, ({}, 0))]
+                               + rows(i == 1))
         # i == 2 -> (i+1)%3 == 0 feasible
-        sys = cons + [LinCon.eq0(a),
-                      LinCon.eq(Affine.var("i"), Affine.constant(2))]
-        assert is_feasible(sys)
+        assert is_feasible(lin.rows + [relation("=", a, ({}, 0))]
+                           + rows(i == 2))
 
     def test_floordiv(self):
         i = Var("i")
-        res = try_affine(i // 4)
-        a, cons, _ = res
-        sys = cons + [LinCon.eq(Affine.var("i"), Affine.constant(7)),
-                      LinCon.eq(a, Affine.constant(1))]
-        assert is_feasible(sys)
-        sys = cons + [LinCon.eq(Affine.var("i"), Affine.constant(7)),
-                      LinCon.eq(a, Affine.constant(2))]
-        assert not is_feasible(sys)
+        lin = _linearizer()
+        a = lin.linear(i // 4)
+        assert is_feasible(lin.rows + rows(i == 7)
+                           + [relation("=", a, ({}, 1))])
+        assert not is_feasible(lin.rows + rows(i == 7)
+                               + [relation("=", a, ({}, 2))])
 
     def test_non_affine_reported(self):
         i, j = Var("i"), Var("j")
-        assert try_affine(i * j) is None
+        lin = _linearizer()
+        assert lin.try_linear(i * j) is None
         load = Load("a", [i], DataType.INT32)
-        assert try_affine(load + 1) is None
+        with pytest.raises(NonAffine):
+            lin.linear(load + 1)
+        assert lin.try_linear(i % 3 + i * j) is None
+        assert lin.rows == []  # a failed try leaves no quotient rows
 
     def test_condition_disjunction(self):
         i = Var("i")
-        b = AffineBuilder()
-        alts = b.build_condition((i < 3).logical_or(i > 7))
+        alts = _linearizer().condition((i < 3).logical_or(i > 7))
         assert len(alts) == 2
 
     def test_condition_negation(self):
         i = Var("i")
-        b = AffineBuilder()
-        alts = b.build_condition(i < 3, negate=True)
+        lin = _linearizer()
+        alts = lin.condition(i < 3, negate=True)
         assert len(alts) == 1
         # i >= 3: i = 2 infeasible
-        assert not is_feasible(alts[0] + [
-            LinCon.eq(Affine.var("i"), Affine.constant(2))
-        ])
+        assert not is_feasible(alts[0] + rows(i == 2))

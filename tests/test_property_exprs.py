@@ -107,20 +107,19 @@ def test_c_backend_integer_semantics(e, i, j, k):
 @given(int_exprs(), st.integers(-10, 10), st.integers(-10, 10),
        st.integers(-10, 10))
 def test_affine_builder_exactness(e, i, j, k):
-    """When the polyhedral builder accepts an expression, the affine form
-    plus its div/mod constraints has exactly the evaluated value."""
-    from repro.polyhedral import Affine, LinCon, is_feasible, try_affine
+    """When the Linearizer accepts an expression, the linear form plus its
+    div/mod rows has exactly the evaluated value."""
+    from repro.polyhedral import Linearizer, is_feasible, relation
 
-    res = try_affine(e)
-    assume(res is not None)
-    a, cons, _ex = res
+    lin = Linearizer(lambda name: name, object)
+    a = lin.try_linear(e)
+    assume(a is not None)
     env = {"i": i, "j": j, "k": k}
     v = _eval(e, env)
-    binding = [LinCon.eq(Affine.var(n), Affine.constant(val))
+    binding = [relation("=", ({n: 1}, 0), ({}, val))
                for n, val in env.items()]
     # value v must be consistent...
-    assert is_feasible(cons + binding +
-                       [LinCon.eq(a, Affine.constant(v))])
+    assert is_feasible(lin.rows + binding + [relation("=", a, ({}, v))])
     # ...and any other value must not be
-    assert not is_feasible(cons + binding +
-                           [LinCon.eq(a, Affine.constant(v + 1))])
+    assert not is_feasible(lin.rows + binding
+                           + [relation("=", a, ({}, v + 1))])

@@ -82,6 +82,31 @@ class TestBounds:
         d = the_diag(verify(f), "FT101")
         assert "negative" in d.message
 
+    def test_solver_give_up_is_ft102_not_ft101(self, monkeypatch):
+        # with the solver's safety valve forced, every bounds query is
+        # given up on: that proves no access out of bounds
+        from repro.polyhedral import clear_feasibility_cache, omega
+
+        @ft.transform
+        def f(x: ft.Tensor[("n",), "f32", "input"]):
+            y = ft.empty((x.shape(0),), "f32")
+            for i in range(x.shape(0)):
+                y[i] = x[i] * 2.0
+            return y
+
+        monkeypatch.setattr(omega, "_MAX_CONSTRAINTS", 0)
+        clear_feasibility_cache()
+        try:
+            before = omega.feasibility_stats()["gave_up"]
+            rep = verify(f, analyses=("bounds",))
+            gave_up = omega.feasibility_stats()["gave_up"] - before
+        finally:
+            clear_feasibility_cache()
+        assert "FT101" not in codes(rep)
+        found = rep.by_code("FT102")
+        assert found and gave_up > 0
+        assert all("solver" in d.message for d in found)
+
     def test_guarded_access_is_clean(self):
         @ft.transform
         def f(x: ft.Tensor[("n",), "f32", "input"]):
