@@ -1,13 +1,11 @@
 """Public entry points of the cost analysis.
 
 ``analyze_cost``/``estimate_cost`` wrap the static walker with an
-in-process memo and per-pass accounting: every invocation is recorded
-under the pass name ``cost_model`` in ``pipeline_stats()``, exactly like
-the lowering passes, and hit/miss/time counters live in
-``runtime.metrics.cost_stats()``. The memo key is sid-inclusive — two
-structurally identical funcs with different sids get separate entries so
-the loop/stride rows always point at real statements of the analyzed
-tree.
+in-process memo; every invocation is counted (analyses, memo hits,
+seconds) in the ``cost`` table, ``runtime.metrics.cost_stats()``. The
+memo key is sid-inclusive — two structurally identical funcs with
+different sids get separate entries so the loop/stride rows always point
+at real statements of the analyzed tree.
 """
 
 from __future__ import annotations
@@ -60,16 +58,13 @@ def estimate_cost(func: S.Func, backend: str = "pycode", target=None,
            target.cache_key(), tuple(sorted(env.items())), assumed_trip)
     t0 = time.perf_counter()
     est = _MEMO.get(key)
-    hit = est is not None
-    if not hit:
+    if est is None:
         est = analyze(func, backend, target, env, assumed_trip)
         _MEMO.put(key, est)
-    dt = time.perf_counter() - t0
-    metrics.record_pass_run("cost_model", dt, hit)
-    metrics.COST.add("analyses")
-    if hit:
+    else:
         metrics.COST.add("memo_hits")
-    metrics.COST.add("time_s", dt)
+    metrics.COST.add("analyses")
+    metrics.COST.add("time_s", time.perf_counter() - t0)
     return est
 
 
@@ -94,17 +89,6 @@ def perf_lint(func_or_program, backend: str = "pycode", target=None):
 
     return check_perf(_as_func(func_or_program), backend=backend,
                       target=target)
-
-
-def cost_model_pass(func: S.Func) -> S.Func:
-    """The ``cost_model`` pipeline pass: analyze, record, pass through.
-
-    Registered in ``repro.pipeline`` as an uncacheable identity pass so
-    any pipeline can interpose the analysis and its timing shows up in
-    ``pipeline_stats()`` next to the lowering passes.
-    """
-    estimate_cost(func)
-    return func
 
 
 def infer_scalar_env(func: S.Func, arrays=(),

@@ -15,7 +15,12 @@ from ..errors import InvalidSchedule
 from ..ir import For, Func, IntConst, StmtSeq, VarDef, collect_stmts
 from ..schedule import Schedule
 from ..schedule.common import only_stmt_of, parent_of
+from ..state import BoundedMemo
 from .target import CPU, Target, default_target
+
+#: whole auto-scheduler runs: (raw input, backend, target, enabled rules)
+#: -> the compiled Func
+_MEMO = BoundedMemo("autosched", 512)
 
 
 def auto_schedule(program_or_func, target: Optional[Target] = None,
@@ -25,9 +30,9 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
     """Apply the automatic transformation pipeline; returns a new Func.
 
     The rule passes run as one pass-manager :class:`~repro.pipeline.Pipeline`
-    (uncacheable — they share this Schedule session), followed by the
-    standard lowering and the backend's declared legalization passes, so
-    per-pass timing, ``REPRO_DUMP_IR`` snapshots and
+    (they share this Schedule session), followed by the standard
+    lowering and the backend's declared legalization passes, so per-pass
+    timing, ``REPRO_DUMP_IR`` snapshots and
     ``REPRO_VERIFY_EACH_PASS`` cover every rule individually. ``times``,
     when given, accumulates per-pass wall-clock seconds.
     """
@@ -35,10 +40,7 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
 
     from ..ir.hashing import struct_hash
     from ..pipeline import Pass, Pipeline, build_pipeline
-    from ..pipeline.manager import (composite_cache_lookup,
-                                    composite_cache_store,
-                                    instrumentation)
-    from ..runtime import metrics
+    from ..pipeline.manager import instrumentation
 
     if target is None:
         target = default_target(backend or "pycode")
@@ -47,11 +49,11 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
         "unroll",
     ]
 
-    # Rule passes are individually uncacheable, but the whole run is
-    # deterministic in (raw input, backend, target, enabled rules):
-    # memoize it as one composite entry so every optimized compile of a
-    # program in this process — build(), the tuner, the verify CLI — sees
-    # the identical Func (same sids, same struct_hash). Keyed on the *raw*
+    # Rule passes mint fresh sids in a shared session, but the whole run
+    # is deterministic in (raw input, backend, target, enabled rules):
+    # memoize it so every optimized compile of a program in this
+    # process — build(), the tuner, the verify CLI — sees the identical
+    # Func (same sids, same struct_hash). Keyed on the *raw*
     # (pre-Schedule) tree so a memo hit skips Schedule construction and
     # its pre-lowering outright. Skipped under the instrumentation env
     # vars, which want every pass to really run.
@@ -67,12 +69,11 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
                          repr(target.cache_key()), ",".join(enabled)))
     if not instrumented:
         t0 = time.perf_counter()
-        cached = composite_cache_lookup("autosched", memo_key)
+        cached = _MEMO.get(memo_key)
         if cached is not None:
-            dt = time.perf_counter() - t0
-            metrics.record_pass_run("autosched", dt, True)
             if times is not None:
-                times["autosched"] = times.get("autosched", 0.0) + dt
+                times["autosched"] = times.get("autosched", 0.0) + \
+                    time.perf_counter() - t0
             return cached
     s = Schedule(program_or_func)
     rules = (
@@ -93,14 +94,13 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
 
         return run
 
-    rule_passes = [Pass("auto_" + key, rule_pass(fn, args),
-                        cacheable=False)
+    rule_passes = [Pass("auto_" + key, rule_pass(fn, args))
                    for key, fn, args in rules if key in enabled]
     tail = build_pipeline(backend=backend or "pycode", target=target)
     pipe = Pipeline(rule_passes + tail.passes, name="autosched")
     out = pipe.run(s.func, times=times)
     if not instrumented:
-        composite_cache_store("autosched", memo_key, out)
+        _MEMO.put(memo_key, out)
     return out
 
 

@@ -76,7 +76,7 @@ class CandidateScreen:
         # Estimate the standard-lowered tree, not the raw candidate: the
         # backend compiles post-make_reduction/simplify IR, and vectorize
         # feasibility (BackendCaps.vec_feasible) depends on those forms.
-        # The per-pass cache shares this lowering with the subsequent
+        # The lowering memo shares this lowering with the subsequent
         # build of any candidate that survives screening.
         from ...analysis.cost import estimate_cost
         from ...errors import FreeTensorError

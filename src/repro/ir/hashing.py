@@ -1,10 +1,11 @@
 """Stable structural hashing of IR trees.
 
 The compile-path caches (the build cache in ``repro.runtime.driver``, the
-lowering memo in ``repro.passes`` and the incremental dependence analysis in
-``repro.analysis.deps``) all need a cheap, *content-addressed* identity for
-IR subtrees: two trees that would compile to the same artifact must hash
-equal, and any semantic difference must change the hash.
+lowering memo in ``repro.pipeline.manager`` and the incremental
+dependence analysis in ``repro.analysis.deps``) all need a cheap,
+*content-addressed* identity for IR subtrees: two trees that would
+compile to the same artifact must hash equal, and any semantic
+difference must change the hash.
 
 Two flavours are provided:
 

@@ -9,7 +9,7 @@ subtree with its input. Rebuilt statements keep their ``sid`` and
 later transformations.
 
 Because subtrees are shared — between a rewrite's input and output, with
-the pass cache and with parent schedules — no node is written after it is
+the lowering memo and with parent schedules — no node is written after it is
 built: a rewrite that changes a node constructs a new one.
 """
 

@@ -1,8 +1,8 @@
 """Lowering passes applied between staging and code generation.
 
 The individual transformations live here; the *sequence* they run in is
-owned by the pass manager (``repro.pipeline``), which adds per-pass
-caching, timing and instrumentation. ``lower()`` remains the stable
+owned by the pass manager (``repro.pipeline``), which adds the lowering
+memo, per-pass timing and instrumentation. ``lower()`` remains the stable
 convenience entry for "run the standard lowering pipeline".
 """
 
@@ -19,9 +19,9 @@ def lower(func):
     reductions, fold/simplify expressions and control flow, and drop dead
     writes.
 
-    Equivalent to ``repro.pipeline.lowering_pipeline().run(func)`` —
-    results are served pass-by-pass from the content-addressed per-pass
-    cache (disable with ``REPRO_NO_MEMO=1``).
+    Equivalent to ``repro.pipeline.lowering_pipeline().run(func)`` — a
+    tree already lowered in this process is served from the pass
+    manager's lowering memo (disable with ``REPRO_NO_MEMO=1``).
     """
     from ..pipeline import lowering_pipeline
 

@@ -31,27 +31,20 @@ from ..ir import Func
 from .legalize import (LEGALIZATION_PASSES, declared_legalization,
                        legalization_passes, legalize, simd_body_ok,
                        suppress_illegal_simd)
-from .manager import (Pass, Pipeline, clear_pass_cache, pass_cache_stats)
-
-#: the standard lowering sequence (no scheduling decisions): flatten
-#: statement sequences, canonicalise self-updates into reductions,
-#: fold/simplify expressions and control flow, and drop dead writes.
-STANDARD_LOWERING = ("flatten", "make_reduction", "simplify", "cleanup")
+from .manager import (STANDARD_LOWERING, Pass, Pipeline, clear_pass_cache,
+                      pass_cache_stats)
 
 
 #: standard pass name -> (module, function), imported per name on first
 #: use. "codegen_prep" is "flatten" under a distinct name — the final
 #: normalization after legalization rewrites, right before the code
-#: generator; "cost_model" is an identity analysis pass that estimates
-#: the static cost of the tree at its point in the pipeline.
+#: generator.
 _PASS_FNS = {
     "flatten": ("..passes.flatten", "flatten_stmt_seq"),
     "make_reduction": ("..passes.make_reduction", "make_reduction"),
     "simplify": ("..passes.simplify_pass", "simplify"),
     "cleanup": ("..passes.cleanup", "remove_dead_writes"),
-    "prune": ("..passes.prune", "prune_branches"),
     "codegen_prep": ("..passes.flatten", "flatten_stmt_seq"),
-    "cost_model": ("..analysis.cost", "cost_model_pass"),
 }
 
 
@@ -62,12 +55,10 @@ def _pass_fn(name: str):
 
 def named_pass(name: str) -> Pass:
     """Construct a standard pass by name (``flatten``, ``make_reduction``,
-    ``simplify``, ``cleanup``, ``prune``, ``codegen_prep``,
-    ``cost_model``, or any registered legalization pass)."""
+    ``simplify``, ``cleanup``, ``codegen_prep``, or any registered
+    legalization pass)."""
     if name in _PASS_FNS:
-        # cost_model is wanted for its side effect (the recorded
-        # estimate); a pass-cache hit would skip the analysis entirely
-        return Pass(name, _pass_fn(name), cacheable=(name != "cost_model"))
+        return Pass(name, _pass_fn(name))
     if name in LEGALIZATION_PASSES:
         return Pass(name, LEGALIZATION_PASSES[name])
     raise ValueError(
@@ -88,7 +79,7 @@ def lowering_pipeline(name: str = "lower") -> Pipeline:
     """The standard lowering pipeline (what ``repro.passes.lower`` runs).
 
     Pipelines are stateless between runs, so instances are shared by
-    ``name``; the per-pass cache is shared across all of them regardless.
+    ``name``; the lowering memo is shared across all of them regardless.
     """
     pipe = _PIPELINES.get(name)
     if pipe is None:
@@ -132,7 +123,7 @@ def compile_ir(func: Func, backend: str = "pycode", target=None,
     ``optimize``): one ``"compile"`` record in the persistent store (an
     identity marker when compiling gave the tree back), looked up before
     the scheduler or any pass is imported. A hit's time goes under the
-    name a pass-cache hit would use.
+    name of the last pass it stands for.
     """
     from ..autosched.target import default_target
     from ..backend import backend_cache_tag
@@ -143,7 +134,6 @@ def compile_ir(func: Func, backend: str = "pycode", target=None,
     disk = product_store()
     if disk is not None:
         from ..cache.serial import canonical_key, decode_entry, encode_entry
-        from ..runtime import metrics
 
         t0 = time.perf_counter()
         canon, sids = canonical_key(func)
@@ -155,10 +145,9 @@ def compile_ir(func: Func, backend: str = "pycode", target=None,
             name = "autosched" if optimize else \
                 "codegen_prep" if declared_legalization(backend) else \
                 STANDARD_LOWERING[-1]
-            dt = time.perf_counter() - t0
-            metrics.record_pass_run(name, dt, True)
             if times is not None:
-                times[name] = times.get(name, 0.0) + dt
+                times[name] = times.get(name, 0.0) + \
+                    time.perf_counter() - t0
             return out
     if optimize:
         from ..autosched import auto_schedule

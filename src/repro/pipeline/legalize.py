@@ -99,22 +99,8 @@ def declared_legalization(backend: str) -> Tuple[str, ...]:
 
 
 def legalization_passes(backend: str) -> List[Pass]:
-    """Pass objects for ``backend``'s declared legalization sequence.
-
-    Each Pass carries the backend's ``caps_version`` in its cache
-    ``key`` (``name@version``), so bumping the version on a Backend
-    invalidates cached pipeline chains that ran its legalization while
-    leaving the shared standard-lowering prefix untouched.
-    """
-    from ..backend import find_backend
-
-    b = find_backend(backend)
-    version = b.caps_version if b is not None else None
-    out = []
-    for n in declared_legalization(backend):
-        key = f"{n}@{version}" if version is not None else n
-        out.append(Pass(n, _pass_impl(n), key=key))
-    return out
+    """Pass objects for ``backend``'s declared legalization sequence."""
+    return [Pass(n, _pass_impl(n)) for n in declared_legalization(backend)]
 
 
 def legalize(func: Func, backend: str) -> Func:

@@ -6,16 +6,14 @@ auto-scheduler, ``grad()``'s forward/backward lowering, and the
 it, instead of calling lowering passes ad hoc. Centralising the pass
 sequence buys three things at once:
 
-- **per-pass caching**: each pass's output is memoized under a chain
-  key — the sid-inclusive content hash of the pipeline's input extended
-  by the names of the passes applied since — so a pipeline whose prefix
-  already ran is served from the cache pass by pass. This subsumes the
-  old whole-``lower()`` memo at the same cost: warm or cold, a chain
-  hashes its input exactly once;
-- **per-pass instrumentation**: wall-clock per pass (cumulative process
-  counters in ``repro.runtime.metrics.pipeline_stats()`` and per-build
-  timings in ``Executable.compile_times``), IR snapshots with unified
-  diffs after every pass (``REPRO_DUMP_IR=<dir>``), and between-pass
+- **one lowering memo**: a pipeline that begins with the standard
+  lowering (``STANDARD_LOWERING``) serves that prefix from an in-process
+  memo keyed by the sid-inclusive content hash of its input, so
+  ``Schedule``, ``lower()``, ``grad()`` and ``build()`` lower a given
+  tree once per process between them. Every other pass just runs;
+- **per-pass instrumentation**: wall-clock per pass (per-build timings
+  in ``Executable.compile_times``), IR snapshots with unified diffs
+  after every pass (``REPRO_DUMP_IR=<dir>``), and between-pass
   verification that attributes any *new* error diagnostic to the pass
   that introduced it (``REPRO_VERIFY_EACH_PASS=1``);
 - **target-aware composition**: backends declare the legalization passes
@@ -23,12 +21,12 @@ sequence buys three things at once:
   the builders in ``repro.pipeline`` append them, so codegen never
   special-cases IR shapes it cannot emit.
 
-The per-pass cache is in-process only. What outlives the process is one
+The lowering memo is in-process only. What outlives the process is one
 *product record* per public compile entry point (``compile_ir()``, the C
 backend's native index, ``grad()``) in the persistent store of
 ``repro.cache`` (:func:`product_store`; docs/PERFORMANCE.md).
 
-Escape hatches: ``REPRO_NO_MEMO=1`` disables the per-pass cache (with
+Escape hatches: ``REPRO_NO_MEMO=1`` disables the lowering memo (with
 every other in-process memo, and the product records);
 ``REPRO_NO_DISK_CACHE=1`` disables the persistent store only.
 """
@@ -44,43 +42,26 @@ from ..errors import VerificationError
 from ..ir import Func, dump, struct_hash
 from ..state import BoundedMemo, Counters, memos_enabled
 
-#: content-addressed per-pass result cache:
-#: ``(pass name, chain key) -> output Func``, where the chain key is the
-#: sid-inclusive struct-hash of the pipeline's input joined with the
-#: names of the cacheable passes already applied to it. Passes are
-#: deterministic and sid-preserving, so the output of pass *k* is a pure
-#: function of (input tree, passes 1..k) — deriving keys from the chain
-#: instead of hashing every intermediate tree keeps a cold pipeline at
-#: exactly one hash of its input (the tuner compiles hundreds of unique
-#: candidate schedules; hashing after every pass was measurably slower).
-#: Only the *terminal* output of each run's cacheable segment is stored —
-#: one retained tree per compiled program, like the old whole-``lower()``
-#: memo (keeping every intermediate measurably slowed the tuner through
-#: gc pressure alone) — and a warm run jumps to the deepest pass in its
-#: chain with an entry. Every consumer treats pass outputs as immutable
-#: (schedules rebuild, never mutate in place), so sharing outputs across
-#: callers is safe. Hashes are sid-inclusive because statement addressing
-#: must stay identical to a fresh run — schedules target statements by
-#: sid afterwards.
-_PASS_CACHE = BoundedMemo("passes", 512)
+#: the standard lowering sequence (no scheduling decisions): flatten
+#: statement sequences, canonicalise self-updates into reductions,
+#: fold/simplify expressions and control flow, and drop dead writes.
+STANDARD_LOWERING = ("flatten", "make_reduction", "simplify", "cleanup")
 
-class _PassCounters(Counters):
-    """Hit/miss counters of the per-pass result cache (cumulative;
-    surviving ``clear_pass_cache``); a reset also empties their per-pass
-    breakdown, the rows of ``metrics.pipeline_stats()``."""
+#: the lowering memo: sid-inclusive struct-hash of a pipeline's input ->
+#: its standard lowering. Passes are deterministic and sid-preserving, so
+#: the lowering is a pure function of the input tree; hashes include
+#: sids because schedules address statements by sid afterwards. Every
+#: consumer treats the shared output as immutable (schedules rebuild,
+#: never mutate in place).
+_LOWERED = BoundedMemo("lowering", 512)
 
-    def reset(self):
-        from ..runtime import metrics
+#: ``misses`` counts pass executions, ``hits`` passes served from the
+#: lowering memo; ``disk_hits`` is declared, and stays 0 (the memo is
+#: in-process only), because the end-to-end benchmark's compile child
+#: reads the key
+_STATS = Counters("passes", hits=0, misses=0, disk_hits=0)
 
-        super().reset()
-        metrics._PIPELINE_STATS.clear()
-
-
-#: ``disk_hits`` is declared, and stays 0 (this cache is in-process only),
-#: because the frozen benchmark child reads the key
-_STATS = _PassCounters("passes", hits=0, misses=0, disk_hits=0)
-
-clear_pass_cache = _PASS_CACHE.clear
+clear_pass_cache = _LOWERED.clear
 pass_cache_stats = _STATS.snapshot
 
 #: monotonic index for REPRO_DUMP_IR run directories (no timestamps: runs
@@ -91,7 +72,7 @@ _DUMP_COUNTER = itertools.count()
 def instrumentation() -> Tuple[str, bool]:
     """``(dump_dir, verify_each_pass)`` from ``REPRO_DUMP_IR`` and
     ``REPRO_VERIFY_EACH_PASS``. Either one asks for every pass to really
-    execute (so nothing may be served from a cache)."""
+    execute (so nothing may be served from a memo)."""
     env = os.environ
     return (env.get("REPRO_DUMP_IR", ""),
             env.get("REPRO_VERIFY_EACH_PASS", "") == "1")
@@ -108,57 +89,21 @@ def product_store():
     return get_store()
 
 
-def composite_cache_lookup(name: str, key: str) -> Optional[Func]:
-    """Look up a composite (whole-sub-pipeline) result under pass-cache
-    entry ``(name, key)``; returns the Func or None.
-
-    The auto-scheduler memoizes its entire run this way: its rule passes
-    are individually uncacheable (they share one Schedule session and
-    mint fresh sids per run), but the run as a whole is deterministic in
-    its input, so serving the stored object keeps repeated optimized
-    compiles of one program — build(), then the verify CLI — bit-identical
-    down to sids.
-    """
-    if not memos_enabled():
-        return None
-    entry = _PASS_CACHE.get((name, key))
-    _STATS.add("misses" if entry is None else "hits")
-    return entry
-
-
-def composite_cache_store(name: str, key: str, func: Func):
-    _PASS_CACHE.put((name, key), func)
-
-
 class Pass:
     """One named IR-to-IR transformation step.
 
     ``fn`` takes a :class:`~repro.ir.Func` and returns a new Func; it
     must be deterministic, sid-preserving, and must not mutate its input.
-    ``cacheable=False`` marks passes whose output depends on state beyond
-    the input tree — the auto-scheduler's rule passes share a mutable
-    Schedule session, for example — so they always run.
-
-    ``key`` is the identity the cache chains use for this pass (default:
-    the name). Backend legalization passes set ``key`` to
-    ``name@caps_version`` so bumping a backend's declared version
-    invalidates cached chains through its legalization, while ``name``
-    stays clean for timings and metrics — and the standard-lowering
-    prefix of the chain remains shared across backends.
     """
 
-    __slots__ = ("name", "fn", "cacheable", "key")
+    __slots__ = ("name", "fn")
 
-    def __init__(self, name: str, fn: Callable[[Func], Func],
-                 cacheable: bool = True, key: Optional[str] = None):
+    def __init__(self, name: str, fn: Callable[[Func], Func]):
         self.name = name
         self.fn = fn
-        self.cacheable = cacheable
-        self.key = key if key is not None else name
 
     def __repr__(self):  # pragma: no cover
-        tag = "" if self.cacheable else ", uncacheable"
-        return f"Pass({self.name}{tag})"
+        return f"Pass({self.name})"
 
 
 class Pipeline:
@@ -175,6 +120,10 @@ class Pipeline:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate pass names in pipeline: {names}")
         self.name = name
+        #: whether the run starts with the standard lowering, which the
+        #: lowering memo serves
+        self.lowers = tuple(names[:len(STANDARD_LOWERING)]) == \
+            STANDARD_LOWERING
 
     def pass_names(self) -> List[str]:
         return [p.name for p in self.passes]
@@ -188,94 +137,44 @@ class Pipeline:
 
         ``times``, when given, accumulates per-pass wall-clock seconds
         under each pass's name (this is what ``Executable.compile_times``
-        carries for a cold build).
+        carries for a cold build); a memo hit's lookup time goes under
+        the last lowering pass.
         """
-        from ..runtime import metrics
-
         dump_dir, verify_each_pass = instrumentation()
         snap = _Snapshotter(dump_dir, self, func) if dump_dir else None
         baseline: Optional[Set[tuple]] = None
         if verify_each_pass:
             baseline = _error_keys(func)
+        cur, passes, key = func, self.passes, None
         # Instrumented runs want every pass to really execute (snapshots
         # diff pass outputs; per-pass verification attributes findings),
-        # so they bypass cache lookups entirely.
-        instrumented = snap is not None or baseline is not None
-        use_cache = memos_enabled() and not instrumented
-
-        def live(p: Pass, cur: Func, counted: bool) -> Func:
-            nonlocal baseline
+        # so they bypass the memo.
+        n = len(STANDARD_LOWERING)
+        if self.lowers and memos_enabled() and not (dump_dir or
+                                                     verify_each_pass):
+            key = struct_hash(func, include_sids=True)
             t0 = time.perf_counter()
-            out = p.fn(cur)
+            lowered = _LOWERED.get(key)
+            if lowered is not None:
+                _STATS.add("hits", n)
+                if times is not None:
+                    for name in STANDARD_LOWERING:
+                        times[name] = times.get(name, 0.0)
+                    times[STANDARD_LOWERING[-1]] += time.perf_counter() - t0
+                cur, passes, key = lowered, passes[n:], None
+        for i, p in enumerate(passes):
+            t0 = time.perf_counter()
+            cur = p.fn(cur)
             dt = time.perf_counter() - t0
-            if counted:
-                _STATS.add("misses")
-            metrics.record_pass_run(p.name, dt, False)
+            _STATS.add("misses")
             if times is not None:
                 times[p.name] = times.get(p.name, 0.0) + dt
             if snap is not None:
-                snap.take(p.name, out)
+                snap.take(p.name, cur)
             if baseline is not None:
-                baseline = self._check_pass(p, out, baseline)
-            return out
-
-        cur = func
-        n = len(self.passes)
-        i = 0
-        # The chain anchors at a struct-hash of the current tree and
-        # extends by pass name: pass outputs are pure functions of
-        # (anchor tree, passes since), so no intermediate tree is ever
-        # hashed. An uncacheable pass (output depends on state beyond
-        # the input tree) invalidates the anchor; the next cacheable
-        # pass re-hashes.
-        chain: Optional[str] = None
-        while i < n:
-            p = self.passes[i]
-            if not (use_cache and p.cacheable):
-                cur = live(p, cur, False)
-                chain = None
-                i += 1
-                continue
-            if chain is None:
-                chain = struct_hash(cur, include_sids=True)
-            # the contiguous cacheable segment starting here, with each
-            # pass's chain key
-            j = i
-            keys = []
-            ch = chain
-            while j < n and self.passes[j].cacheable:
-                keys.append((self.passes[j].key, ch))
-                ch = ch + "|" + self.passes[j].key
-                j += 1
-            # serve from the deepest pass in the segment with an entry
-            t0 = time.perf_counter()
-            hit_idx = None
-            for k in range(j - 1, i - 1, -1):
-                out = _PASS_CACHE.get(keys[k - i])
-                if out is not None:
-                    hit_idx = k
-                    break
-            if hit_idx is not None:
-                dt = time.perf_counter() - t0
-                _STATS.add("hits", hit_idx - i + 1)
-                for k in range(i, hit_idx + 1):
-                    name = self.passes[k].name
-                    d = dt if k == hit_idx else 0.0
-                    metrics.record_pass_run(name, d, True)
-                    if times is not None:
-                        times[name] = times.get(name, 0.0) + d
-                cur = out
-                chain = keys[hit_idx - i][1] + "|" + \
-                    self.passes[hit_idx].key
-                i = hit_idx + 1
-                continue
-            # cold segment: run it live, store only its terminal output
-            # (one retained tree per program, like the old lower() memo)
-            for k in range(i, j):
-                cur = live(self.passes[k], cur, True)
-            _PASS_CACHE.put(keys[j - 1 - i], cur)
-            chain = ch
-            i = j
+                baseline = self._check_pass(p, cur, baseline)
+            if key is not None and i == n - 1:
+                _LOWERED.put(key, cur)
         return cur
 
     def _check_pass(self, p: Pass, out: Func,

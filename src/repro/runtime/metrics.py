@@ -43,31 +43,6 @@ LINE = 64
 # or picks the key; everything else is ``TABLE.add(key)`` at the site.
 # ---------------------------------------------------------------------------
 
-#: per pass name: cumulative runs, per-pass cache hits, wall-clock seconds
-#: (see repro.pipeline and docs/ARCHITECTURE.md); the key set is open, so
-#: these rows ride beside the ``passes`` table, whose reset empties them
-_PIPELINE_STATS: Dict[str, Dict[str, float]] = {}
-
-
-def record_pass_run(name: str, seconds: float, cache_hit: bool):
-    """Account one pipeline pass execution (or cache-served skip)."""
-    row = _PIPELINE_STATS.get(name)
-    if row is None:
-        row = _PIPELINE_STATS[name] = {"runs": 0, "cache_hits": 0,
-                                       "time_s": 0.0}
-    row["runs"] += 1
-    if cache_hit:
-        row["cache_hits"] += 1
-    row["time_s"] += seconds
-
-
-def pipeline_stats() -> Dict[str, Dict[str, float]]:
-    """Cumulative per-pass pipeline counters for this process: number of
-    runs, per-pass cache hits among them, and total wall-clock seconds
-    (cache-served runs contribute only their lookup time)."""
-    return {name: dict(row) for name, row in _PIPELINE_STATS.items()}
-
-
 #: persistent (on-disk) compile-cache counters (see repro.cache and
 #: docs/PERFORMANCE.md): IR entry hits/misses with lookup/store latency,
 #: native-artifact (.so) reuse vs fresh gcc runs

@@ -36,8 +36,8 @@ class Schedule:
         else:
             raise TypeError("Schedule needs a Program or Func")
         # normalise through the standard lowering Pipeline before any
-        # transformation: per-pass cache makes repeat sessions over the
-        # same program (tuner rounds) effectively free
+        # transformation: its lowering memo makes repeat sessions over
+        # the same program (tuner rounds) effectively free
         from ..pipeline import lowering_pipeline
 
         self.func = lowering_pipeline(name="schedule").run(func)

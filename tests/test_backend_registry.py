@@ -184,16 +184,6 @@ class TestLegalization:
         assert declared_legalization("pycode") == ()
         assert declared_legalization("npblock") == ("npblock_vectorize",)
 
-    def test_legalization_pass_keys_versioned(self):
-        from repro.pipeline.legalize import legalization_passes
-
-        passes = legalization_passes("c")
-        assert [p.name for p in passes] == ["simd_suppress"]
-        # the cache chain sees name@caps_version; timings see the name
-        assert passes[0].key == "simd_suppress@1"
-        nb = legalization_passes("npblock")
-        assert nb[0].key == "npblock_vectorize@1"
-
 
 class TestMeasurementNaming:
 

@@ -395,37 +395,36 @@ class TestBoundedMemos:
         build(func, backend="pycode")
         estimate_cost(func)
         batch_axis_prepend(func)
-        assert {"omega", "deps", "passes", "build", "cost", "batching"} \
+        assert {"omega", "deps", "lowering", "build", "cost", "batching"} \
             <= set(state._MEMOS)
         filled = [n for n, m in state._MEMOS.items() if len(m)]
-        assert {"passes", "build", "cost", "batching"} <= set(filled)
+        assert {"lowering", "build", "cost", "batching"} <= set(filled)
         ft.clear_compile_caches()
         assert [n for n, m in state._MEMOS.items() if len(m)] == []
 
-    def test_pass_cache_keeps_the_newest(self):
-        from repro.pipeline import manager
+    def test_pass_cache_keeps_the_newest(self, monkeypatch):
+        # the auto-scheduler's whole-run memo
+        from repro.autosched import rules
 
-        manager.clear_pass_cache()
-        limit = manager._PASS_CACHE.limit
-        func = make_program().func
-        for k in range(limit + 8):
-            manager.composite_cache_store("unit", str(k), func)
-        assert len(manager._PASS_CACHE) == limit
-        assert manager.composite_cache_lookup("unit", "7") is None
-        assert manager.composite_cache_lookup("unit", "8") is func
-        assert manager.composite_cache_lookup(
-            "unit", str(limit + 7)) is func
+        rules._MEMO.clear()
+        monkeypatch.setattr(rules._MEMO, "limit", 2)
+        funcs = [make_program().func for _ in range(3)]  # distinct sids
+        outs = [rules.auto_schedule(f) for f in funcs]
+        assert len(rules._MEMO) == 2
+        assert rules.auto_schedule(funcs[2]) is outs[2]
+        assert rules.auto_schedule(funcs[1]) is outs[1]
+        assert rules.auto_schedule(funcs[0]) is not outs[0]
 
     def test_pipeline_run_past_the_limit(self, monkeypatch):
         from repro.pipeline import lowering_pipeline, manager
 
         manager.clear_pass_cache()
-        monkeypatch.setattr(manager._PASS_CACHE, "limit", 4)
+        monkeypatch.setattr(manager._LOWERED, "limit", 4)
         pipe = lowering_pipeline()
         funcs = [make_program().func for _ in range(6)]  # distinct sids
         for f in funcs:
             pipe.run(f)
-        assert len(manager._PASS_CACHE) == 4
+        assert len(manager._LOWERED) == 4
         hits = manager.pass_cache_stats()["hits"]
         pipe.run(funcs[-1])  # newest: still served from memory
         assert manager.pass_cache_stats()["hits"] > hits
@@ -496,7 +495,6 @@ class TestStatsRegistry:
         metrics.record_serving_submit("t", "admitted")
         metrics.record_serving_batch(3, pad_elements=2)
         metrics.record_serving_responses("t", "ok", [0.25])
-        assert metrics.pipeline_stats()
         assert metrics.serving_stats()["latency_samples"] == 1
         assert ft.stats("serving") == metrics.serving_stats()
         assert ft.stats("tuner")["best_trace"] == [{"step": "split"}]
@@ -517,7 +515,6 @@ class TestStatsRegistry:
         assert serving["per_tenant"] == {}
         assert serving["latency_samples"] == 0
         assert metrics.tuner_stats()["best_trace"] is None
-        assert metrics.pipeline_stats() == {}
 
     def test_compile_cache_stats_in_a_fresh_interpreter(self):
         # the frozen benchmark subtracts two snapshots key by key, the

@@ -178,16 +178,6 @@ class TestEstimate:
         st = metrics.cost_stats()
         assert st["analyses"] == 2 and st["memo_hits"] == 1
 
-    def test_pipeline_pass(self):
-        from repro.pipeline import Pipeline, named_pass
-
-        p = named_pass("cost_model")
-        assert not p.cacheable  # a cache hit would skip the analysis
-        metrics.reset_cost_stats()
-        out = Pipeline([p], name="cost-only").run(_axpy.func)
-        assert out is _axpy.func
-        assert metrics.cost_stats()["analyses"] == 1
-
     def test_scalar_env_replaces_assumed_trips(self):
         @ft.transform
         def f(x: ft.Tensor[("n",), "f32", "input"]):

@@ -1,5 +1,5 @@
 """Unit tests for the pass-manager compilation pipeline
-(``repro.pipeline``): pass ordering, per-pass caching, instrumentation
+(``repro.pipeline``): pass ordering, the lowering memo, instrumentation
 (REPRO_DUMP_IR snapshots, REPRO_VERIFY_EACH_PASS attribution), backend
 legalization, and the differential guarantee that the pipeline produces
 the same IR as the pre-pipeline ad-hoc lowering sequence.
@@ -21,8 +21,18 @@ from repro.pipeline import (Pass, Pipeline, STANDARD_LOWERING,
                             lowering_passes, lowering_pipeline, named_pass,
                             pass_cache_stats, suppress_illegal_simd)
 from repro.runtime.driver import build
-from repro.runtime.metrics import pipeline_stats
 from repro.workloads import ALL
+
+
+def make_square_program():
+    @ft.transform
+    def f(b: ft.Tensor[("n", "m"), "f32", "input"],
+          a: ft.Tensor[("n", "m"), "f32", "output"]):
+        for i in range(b.shape(0)):
+            for j in range(b.shape(1)):
+                a[i, j] = b[i, j] * b[i, j] + 1.0
+
+    return f
 
 
 def make_program():
@@ -63,8 +73,8 @@ class TestPassOrdering:
 
             return fn
 
-        pipe = Pipeline([Pass(n, rec(n), cacheable=False)
-                         for n in ("a", "b", "c")], name="t")
+        pipe = Pipeline([Pass(n, rec(n)) for n in ("a", "b", "c")],
+                        name="t")
         pipe.run(make_program().func)
         assert trace == ["a", "b", "c"]
 
@@ -79,6 +89,9 @@ class TestPassOrdering:
 
 
 class TestPassCache:
+    """The one pass-manager memo: a pipeline that begins with the
+    standard lowering serves it from the lowering memo; every other pass
+    runs, and counts as a miss."""
 
     def test_second_run_hits_every_pass(self):
         clear_pass_cache()
@@ -87,13 +100,13 @@ class TestPassCache:
         before = pass_cache_stats()
         out1 = pipe.run(func)
         mid = pass_cache_stats()
-        assert mid["misses"] - before["misses"] == len(pipe.passes)
+        assert mid["misses"] - before["misses"] == len(STANDARD_LOWERING)
         assert mid["hits"] == before["hits"]
         out2 = pipe.run(func)
         after = pass_cache_stats()
-        assert after["hits"] - mid["hits"] == len(pipe.passes)
+        assert after["hits"] - mid["hits"] == len(STANDARD_LOWERING) == 4
         assert after["misses"] == mid["misses"]
-        # a full-chain hit returns the identical cached object
+        # a hit returns the identical memoized object
         assert out1 is out2
 
     def test_cache_shared_across_pipeline_names(self):
@@ -105,23 +118,36 @@ class TestPassCache:
         after = pass_cache_stats()
         assert out1 is out2
         assert after["misses"] == before["misses"]
+        # a build pipeline is served the lowering, then runs the rest
+        build_pipeline("c").run(func)
+        assert pass_cache_stats()["hits"] - after["hits"] == 4
+        assert pass_cache_stats()["misses"] - after["misses"] == 2
 
     def test_env_hatches_bypass_cache(self, monkeypatch):
         clear_pass_cache()
         func = make_program().func
         monkeypatch.setenv("REPRO_NO_MEMO", "1")
         pipe = lowering_pipeline()
+        hits = pass_cache_stats()["hits"]
         assert pipe.run(func) is not pipe.run(func)
+        assert pass_cache_stats()["hits"] == hits
 
-    def test_uncacheable_pass_always_runs(self):
+    def test_rule_passes_always_run(self):
         clear_pass_cache()
-        runs = []
-        pipe = Pipeline([Pass("probe", lambda f: (runs.append(1), f)[1],
-                              cacheable=False)], name="t")
         func = make_program().func
-        pipe.run(func)
-        pipe.run(func)
+        lowered = lowering_pipeline().run(func)
+        runs = []
+        probe = Pass("auto_probe", lambda f: (runs.append(1), f)[1])
+        pipe = Pipeline([probe] + lowering_passes(), name="t")
+        before = pass_cache_stats()
+        pipe.run(lowered)
+        pipe.run(lowered)
+        after = pass_cache_stats()
+        # a pipeline that does not begin with the lowering consults no
+        # memo: every pass, the rule and the lowering, runs and counts
         assert len(runs) == 2
+        assert after["misses"] - before["misses"] == 2 * (1 + 4)
+        assert after["hits"] == before["hits"]
 
     def test_lower_shim_uses_pass_cache(self):
         from repro.passes import lower
@@ -131,17 +157,46 @@ class TestPassCache:
         assert lower(f) is lower(f)
 
     def test_pipeline_stats_exposed(self):
+        # per-pass wall-clock under each pass's name, cold and served
         clear_pass_cache()
-        lowering_pipeline().run(make_program().func)
-        stats = pipeline_stats()
-        for name in STANDARD_LOWERING:
-            assert stats[name]["runs"] >= 1
-            assert stats[name]["time_s"] >= 0.0
-            assert "cache_hits" in stats[name]
+        func = make_program().func
+        for served in (False, True):
+            times = {}
+            lowering_pipeline().run(func, times=times)
+            assert list(times) == list(STANDARD_LOWERING), served
+            assert all(t >= 0.0 for t in times.values())
 
     def test_compile_cache_stats_reports_passes(self):
         stats = ft.compile_cache_stats()
         assert set(stats["passes"]) == {"hits", "misses", "disk_hits"}
+
+    def test_grad_lowering_serves_the_c_build(self):
+        # grad() lowers the forward program it generates; building that
+        # program for C is served the same lowering under another
+        # pipeline name ("ad", then "build-c")
+        from repro.ad import grad
+
+        ft.clear_compile_caches()
+        gp = grad(make_square_program())
+        before = pass_cache_stats()
+        build(gp.fwd, backend="c")
+        build(gp.bwd, backend="c")
+        after = pass_cache_stats()
+        assert after["hits"] - before["hits"] == 4
+        # both C builds run legalization and prep; bwd is lowered too
+        assert after["misses"] - before["misses"] == 2 + 4 + 2
+
+    def test_cold_optimized_build_counts_every_pass(self):
+        ft.clear_compile_caches()
+        before = pass_cache_stats()
+        build(make_program(), backend="c", optimize=True)
+        after = pass_cache_stats()
+        # Schedule's lowering, six rules, then lowering, legalization
+        # and prep
+        rules = 6
+        assert after["misses"] - before["misses"] == \
+            4 + rules + len(build_pipeline("c").passes)
+        assert after["hits"] == before["hits"]
 
 
 class TestDumpIR:
@@ -190,7 +245,7 @@ class TestVerifyEachPass:
     def test_broken_pass_is_pinpointed(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_EACH_PASS", "1")
         clear_pass_cache()
-        broken = Pass("break_stores", _BreakStores(), cacheable=False)
+        broken = Pass("break_stores", _BreakStores())
         pipe = Pipeline(lowering_passes() + [broken], name="sabotaged")
         with pytest.raises(VerificationError) as exc:
             pipe.run(make_program().func)
