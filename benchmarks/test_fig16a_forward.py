@@ -104,7 +104,7 @@ def test_gpu_modeled(benchmark, name):
     single kernel vs the baseline's kernel chain)."""
     from repro.autosched import GPU
     from repro.runtime import build
-    from repro.runtime.metrics import MetricsCollector, V100
+    from repro.runtime.gpusim import Device, V100
 
     mod = MODULES[name]
     data = mod.make_data(**TINY[name])
@@ -112,7 +112,7 @@ def test_gpu_modeled(benchmark, name):
     from repro.autosched import auto_schedule
 
     func = auto_schedule(mod.make_program(), target=GPU)
-    m = MetricsCollector()
+    m = Device(f"{name}-freetensor")
     exe = build(func, backend="gpusim", metrics=m)
     args, kwargs = ft_args(name, data)
 
@@ -121,14 +121,7 @@ def test_gpu_modeled(benchmark, name):
     verify(out, ref)
     ft_t = V100.time(m)
     _outb, _leaves, dev = run_baseline_once(name, data)
-
-    class _Wrap:
-        def as_dict(self):
-            d = dev.as_dict()
-            d.setdefault("l2_bytes", d["dram_bytes"])
-            return d
-
-    base_t = V100.time(_Wrap())
+    base_t = V100.time(dev)
     record("fig16a_forward", name, "gpu_modeled_ft", ft_t)
     record("fig16a_forward", name, "gpu_modeled_baseline", base_t)
     record("fig16a_forward", name, "gpu_kernels_ft", m.kernels)

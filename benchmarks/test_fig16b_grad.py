@@ -98,7 +98,7 @@ def test_longformer_baseline_oom_on_limited_gpu(benchmark):
 
     # FreeTensor's fwd+tape footprint on the same device, statically
     gp = grad(longformer.make_program(), requires=["q", "k", "v"])
-    from repro.runtime.metrics import static_peak_bytes
+    from repro.runtime.gpusim import static_peak_bytes
 
     n, d, w = 2048, 64, 128
     peak = static_peak_bytes(gp.fwd, {"n": n, "d": d, "w": w},

@@ -91,13 +91,13 @@ def test_zz_capacity_case(benchmark):
     """The paper's OOM row: FT(-) must materialise the pixels x faces
     score tensor; on a capacity-limited device only FT(+) runs."""
     from repro.errors import SimulatedOOM
-    from repro.runtime.metrics import DeviceModel, static_peak_bytes
+    from repro.runtime.gpusim import Device, static_peak_bytes
     from repro.workloads import softras
 
     h = w = 96
     m = 256
     capacity = 8 * 2**20  # an 8 MiB "device"
-    device = DeviceModel("tiny", 5e-6, 900e9, 2500e9, 14e12, capacity)
+    device = Device("tiny", capacity_bytes=capacity)
 
     outcomes = {}
     for policy, tag in (("selective", "FT(+)"), ("all", "FT(-)")):
@@ -123,7 +123,8 @@ def test_zz_capacity_case(benchmark):
             tape_bytes += size
         total = peak + tape_bytes
         try:
-            device.check_capacity(total)
+            device.alloc(total)
+            device.free(total)
             outcomes[tag] = "ok"
         except SimulatedOOM:
             outcomes[tag] = "OOM"

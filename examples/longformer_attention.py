@@ -13,10 +13,9 @@ import numpy as np
 
 from repro.ad import GradExecutable, grad
 from repro.autosched import CPU, auto_schedule
-from repro.baselines import Device
 from repro.passes import lower
 from repro.runtime import build
-from repro.runtime.metrics import static_peak_bytes
+from repro.runtime.gpusim import Device, static_peak_bytes
 from repro.workloads import longformer
 
 

@@ -15,10 +15,11 @@ programs:
   until backward, so differentiation multiplies the memory footprint.
 
 Kernels execute on NumPy (the same substrate as the FreeTensor-side
-backends), and every operator reports launches, bytes moved, FLOPs and
-footprint to a :class:`Device`, so the baseline and FreeTensor are
-measured identically (Figure 17) and the simulated-GPU capacity applies to
-both (Figures 16(b)/18).
+backends), and every operator reports its launch, bytes moved, FLOPs and
+footprint to a :class:`repro.runtime.gpusim.Device` — the class the
+simulated GPU charges for FreeTensor's programs — so the baseline and
+FreeTensor are measured identically (Figure 17) and the simulated-GPU
+capacity applies to both (Figures 16(b)/18).
 """
 
 from __future__ import annotations
@@ -28,70 +29,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SimulatedOOM
-
-
-class Device:
-    """An execution device: metrics plus an optional capacity limit."""
-
-    def __init__(self, name: str = "cpu",
-                 capacity_bytes: Optional[int] = None,
-                 launch_overhead_s: float = 0.0):
-        self.name = name
-        self.capacity_bytes = capacity_bytes
-        self.launch_overhead_s = launch_overhead_s
-        self.reset()
-
-    def reset(self):
-        self.kernels = 0
-        self.kernel_names: List[str] = []
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.flops = 0
-        self.current_bytes = 0
-        self.peak_bytes = 0
-
-    # -- accounting -------------------------------------------------------
-    def on_kernel(self, name: str, reads: int, writes: int, flops: int):
-        self.kernels += 1
-        self.kernel_names.append(name)
-        self.bytes_read += reads
-        self.bytes_written += writes
-        self.flops += flops
-
-    def on_alloc(self, nbytes: int):
-        self.current_bytes += nbytes
-        self.peak_bytes = max(self.peak_bytes, self.current_bytes)
-        if self.capacity_bytes is not None and \
-                self.current_bytes > self.capacity_bytes:
-            raise SimulatedOOM(
-                f"{self.name}: out of memory "
-                f"({self.current_bytes / 2**30:.2f} GiB > "
-                f"{self.capacity_bytes / 2**30:.2f} GiB)",
-                requested=self.current_bytes,
-                capacity=self.capacity_bytes)
-
-    def on_free(self, nbytes: int):
-        self.current_bytes -= nbytes
-
-    @property
-    def dram_bytes(self) -> int:
-        return self.bytes_read + self.bytes_written
-
-    def as_dict(self):
-        return {
-            "kernels": self.kernels,
-            "dram_bytes": self.dram_bytes,
-            "flops": self.flops,
-            "peak_bytes": self.peak_bytes,
-        }
-
+from ..runtime.gpusim import Device
 
 _default_device = Device("cpu")
-
-
-def get_default_device() -> Device:
-    return _default_device
 
 
 class _Node:
@@ -118,8 +58,8 @@ class OpTensor:
         self.node = _node
         self.grad: Optional[np.ndarray] = None
         if _counts_alloc:
-            self.device.on_alloc(self.data.nbytes)
-            weakref.finalize(self, self.device.on_free, self.data.nbytes)
+            self.device.alloc(self.data.nbytes)
+            weakref.finalize(self, self.device.free, self.data.nbytes)
 
     # -- metadata -----------------------------------------------------------
     @property
@@ -221,7 +161,8 @@ def _kernel_accounting(device: Device, name: str, reads, writes):
             if x is not None)
     w = sum(int(np.asarray(x).nbytes) for x in writes
             if x is not None)
-    device.on_kernel(name, r, w, 0)
+    device.on_kernel(name)
+    device.on_traffic(r + w)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +191,9 @@ def _op(name: str, inputs: Sequence[OpTensor], out_data: np.ndarray,
     device = inputs[0].device if inputs else _default_device
     reads = sum(t.data.nbytes for t in inputs)
     writes = 0 if is_view else out_data.nbytes
-    device.on_kernel(name, reads, writes, flops)
+    device.on_kernel(name)
+    device.on_traffic(reads + writes)
+    device.on_flop(flops)
     track = any(t.requires_grad or t.node is not None for t in inputs)
     node = _Node(name, inputs, backward_fn) if track and \
         backward_fn is not None else None

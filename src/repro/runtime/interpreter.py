@@ -6,8 +6,8 @@ semantics of the IR, used as the golden reference against which the code
 generators are tested, and as the paper's "Julia"-like *fine-grained but
 unoptimised* execution mode in the benchmarks.
 
-Optionally records access metrics through a :class:`repro.runtime.metrics`
-collector.
+Optionally charges its accesses, FLOPs and footprint to a
+:class:`repro.runtime.gpusim.Device`.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class Interpreter:
             buf = env[e.var]
             idx = tuple(int(ev(i, env)) for i in e.indices)
             if self.metrics is not None:
-                self.metrics.on_read(e.var, buf, idx)
+                self.metrics.on_access(buf, idx)
             if idx:
                 return buf[idx]
             return buf[()] if isinstance(buf, np.ndarray) else buf
@@ -192,13 +192,13 @@ class Interpreter:
             if s.init_data is not None:
                 buf[...] = s.init_data
             if self.metrics is not None:
-                self.metrics.on_alloc(s.name, buf, s.mtype)
+                self.metrics.on_alloc(buf, s.mtype)
             env[s.name] = buf
             try:
                 ex(s.body, env)
             finally:
                 if self.metrics is not None:
-                    self.metrics.on_free(s.name, buf, s.mtype)
+                    self.metrics.on_free(buf, s.mtype)
                 del env[s.name]
             return
         if isinstance(s, S.For):
@@ -225,7 +225,7 @@ class Interpreter:
             if self.ops is not None:
                 self.ops.stores += 1
             if self.metrics is not None:
-                self.metrics.on_write(s.var, buf, idx)
+                self.metrics.on_access(buf, idx)
             buf[idx if idx else ()] = val
             return
         if isinstance(s, S.ReduceTo):
@@ -236,8 +236,7 @@ class Interpreter:
             if self.ops is not None:
                 self.ops.reduces += 1
             if self.metrics is not None:
-                self.metrics.on_read(s.var, buf, idx)
-                self.metrics.on_write(s.var, buf, idx)
+                self.metrics.on_access(buf, idx)
                 self.metrics.on_flop(1)
             if s.op == "+":
                 buf[key] += val

@@ -2,8 +2,8 @@
 
 On this reproduction's substrate the "vendor library" is NumPy's BLAS: a
 :class:`~repro.ir.stmt.LibCall` executes as a single whole-tensor kernel.
-Metrics account it as one kernel launch touching its operands once, which is
-exactly how the paper's baselines behave per operator.
+The device charges it as one kernel launch streaming its operands once,
+which is exactly how the paper's baselines behave per operator.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ def apply_libcall(kind: str, attrs: dict, outs, args, metrics=None):
     """
     if metrics is not None:
         metrics.on_kernel(f"lib.{kind}")
-        for buf in args:
-            metrics.on_bulk_read(buf)
-        for buf in outs:
-            metrics.on_bulk_write(buf)
+        metrics.on_traffic(sum(buf.nbytes for buf in (*args, *outs)
+                               if metrics.charges(buf)))
     if kind == "matmul":
         a, b = args[0], args[1]
         if attrs.get("trans_a"):

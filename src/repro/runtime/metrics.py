@@ -1,39 +1,18 @@
-"""Execution metrics: kernel launches, DRAM/L2 traffic, FLOPs, footprint.
+"""Process-wide counter tables: the disk store, the verifier, the cost
+model, the tuner and its search, the worker pool and the server.
 
-This is the measurement substrate for the paper's Figure 17 (kernel
-invocations, DRAM bytes, L2 bytes, FLOP count) and the OOM outcomes of
-Figures 16(b)/18. The memory-hierarchy model is deliberately simple and
-documented:
-
-- every scalar access to a *global-memory* tensor costs one 32-byte sector
-  at the L2 (adjacent repeated accesses to the same sector by the same
-  access site are merged — a one-entry coalescing buffer);
-- DRAM traffic is 64-byte lines missing in an LRU cache of configurable
-  capacity;
-- accesses to registers / scratchpad (``byvalue``, ``gpu/local``,
-  ``gpu/shared``) are free.
-
-Absolute byte counts are approximations; the paper-level comparisons
-(FreeTensor touching a few percent of the baseline's DRAM traffic) are
-driven by *which* tensors get materialised, which this model captures
-exactly.
+Each table is one group of ``repro.stats()``. The simulated device that
+counts kernels, traffic, FLOPs and footprint for Figures 16-18 lives in
+:mod:`repro.runtime.gpusim`.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Dict, List
 
-import numpy as np
-
-from ..errors import SimulatedOOM
-from ..ir import (AccessType, Expr, For, Func, MemType, Stmt, StmtSeq,
-                  VarDef, collect_stmts)
 from ..state import Counters
-
-SECTOR = 32
-LINE = 64
 
 # ---------------------------------------------------------------------------
 # Process-wide counter tables. Each is a ``repro.state.Counters`` — one
@@ -303,227 +282,3 @@ def _percentile(samples: List[float], q: float) -> float:
     ordered = sorted(samples)
     idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
     return ordered[idx]
-
-
-class MetricsCollector:
-    """Counts events reported by the interpreter / simulated device."""
-
-    def __init__(self, l2_capacity: int = 4 * 1024 * 1024,
-                 count_local: bool = False,
-                 capacity_bytes: Optional[int] = None):
-        #: when set, allocations beyond this raise SimulatedOOM
-        self.capacity_bytes = capacity_bytes
-        self.kernels = 0
-        self.kernel_names: List[str] = []
-        self.l2_bytes = 0
-        self.dram_bytes = 0
-        self.flops = 0
-        self.current_bytes = 0
-        self.peak_bytes = 0
-        self.count_local = count_local
-        self._l2_lines = max(1, l2_capacity // LINE)
-        self._l2: "OrderedDict[tuple, bool]" = OrderedDict()
-        self._last_sector: Dict[tuple, tuple] = {}
-        self._mtypes: Dict[int, MemType] = {}
-
-    # -- kernels -----------------------------------------------------------
-    def on_kernel(self, name: str):
-        self.kernels += 1
-        self.kernel_names.append(name)
-
-    # -- memory ------------------------------------------------------------
-    def _counts(self, buf) -> bool:
-        mt = self._mtypes.get(id(buf))
-        if mt is None:
-            return True  # parameters default to global memory
-        if self.count_local:
-            return True
-        return mt.is_global
-
-    def on_alloc(self, name: str, buf: np.ndarray, mtype: MemType):
-        self._mtypes[id(buf)] = mtype
-        if mtype.is_global:
-            self.current_bytes += buf.nbytes
-            self.peak_bytes = max(self.peak_bytes, self.current_bytes)
-            if self.capacity_bytes is not None and \
-                    self.current_bytes > self.capacity_bytes:
-                raise SimulatedOOM(
-                    f"allocating {name!r} exceeds device capacity",
-                    requested=self.current_bytes,
-                    capacity=self.capacity_bytes)
-
-    def on_free(self, name: str, buf: np.ndarray, mtype: MemType):
-        if mtype.is_global:
-            self.current_bytes -= buf.nbytes
-        self._mtypes.pop(id(buf), None)
-
-    def register_param(self, buf: np.ndarray, mtype: MemType = MemType.CPU):
-        """Count an input/output buffer toward the footprint."""
-        self._mtypes[id(buf)] = mtype
-        if mtype.is_global:
-            self.current_bytes += buf.nbytes
-            self.peak_bytes = max(self.peak_bytes, self.current_bytes)
-
-    def _touch(self, buf: np.ndarray, idx: tuple):
-        if not self._counts(buf):
-            return
-        if idx:
-            off = int(sum(int(i) * s for i, s in zip(idx, buf.strides)))
-        else:
-            off = 0
-        sector = (id(buf), off // SECTOR)
-        if self._last_sector.get(id(buf)) != sector:
-            self._last_sector[id(buf)] = sector
-            self.l2_bytes += SECTOR
-            line = (id(buf), off // LINE)
-            hit = self._l2.pop(line, None)
-            if hit is None:
-                self.dram_bytes += LINE
-                if len(self._l2) >= self._l2_lines:
-                    self._l2.popitem(last=False)
-            self._l2[line] = True
-
-    def on_read(self, name: str, buf, idx):
-        self._touch(buf, idx)
-
-    def on_write(self, name: str, buf, idx):
-        self._touch(buf, idx)
-
-    def on_bulk_read(self, buf: np.ndarray):
-        """A whole-tensor read by a library kernel."""
-        if self._counts(buf):
-            self.l2_bytes += buf.nbytes
-            self.dram_bytes += buf.nbytes  # streaming access
-
-    def on_bulk_write(self, buf: np.ndarray):
-        if self._counts(buf):
-            self.l2_bytes += buf.nbytes
-            self.dram_bytes += buf.nbytes
-
-    # -- compute -------------------------------------------------------------
-    def on_flop(self, n: int = 1):
-        self.flops += n
-
-    # -- reporting ------------------------------------------------------------
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "kernels": self.kernels,
-            "l2_bytes": self.l2_bytes,
-            "dram_bytes": self.dram_bytes,
-            "flops": self.flops,
-            "peak_bytes": self.peak_bytes,
-        }
-
-    def __repr__(self):  # pragma: no cover
-        d = self.as_dict()
-        return "Metrics(" + ", ".join(f"{k}={v}" for k, v in d.items()) \
-            + ")"
-
-
-# ---------------------------------------------------------------------------
-# Static peak-footprint analysis (fast OOM checks for Fig. 16(b) / 18)
-# ---------------------------------------------------------------------------
-
-
-def static_peak_bytes(func: Func, scalar_env: Dict[str, int],
-                      param_bytes: int = 0) -> int:
-    """Peak bytes of stack-scoped tensor storage, computed without running
-    the program.
-
-    Stack scoping makes this exact: the live set at any program point is
-    the chain of enclosing VarDefs, so ``peak = max over tree paths of the
-    sum of VarDef sizes``. Shapes that depend on loop iterators are
-    evaluated at their upper bound. ``param_bytes`` adds caller-allocated
-    input/output storage.
-    """
-    from ..analysis import BoundsCtx, tightest_bounds
-    from .interpreter import Interpreter
-
-    interp = Interpreter()
-
-    def eval_dim(e: Expr, ctx: BoundsCtx) -> int:
-        try:
-            return int(interp.eval_expr(e, dict(scalar_env)))
-        except Exception:
-            pass
-        _lo, up = tightest_bounds(e, ctx, allowed_vars=set(scalar_env))
-        if up is None:
-            raise ValueError(
-                f"cannot bound tensor extent {e!r} statically")
-        return int(interp.eval_expr(up, dict(scalar_env)))
-
-    def walk(s: Stmt, ctx: BoundsCtx) -> int:
-        if isinstance(s, VarDef):
-            size = s.dtype.size_bytes
-            for d in s.shape:
-                size *= max(0, eval_dim(d, ctx))
-            if s.atype is not AccessType.CACHE:
-                size = 0  # parameters are accounted via param_bytes
-            return size + walk(s.body, ctx)
-        if isinstance(s, For):
-            inner_ctx = ctx.with_loop(s.iter_var, s.begin, s.end)
-            return walk(s.body, inner_ctx)
-        peak = 0
-        for c in s.children_stmts():
-            peak = max(peak, walk(c, ctx))
-        return peak
-
-    return param_bytes + walk(func.body, BoundsCtx())
-
-
-# ---------------------------------------------------------------------------
-# Modeled execution time
-# ---------------------------------------------------------------------------
-
-
-class DeviceModel:
-    """An analytical device: launch overhead + bandwidth + throughput.
-
-    ``time = kernels * launch_overhead
-             + max(dram_bytes / dram_bw, l2_bytes / l2_bw,
-                   flops / flops_per_s)``
-
-    The defaults below approximate the paper's testbed (V100-PCIE 32GB and
-    a dual Xeon E5-2670v3); see EXPERIMENTS.md for how modeled time is
-    used next to measured wall-clock.
-    """
-
-    def __init__(self, name: str, launch_overhead_s: float,
-                 dram_bw: float, l2_bw: float, flops_per_s: float,
-                 capacity_bytes: int):
-        self.name = name
-        self.launch_overhead_s = launch_overhead_s
-        self.dram_bw = dram_bw
-        self.l2_bw = l2_bw
-        self.flops_per_s = flops_per_s
-        self.capacity_bytes = capacity_bytes
-
-    def time(self, metrics: MetricsCollector) -> float:
-        m = metrics.as_dict()
-        stream = max(m["dram_bytes"] / self.dram_bw,
-                     m["l2_bytes"] / self.l2_bw,
-                     m["flops"] / self.flops_per_s)
-        return m["kernels"] * self.launch_overhead_s + stream
-
-    def check_capacity(self, peak_bytes: int):
-        if peak_bytes > self.capacity_bytes:
-            raise SimulatedOOM(
-                f"{self.name}: peak footprint {peak_bytes / 2**30:.2f} GiB "
-                f"exceeds capacity "
-                f"{self.capacity_bytes / 2**30:.2f} GiB",
-                requested=peak_bytes, capacity=self.capacity_bytes)
-
-
-V100 = DeviceModel("V100-PCIE-32GB",
-                   launch_overhead_s=5e-6,
-                   dram_bw=900e9,
-                   l2_bw=2500e9,
-                   flops_per_s=14e12,
-                   capacity_bytes=32 * 2**30)
-
-XEON = DeviceModel("Xeon-E5-2670v3-x2",
-                   launch_overhead_s=2e-7,
-                   dram_bw=68e9,
-                   l2_bw=400e9,
-                   flops_per_s=1.7e12,
-                   capacity_bytes=256 * 2**30)

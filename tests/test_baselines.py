@@ -167,16 +167,15 @@ class TestAccounting:
         dev = Device("bytes")
         a = tensor(np.zeros(1000, np.float32), dev)
         dev.reset()
-        _ = a + a
-        assert dev.bytes_read == 2 * 4000
-        assert dev.bytes_written == 4000
+        _ = a + a  # reads a twice, writes the sum
+        assert dev.dram_bytes == dev.l2_bytes == 3 * 4000
 
     def test_views_free(self, rng):
         dev = Device("views")
         a = tensor(np.zeros((10, 10), np.float32), dev)
         dev.reset()
         _ = reshape(a, (100,))
-        assert dev.bytes_written == 0
+        assert dev.dram_bytes == a.data.nbytes  # its read, no write
 
     def test_peak_memory_tracked(self):
         dev = Device("peak")
@@ -188,6 +187,18 @@ class TestAccounting:
         dev = Device("tiny", capacity_bytes=1024)
         with pytest.raises(SimulatedOOM):
             tensor(np.zeros(1 << 16, np.float32), dev)
+
+    def test_reset_keeps_live_footprint(self):
+        dev = Device("reset")
+        a = tensor(np.zeros(1000, np.float32), dev)
+        relu(a)  # one kernel; its output dies at once
+        dev.reset()
+        assert (dev.kernels, dev.dram_bytes) == (0, 0)
+        assert dev.current_bytes == dev.peak_bytes == 4000
+        del a
+        assert dev.current_bytes == 0
+        b = tensor(np.zeros(1000, np.float32), dev)
+        assert dev.current_bytes == dev.peak_bytes == b.data.nbytes
 
     def test_backward_counts_kernels(self, rng):
         dev = Device("bwd")

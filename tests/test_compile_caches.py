@@ -178,13 +178,13 @@ class TestBuildCache:
         assert e1 is not e2
 
     def test_stateful_opts_uncacheable(self):
-        from repro.runtime.metrics import MetricsCollector
+        from repro.runtime.gpusim import Device
 
         clear_build_cache()
         p = make_program()
         before = build_cache_stats()
-        e1 = build(p, backend="interp", metrics=MetricsCollector())
-        e2 = build(p, backend="interp", metrics=MetricsCollector())
+        e1 = build(p, backend="interp", metrics=Device("a"))
+        e2 = build(p, backend="interp", metrics=Device("b"))
         after = build_cache_stats()
         assert e1 is not e2
         assert after["uncacheable"] == before["uncacheable"] + 2

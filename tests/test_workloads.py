@@ -84,9 +84,7 @@ class TestForward:
         data = mod.make_data(**_SMALL[name])
         ref = mod.reference(data)
         func = auto_schedule(mod.make_program(), target=GPU)
-        from repro.runtime.metrics import MetricsCollector
-
-        m = MetricsCollector()
+        m = Device("ft")
         exe = build(func, backend="gpusim", metrics=m)
         args, kwargs = _ft_args(name, data)
         out = exe(*args, **kwargs)
@@ -183,7 +181,7 @@ class TestMemoryBehaviour:
             longformer.run_baseline(data, dev, requires_grad=True)
 
     def test_freetensor_static_peak_is_small(self):
-        from repro.runtime.metrics import static_peak_bytes
+        from repro.runtime.gpusim import static_peak_bytes
 
         prog = longformer.make_program()
         from repro.passes import lower
