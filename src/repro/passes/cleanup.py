@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from typing import Set
 
-from ..ir import (AccessType, Func, Mutator, ReduceTo, StmtSeq, Store,
-                  VarDef, collect_stmts, reads_of, writes_of)
+from ..ir import (AccessType, Assert, For, Func, If, Mutator, ReduceTo,
+                  StmtSeq, Store, VarDef, all_loaded_tensors, collect_stmts,
+                  reads_of, writes_of)
+from .flatten import flatten_stmt_seq
 
 
 def _live_tensors(func) -> Set[str]:
@@ -27,7 +29,7 @@ def _live_tensors(func) -> Set[str]:
         for st in stmts:
             if isinstance(st, (Store, ReduceTo)):
                 for e in st.child_exprs():
-                    srcs.update(_loads_in(e))
+                    srcs.update(all_loaded_tensors(e))
             else:  # LibCall
                 srcs.update(getattr(st, "args", ()))
         producers[name] = srcs
@@ -57,30 +59,19 @@ def _live_tensors(func) -> Set[str]:
     return live
 
 
-def _loads_in(e):
-    from ..ir import Load
-
-    if isinstance(e, Load):
-        yield e.var
-    for c in e.children():
-        yield from _loads_in(c)
-
-
 def _control_reads(func):
     """Tensors read by control flow (loop bounds, conditions, shapes)."""
-    from ..ir import Assert, For, If
-
     out = set()
 
     def walk(s):
         if isinstance(s, For):
             for e in (s.begin, s.end):
-                out.update(_loads_in(e))
+                out.update(all_loaded_tensors(e))
         if isinstance(s, (If, Assert)):
-            out.update(_loads_in(s.cond))
+            out.update(all_loaded_tensors(s.cond))
         if isinstance(s, VarDef):
             for e in s.shape:
-                out.update(_loads_in(e))
+                out.update(all_loaded_tensors(e))
         for c in s.children_stmts():
             walk(c)
 
@@ -121,8 +112,5 @@ def remove_dead_writes(func: Func) -> Func:
                 if n not in live and d.atype is AccessType.CACHE}
         if not dead:
             return func
-        func = _DropWrites(dead)(func)
-        from .flatten import flatten_stmt_seq
-
-        func = flatten_stmt_seq(func)
+        func = flatten_stmt_seq(_DropWrites(dead)(func))
     return func

@@ -1,109 +1,125 @@
-"""Rebuild expressions through folding constructors and prune dead control
-flow (constant conditions, empty or single-iteration loops)."""
+"""Rebuild expressions through folding constructors, canonicalise integer
+``+``/``-``/``*`` as linear forms, and prune dead control flow (constant
+conditions, empty or single-iteration loops)."""
 
 from __future__ import annotations
 
 from ..ir import (BoolConst, Expr, If, IntConst, For, Mutator, Stmt, StmtSeq,
-                  makeAdd, makeCast, makeCmp, makeFloorDiv, makeIfExpr,
-                  makeIntrinsic, makeLAnd, makeLNot, makeLOr, makeMax,
-                  makeMin, makeMod, makeMul, makeRealDiv, makeSub, substitute)
+                  count_nodes, join_dtype, makeAdd, makeCast, makeCmp,
+                  makeIfExpr, makeIntrinsic, makeLNot, makeMul, makeSub,
+                  substitute, wrap_like)
 from ..ir import expr as E
-
-_REBUILD_BIN = {
-    E.Add: makeAdd,
-    E.Sub: makeSub,
-    E.Mul: makeMul,
-    E.RealDiv: makeRealDiv,
-    E.FloorDiv: makeFloorDiv,
-    E.Mod: makeMod,
-    E.Min: makeMin,
-    E.Max: makeMax,
-    E.LAnd: makeLAnd,
-    E.LOr: makeLOr,
-}
+from ..polyhedral.build import Linear, combine, scale
+from .flatten import flatten_stmt_seq
 
 
-def _linearize(e: Expr):
-    """Decompose an integer expression into (const, {atom_key: (coeff,
-    atom_expr)}); atoms are maximal non-linear subtrees."""
-    if isinstance(e, E.IntConst):
-        return e.val, {}
-    if isinstance(e, E.Add):
-        c1, t1 = _linearize(e.lhs)
-        c2, t2 = _linearize(e.rhs)
-        return c1 + c2, _merge_terms(t1, t2, 1)
-    if isinstance(e, E.Sub):
-        c1, t1 = _linearize(e.lhs)
-        c2, t2 = _linearize(e.rhs)
-        return c1 - c2, _merge_terms(t1, t2, -1)
-    if isinstance(e, E.Mul):
-        if isinstance(e.lhs, E.IntConst):
-            c, t = _linearize(e.rhs)
-            k = e.lhs.val
-            return c * k, {kk: (co * k, a) for kk, (co, a) in t.items()}
-        if isinstance(e.rhs, E.IntConst):
-            c, t = _linearize(e.lhs)
-            k = e.rhs.val
-            return c * k, {kk: (co * k, a) for kk, (co, a) in t.items()}
-    return 0, {e.key(): (1, e)}
+def _emit(lin: Linear, atoms, dtype) -> Expr:
+    """The canonical tree of a linear form: its atoms in ``repr`` order of
+    their columns, each times its coefficient, then the constant."""
+    def term(c, a):
+        return a if c == 1 else makeMul(wrap_like(c, dtype), a)
 
-
-def _merge_terms(t1, t2, sign):
-    out = dict(t1)
-    for k, (c, a) in t2.items():
-        c0 = out.get(k, (0, a))[0]
-        out[k] = (c0 + sign * c, a)
-    return out
-
-
-def _relinearize(e: Expr) -> Expr:
-    """Canonicalise integer +/-/const* chains, cancelling equal terms."""
-    if not e.dtype.is_int or not isinstance(e, (E.Add, E.Sub, E.Mul)):
-        return e
-    const, terms = _linearize(e)
-    parts = [(c, a) for c, a in
-             (terms[k] for k in sorted(terms, key=repr)) if c != 0]
-    if len(parts) + (const != 0) >= _size_of(e):
-        return e  # no simplification achieved; keep user structure
+    coeffs, const = lin
     out = None
-    for c, a in parts:
-        piece = a if c == 1 else makeMul(wrap_int(c, e), a)
-        if c < 0 and out is not None:
-            out = makeSub(out, a if c == -1 else
-                          makeMul(wrap_int(-c, e), a))
+    for k in sorted(coeffs, key=repr):
+        c, a = coeffs[k], atoms[k]
+        if out is None:
+            out = term(c, a)
+        elif c < 0:
+            out = makeSub(out, term(-c, a))
         else:
-            out = piece if out is None else makeAdd(out, piece)
+            out = makeAdd(out, term(c, a))
     if out is None:
-        return wrap_int(const, e)
-    if const > 0:
-        out = makeAdd(out, wrap_int(const, e))
-    elif const < 0:
-        out = makeSub(out, wrap_int(-const, e))
+        return wrap_like(const, dtype)
+    if const:
+        out = (makeAdd if const > 0 else makeSub)(
+            out, wrap_like(abs(const), dtype))
     return out
 
 
-def wrap_int(v, like: Expr):
-    from ..ir import wrap_like
-
-    return wrap_like(v, like.dtype)
+_LINEAR = (E.Add, E.Sub, E.Mul)
 
 
-def _size_of(e: Expr) -> int:
-    n = 1
-    for c in e.children():
-        n += _size_of(c)
-    return n
+class _Sum(Expr):
+    """A linear form standing in for its :func:`_emit` tree (a non-constant
+    of ``dtype``) while only ``+``/``-``/``*`` consume it. Its key matches
+    nothing; equal operands of a ``-`` still cancel, in the form."""
+
+    __slots__ = ("lin", "atoms")
+
+    def __init__(self, lin: Linear, atoms, dtype):
+        self.lin, self.atoms, self.dtype = lin, atoms, dtype
+
+    def key(self):
+        return ("_Sum", id(self))
 
 
 class _Simplify(Mutator):
-    """One bottom-up folding sweep over expressions and control flow."""
+    """One bottom-up folding sweep over expressions and control flow. Each
+    non-float ``+``/``-``/``*`` gets its linear form once, from its
+    operands'. A column is the ``key()`` of an atom, which keeps its own
+    node: any operand but an integer constant or such a sum, ``//`` and
+    ``%`` included (no quotient columns here)."""
+
+    def __init__(self):
+        #: id(tree) -> (tree, _Sum) of each sum made a tree; a fold such
+        #: as ``x // 1`` may pass one on
+        self.forms = {}
+
+    def _form(self, x: Expr):
+        x = self.forms.get(id(x), (x, x))[1]
+        if isinstance(x, _Sum):
+            return x.lin, x.atoms
+        if isinstance(x, IntConst):
+            return ({}, x.val), {}
+        k = x.key()
+        return ({k: 1}, 0), {k: x}
+
+    def _tree(self, x: Expr) -> Expr:
+        if not isinstance(x, _Sum):
+            return x
+        out = _emit(x.lin, x.atoms, x.dtype)
+        self.forms[id(out)] = out, x
+        return out
+
+    def _sum(self, e: Expr) -> Expr:
+        """``e`` folded; an integer sum as a :class:`_Sum` if one can."""
+        if type(e) not in _LINEAR:
+            return self.mutate_expr(e)
+        make = self._FOLDING[type(e)]
+        lhs, rhs = self._sum(e.lhs), self._sum(e.rhs)
+        k, x = (lhs, rhs) if isinstance(lhs, IntConst) else (rhs, lhs)
+        if join_dtype(lhs.dtype, rhs.dtype).is_float or \
+                type(e) is E.Mul and not isinstance(k, IntConst):
+            return make(self._tree(lhs), self._tree(rhs))  # not linear
+        out = make(lhs, rhs)
+        if out is lhs or out is rhs or not isinstance(out, _LINEAR):
+            return out  # an operand or a constant
+        if isinstance(out, E.Mul):
+            lin, atoms = self._form(x)
+            lin = scale(lin, k.val)
+        else:
+            (x, xa), (y, ya) = self._form(lhs), self._form(rhs)
+            lin = combine(x, y, 1 if isinstance(out, E.Add) else -1)
+            atoms = {**xa, **ya}
+        s = _Sum(lin, atoms, out.dtype)
+        if not out.dtype.is_int:  # a boolean sum stays as built
+            self.forms[id(out)] = out, s
+            return out
+        # stand in only for a tree with columns (no constant) and the sum's
+        # dtype: it has that with a constant term or an atom of that dtype
+        if lin[0] and (lin[1] or any(atoms[c].dtype is s.dtype
+                                     for c in lin[0])):
+            return s
+        return self._tree(s)
 
     def mutate_expr(self, e: Expr) -> Expr:
         cls = type(e)
-        if cls in _REBUILD_BIN:
-            out = _REBUILD_BIN[cls](self.mutate_expr(e.lhs),
-                                    self.mutate_expr(e.rhs))
-            return _relinearize(out)
+        if cls in _LINEAR:
+            return self._tree(self._sum(e))
+        if cls in self._FOLDING:
+            return self._FOLDING[cls](self.mutate_expr(e.lhs),
+                                      self.mutate_expr(e.rhs))
         if isinstance(e, E.CmpOp):
             return makeCmp(cls, self.mutate_expr(e.lhs),
                            self.mutate_expr(e.rhs))
@@ -131,8 +147,7 @@ class _Simplify(Mutator):
             return StmtSeq([])
         else_case = (self.mutate_stmt(s.else_case)
                      if s.else_case is not None else None)
-        if else_case is not None and isinstance(else_case, StmtSeq) \
-                and not else_case.stmts:
+        if isinstance(else_case, StmtSeq) and not else_case.stmts:
             else_case = None
         out = If(cond, self.mutate_stmt(s.then_case), else_case)
         out.sid, out.label = s.sid, s.label
@@ -163,14 +178,10 @@ def simplify_expr(e: Expr) -> Expr:
 
 def simplify(node):
     """Iterate folding sweeps to a fixed point (bounded)."""
-    from ..ir import count_nodes
-
+    size = count_nodes(node)
     for _round in range(10):
-        before = count_nodes(node)
-        node = _Simplify()(node)
-        from .flatten import flatten_stmt_seq
-
-        node = flatten_stmt_seq(node)
-        if count_nodes(node) == before:
+        node = flatten_stmt_seq(_Simplify()(node))
+        before, size = size, count_nodes(node)
+        if size == before:
             break
     return node

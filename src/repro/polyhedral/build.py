@@ -9,11 +9,11 @@ caller, which models it conservatively as an unconstrained value.
 The one translator is :class:`Linearizer`: an expression becomes a
 linear form ``({column: coeff}, const)`` and a condition a disjunction of
 rows ``(is_eq, const, {column: coeff})`` meaning ``const + sum(coeff *
-column) (== | >=) 0``; :func:`combine` and :func:`relation` build more of
-both. Rows are the solver's input format (``omega.is_feasible``). The
-caller names the columns: the dependence analyser keys them by an
-access's own iterators, symbols and existentials; ``prune``,
-``loop_trans`` and the bounds checker by variable name.
+column) (== | >=) 0``; :func:`combine`, :func:`scale` and :func:`relation`
+build more. Rows are the solver's input format (``omega.is_feasible``).
+The caller names the columns: the dependence analyser keys them by an
+access's own iterators, symbols and existentials; ``prune``, ``loop_trans``
+and the bounds checker by variable name; ``simplify`` by atom key.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class Linearizer:
             return combine(self.linear(e.lhs), self.linear(e.rhs), -1)
         if isinstance(e, E.Mul):
             if isinstance(e.lhs, E.IntConst):
-                return _scale(self.linear(e.rhs), e.lhs.val)
+                return scale(self.linear(e.rhs), e.lhs.val)
             if isinstance(e.rhs, E.IntConst):
-                return _scale(self.linear(e.lhs), e.rhs.val)
+                return scale(self.linear(e.lhs), e.rhs.val)
             return self.non_affine(e)
         if isinstance(e, (E.FloorDiv, E.Mod)):
             if not isinstance(e.rhs, E.IntConst) or e.rhs.val <= 0:
@@ -163,6 +163,6 @@ class Linearizer:
         raise NonAffine(e)
 
 
-def _scale(x: Linear, k: int) -> Linear:
+def scale(x: Linear, k: int) -> Linear:
     return {v: c * k for v, c in x[0].items() if c * k}, x[1] * k
 

@@ -1,12 +1,13 @@
 """Rewrites share what they do not change.
 
 ``Mutator`` is copy-on-write, a mutator that rewrites no expression never
-enters one, and ``replace_stmt`` rebuilds only the spine from the root to
-its target. Two things are pinned here:
+enters one, ``replace_stmt`` rebuilds only the spine from the root to
+its target, and ``simplify`` builds each integer sum's linear form once,
+from its operands' forms. Two things are pinned here:
 
 - the compile path produces the same programs the rebuild-everything
-  implementation produced. That implementation is kept below, in this
-  file only, as the reference of a differential oracle;
+  implementation and the re-linearizing ``simplify`` produced. Both are
+  kept below, in this file only, as references of a differential oracle;
 - no rewrite writes into its input, whose subtrees are now shared with
   its output, with the pass cache and with parent schedules.
 """
@@ -27,6 +28,7 @@ from repro.ir import (Alloc, DataType, Eval, For, Free, LibCall, Load, Store,
 from repro.ir import expr as E
 from repro.ir import stmt as S
 from repro.ir.visitor import Mutator
+from repro.passes import simplify_pass
 from repro.pipeline import (compile_ir, legalization_passes, lowering_passes,
                             suppress_illegal_simd)
 from repro.schedule import (Schedule, common, loop_trans, mem_trans,
@@ -149,6 +151,112 @@ def _use_reference(monkeypatch):
         monkeypatch.setattr(mod, "replace_stmt", _replace_everything)
 
 
+# ---------------------------------------------------------------------------
+# the reference simplify: every integer +/-/* is linearized again from its
+# whole tree
+# ---------------------------------------------------------------------------
+
+
+def _linearize(e):
+    """Decompose an integer expression into (const, {atom_key: (coeff,
+    atom_expr)}); atoms are maximal non-linear subtrees."""
+    if isinstance(e, E.IntConst):
+        return e.val, {}
+    if isinstance(e, E.Add):
+        c1, t1 = _linearize(e.lhs)
+        c2, t2 = _linearize(e.rhs)
+        return c1 + c2, _merge_terms(t1, t2, 1)
+    if isinstance(e, E.Sub):
+        c1, t1 = _linearize(e.lhs)
+        c2, t2 = _linearize(e.rhs)
+        return c1 - c2, _merge_terms(t1, t2, -1)
+    if isinstance(e, E.Mul):
+        if isinstance(e.lhs, E.IntConst):
+            c, t = _linearize(e.rhs)
+            k = e.lhs.val
+            return c * k, {kk: (co * k, a) for kk, (co, a) in t.items()}
+        if isinstance(e.rhs, E.IntConst):
+            c, t = _linearize(e.lhs)
+            k = e.rhs.val
+            return c * k, {kk: (co * k, a) for kk, (co, a) in t.items()}
+    return 0, {e.key(): (1, e)}
+
+
+def _merge_terms(t1, t2, sign):
+    out = dict(t1)
+    for k, (c, a) in t2.items():
+        c0 = out.get(k, (0, a))[0]
+        out[k] = (c0 + sign * c, a)
+    return out
+
+
+def _relinearize(e):
+    """Canonicalise integer +/-/const* chains, cancelling equal terms."""
+    if not e.dtype.is_int or not isinstance(e, (E.Add, E.Sub, E.Mul)):
+        return e
+    const, terms = _linearize(e)
+    parts = [(c, a) for c, a in
+             (terms[k] for k in sorted(terms, key=repr)) if c != 0]
+    if len(parts) + (const != 0) >= _size_of(e):
+        return e  # no simplification achieved; keep user structure
+    out = None
+    for c, a in parts:
+        piece = a if c == 1 else E.makeMul(E.wrap_like(c, e.dtype), a)
+        if c < 0 and out is not None:
+            out = E.makeSub(out, a if c == -1 else
+                            E.makeMul(E.wrap_like(-c, e.dtype), a))
+        else:
+            out = piece if out is None else E.makeAdd(out, piece)
+    if out is None:
+        return E.wrap_like(const, e.dtype)
+    if const > 0:
+        out = E.makeAdd(out, E.wrap_like(const, e.dtype))
+    elif const < 0:
+        out = E.makeSub(out, E.wrap_like(-const, e.dtype))
+    return out
+
+
+def _size_of(e):
+    n = 1
+    for c in e.children():
+        n += _size_of(c)
+    return n
+
+
+_SHIPPED_SIMPLIFY_EXPR = simplify_pass._Simplify.mutate_expr
+
+
+def _relinearizing_mutate_expr(self, e):
+    cls = type(e)
+    if cls in Mutator._FOLDING:
+        return _relinearize(Mutator._FOLDING[cls](self.mutate_expr(e.lhs),
+                                                  self.mutate_expr(e.rhs)))
+    # every other node folds as it always did
+    return _SHIPPED_SIMPLIFY_EXPR(self, e)
+
+
+class _RelinearizingSimplify(simplify_pass._Simplify):
+    mutate_expr = _relinearizing_mutate_expr
+
+
+def reference_simplify_expr(e):
+    """``simplify_expr`` as the reference simplify computes it."""
+    return _RelinearizingSimplify().mutate_expr(e)
+
+
+def same_tree(a, b):
+    """Equal node for node and dtype for dtype (``key()`` has no dtypes)."""
+    def dtypes(e):
+        return [e.dtype] + [d for c in e.children() for d in dtypes(c)]
+
+    return a.key() == b.key() and dtypes(a) == dtypes(b)
+
+
+def _use_relinearizing_simplify(monkeypatch):
+    monkeypatch.setattr(simplify_pass._Simplify, "mutate_expr",
+                        _relinearizing_mutate_expr)
+
+
 @pytest.fixture
 def cleared():
     ft.clear_compile_caches()
@@ -208,14 +316,18 @@ def _products(name):
 
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_same_programs_as_rebuilding_everything(name, monkeypatch, cleared):
+    """The shipped rewrites against the re-linearizing simplify, then
+    against it and the rebuild-everything mutator together."""
     shipped = _products(name)
-    _use_reference(monkeypatch)
+    for install in (_use_relinearizing_simplify, _use_reference):
+        install(monkeypatch)
+        reference = _products(name)
+        assert shipped.keys() == reference.keys()
+        for k in shipped:
+            assert shipped[k] == reference[k], (install.__name__, k)
     f = ALL[name].make_program().func
-    assert Mutator()(f).body is not f.body  # the reference is installed
-    reference = _products(name)
-    assert shipped.keys() == reference.keys()
-    for k in shipped:
-        assert shipped[k] == reference[k], k
+    assert Mutator()(f).body is not f.body  # the references are installed
+    assert simplify_pass._Simplify.mutate_expr is _relinearizing_mutate_expr
 
 
 # ---------------------------------------------------------------------------

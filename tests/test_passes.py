@@ -1,15 +1,24 @@
 """Unit tests for the lowering passes."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
 import repro as ft
-from repro.ir import (Assert, BoolConst, For, If, IntConst, Load, ReduceTo,
-                      Store, StmtSeq, Var, VarDef, collect_stmts, dump,
-                      match, seq)
+from repro.ir import (Assert, BoolConst, DataType, For, If, IntConst, Load,
+                      ReduceTo, Store, StmtSeq, Var, VarDef, collect_stmts,
+                      dump, makeMin, match, seq)
 from repro.passes import (flatten_stmt_seq, lower, make_reduction,
                           prune_branches, remove_dead_writes, simplify,
                           simplify_expr)
+
+from .test_ir_sharing import reference_simplify_expr, same_tree
+
+
+def _same_as_reference(e):
+    return same_tree(simplify_expr(e), reference_simplify_expr(e))
 
 
 class TestSimplify:
@@ -45,6 +54,68 @@ class TestSimplify:
         e = (x + 1.0) - x  # must NOT fold to 1.0 (float semantics)
         out = simplify_expr(e)
         assert "x" in dump(out)
+
+    def test_canonical_order_without_cancellation(self):
+        i, j = Var("i"), Var("j")
+        assert dump(simplify_expr(j + i)) == "i + j"
+        assert _same_as_reference(j - i)
+
+    def test_atom_keeps_its_own_node(self):
+        # one column for both, holding the node met last, as before
+        e = Var("i") + Var("i", DataType.INT64)
+        out = simplify_expr(e)
+        assert dump(out) == "2 * i"
+        assert out.rhs.dtype is DataType.INT64
+        assert _same_as_reference(e)
+
+    def test_constants_take_the_dtype_of_the_tree(self):
+        # `(n + i) - n` is the INT32 atom i, so `+ j + 1` stays INT32
+        i, j, n = Var("i"), Var("j"), Var("n", DataType.INT64)
+        e = (n + i) - n + j + 1
+        assert same_tree(simplify_expr(e), i + j + 1)
+        assert _same_as_reference(e)
+
+    def test_folded_operand_keeps_its_form(self):
+        # the two arguments of min only become equal once simplified
+        i, j = Var("i"), Var("j")
+        e = makeMin(i + j + j - j, j + i) + i
+        assert dump(simplify_expr(e)) == "2 * i + j"
+        assert _same_as_reference(e)
+
+    def test_sums_under_other_nodes_are_trees(self):
+        i, j = Var("i"), Var("j")
+        prod = (i + 1) * (j - 1)  # a product of two sums is one atom
+        assert dump(simplify_expr(prod + prod)) == "2 * ((i + 1) * (j - 1))"
+        x = Load("x", [], DataType.FLOAT32)
+        e = x * 2.0 + (j + i + 1)
+        assert dump(simplify_expr(e)) == "x * 2.0 + (i + j + 1)"
+        assert _same_as_reference(prod + prod)
+        assert _same_as_reference(e)
+
+    def test_boolean_sum_inside_an_integer_one(self):
+        # `(j < k) + (i < k)` is boolean; `+ 1` makes it integer
+        i, j, k = Var("i"), Var("j"), Var("k")
+        e = (j < k) + (i < k) + 1
+        assert dump(simplify_expr(e)) == "(i < k) + (j < k) + 1"
+        assert _same_as_reference(e)
+
+    def test_long_chain_scales(self):
+        """Each level's form is built from its operands' forms, not from
+        its subtree, so an 800-term chain is not quadratic."""
+        e = Var("v0")
+        for k in range(1, 801):
+            v = Var(f"v{k}")
+            e = e + (v * 2 + 1 - v)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 20000))
+        try:
+            t0 = time.perf_counter()
+            out = simplify_expr(e)
+            elapsed = time.perf_counter() - t0
+            assert same_tree(out, reference_simplify_expr(e))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert elapsed < 1.0, elapsed
 
     def test_idempotent(self):
         @ft.transform
