@@ -16,7 +16,9 @@ misses), ``systems`` (per-access systems: ``_Local`` builds, or the old
 per-pair ``_domain``), ``entry`` (``feasible_rows``, the solver entry
 the analyser calls, solve included), ``_translate`` (the tightening of the
 ``Linearizer`` rows other callers hand ``is_feasible`` / ``any_feasible``)
-and ``_solve`` (outermost calls only).
+and ``_solve`` (outermost calls only). Last, ``refuted`` counts the pairs
+of one sweep that a stage short of the whole system refuted (the
+``deps.refuted`` counter; ``-`` where the analyser has no stages).
 """
 
 import argparse
@@ -83,6 +85,7 @@ def main():
     best = dict.fromkeys(LAYERS + ("sweep",), float("inf"))
     for _ in range(args.sweeps):
         spent.update(dict.fromkeys(spent, 0.0))
+        before = deps.analysis_cache_stats().get("refuted")
         t0 = time.perf_counter()
         w_tune.sweep(sessions, run)
         spent["sweep"] = time.perf_counter() - t0
@@ -90,8 +93,10 @@ def main():
             best[layer] = min(best[layer], dt)
     if run.failed:
         raise SystemExit(f"{run.failed} sessions failed")
+    refuted = "-" if before is None else \
+        deps.analysis_cache_stats()["refuted"] - before
     print(" ".join(f"{k} {'-' if v == float('inf') else f'{v * 1e3:.0f}'}"
-                   for k, v in best.items()))
+                   for k, v in best.items()), "refuted", refuted)
 
 
 if __name__ == "__main__":

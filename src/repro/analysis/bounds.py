@@ -146,6 +146,13 @@ def tightest_bounds(e: Expr, ctx: BoundsCtx,
 def const_bounds(e: Expr, ctx: BoundsCtx
                  ) -> Tuple[Optional[int], Optional[int]]:
     """Constant inclusive bounds of ``e`` when derivable, else None."""
+    # the two commonest cases, answered as their candidates would be
+    if isinstance(e, IntConst):
+        return e.val, e.val
+    if isinstance(e, Var):
+        lo, hi = ctx.ranges.get(e.name, (None, None))
+        if isinstance(lo, IntConst) and isinstance(hi, IntConst):
+            return lo.val, hi.val - 1
     lo, up = tightest_bounds(e, ctx, allowed_vars=())
     lo_v = lo.val if isinstance(lo, IntConst) else None
     up_v = up.val if isinstance(up, IntConst) else None

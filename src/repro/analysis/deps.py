@@ -21,6 +21,13 @@ renamed into pair columns and concatenated with the index equalities, the
 stack-scope equalities and the direction and order alternates, and goes to
 the solver's row entry as it is.
 
+Most pairs have no dependence, and most of those are refuted by their
+subscripts alone, so a query decides its system in stages, cheapest
+first (:data:`_STAGES`): without domain rows, with the rows bounding a
+single column, and whole. Each stage is a subset of the whole system's
+rows, so an infeasible stage proves "no dependence"; only the whole
+system answers "dependence" (or gives up).
+
 Directions are expressed as :class:`DirItem` tuples; helper constructors
 cover the common cases used by the schedules:
 
@@ -49,8 +56,9 @@ from .access import Access, collect_accesses
 #: hit the memo.
 _PAIR_MEMO = BoundedMemo("deps", 1 << 20)
 
-#: hit/miss counters of the dependence-feasibility memo
-_STATS = Counters("deps", hits=0, misses=0)
+#: hit/miss counters of the dependence-feasibility memo, and the misses
+#: that an early stage of their system refuted
+_STATS = Counters("deps", hits=0, misses=0, refuted=0)
 
 analysis_cache_stats = _STATS.snapshot
 
@@ -90,12 +98,14 @@ class _Local:
 
     ``domain`` holds its iteration-domain rows (loop bounds, conjunctive
     affine guards, the bounds of their div/mod quotients) as sparse
-    gcd-tightened rows ``(is_eq, const, ((col, coeff), ...))``;
-    ``indices`` (None for a whole-tensor access) and ``begins`` hold, per
-    index and per loop, None when it is not affine, else its quotient rows
-    and its linear form ``(((col, coeff), ...), const)``. Columns are
-    local: the access's iterators by depth, then the symbols it reads by
-    name, then its existentials (from ``exists`` on).
+    gcd-tightened rows ``(is_eq, const, ((col, coeff), ...))``, or is None
+    when one of them is trivially false; ``bounds`` holds those of its
+    rows that bound a single column. ``indices`` (None for a whole-tensor
+    access) and ``begins`` hold, per index and per loop, None when it is
+    not affine, else its quotient rows and its linear form ``(((col,
+    coeff), ...), const)``. Columns are local: the access's iterators by
+    depth, then the symbols it reads by name, then its existentials (from
+    ``exists`` on).
 
     A pair renames local columns through ``keys[side]`` (0 for the earlier
     access, 1 for the later): a symbol is the same variable on both sides
@@ -106,7 +116,7 @@ class _Local:
     constraint list at once would.
     """
 
-    __slots__ = ("feasible", "domain", "indices", "begins", "exists", "keys")
+    __slots__ = ("domain", "bounds", "indices", "begins", "exists", "keys")
 
     def __init__(self, acc: Access):
         depth = {l.iter_var: k for k, l in enumerate(acc.loops)}
@@ -156,8 +166,9 @@ class _Local:
         self.exists = len(cols)
         cols.update((q, n) for n, q in enumerate(quotients, self.exists))
         domain: list = []
-        self.feasible = all([append_row(domain, cols, *r) for r in rows])
-        self.domain = tuple(domain)
+        feasible = all([append_row(domain, cols, *r) for r in rows])
+        self.domain = tuple(domain) if feasible else None
+        self.bounds = tuple([r for r in domain if len(r[2]) == 1])
 
         def local(part):
             if part is None:
@@ -186,6 +197,15 @@ def _local(acc: Access) -> _Local:
         local = _Local(acc)
         _LOCAL_MEMO.put(sig, local)
     return local
+
+
+#: the domain rows each stage of a pair's system takes from either
+#: access's half, cheapest first: none (the subscripts, the stack scope
+#: and the direction and order alternates alone), the rows bounding a
+#: single column (constant loop bounds, mostly), and all of them (the
+#: whole system)
+_STAGES = (lambda half: (), lambda half: half.bounds,
+           lambda half: half.domain)
 
 
 class DirItem:
@@ -274,14 +294,21 @@ class DepAnalyzer:
         ``earlier_in`` / ``later_in`` / ``either_in`` restrict accesses to
         a statement subtree by sid. ``ignore_reduce_pairs`` drops pairs of
         same-op ReduceTo accesses (commutative reorderable, Fig. 12(c)).
+        A direction item only holds between instances of its loops, so
+        pairs are drawn from the accesses those loops enclose: the earlier
+        side from within every item's earlier loop, the later side from
+        within every later loop.
         """
         tensors = set(tensors) if tensors is not None else None
+        within_earlier = {d.earlier_loop for d in direction}
+        within_later = {d.later_loop for d in direction}
+        if earlier_in is not None:
+            within_earlier.add(earlier_in)
+        if later_in is not None:
+            within_later.add(later_in)
         out: List[Dependence] = []
-        for earlier, later in self._pairs(tensors, ignore_reduce_pairs):
-            if earlier_in is not None and earlier_in not in earlier.ancestors:
-                continue
-            if later_in is not None and later_in not in later.ancestors:
-                continue
+        for earlier, later in self._pairs(tensors, ignore_reduce_pairs,
+                                          within_earlier, within_later):
             if either_in is not None and either_in not in earlier.ancestors \
                     and either_in not in later.ancestors:
                 continue
@@ -304,15 +331,22 @@ class DepAnalyzer:
         return self._dep_exists(earlier, later, tuple(direction))
 
     # -- pair enumeration -------------------------------------------------------
-    def _pairs(self, tensors, ignore_reduce_pairs):
+    def _pairs(self, tensors, ignore_reduce_pairs, within_earlier,
+               within_later):
+        """Candidate (earlier, later) pairs: the earlier access inside
+        every statement ``within_earlier`` names by sid, the later one
+        inside every statement of ``within_later``."""
         if tensors is None:
             buckets = self._by_tensor.values()
         else:
             buckets = [self._by_tensor[t] for t in tensors
                        if t in self._by_tensor]
         for accs in buckets:
+            laters = [b for b in accs if within_later <= b.ancestors]
             for a in accs:  # earlier
-                for b in accs:  # later
+                if not within_earlier <= a.ancestors:
+                    continue
+                for b in laters:
                     if not (a.is_write or b.is_write):
                         continue
                     if ignore_reduce_pairs and a.reduce_op is not None \
@@ -375,17 +409,49 @@ class DepAnalyzer:
         return result
 
     def _dep_exists_uncached(self, earlier, later, direction) -> bool:
-        """Compose the pair's rows, constraint by constraint in the
-        order below, and decide them."""
-        se, sl = _local(earlier), _local(later)
+        """Decide the pair's system stage by stage (:data:`_STAGES`),
+        skipping a stage whose rows the one before already decided."""
+        halves = _local(earlier), _local(later)
+        whole = tuple(h.domain for h in halves)
+        decided = None
+        for select in _STAGES:
+            domains = tuple(select(h) for h in halves)
+            if domains == decided:
+                continue
+            decided = domains
+            system = self._compose(earlier, later, direction, halves,
+                                   select)
+            if type(system) is bool:
+                return system
+            base, cols, alternatives = system
+            verdict = feasible_rows(base, len(cols), (
+                _alternative(alt, cols) for alt in alternatives))
+            if not verdict:
+                if domains != whole:
+                    _STATS.add("refuted")
+                return False
+        return verdict
+
+    @staticmethod
+    def _compose(earlier: Access, later: Access, direction, halves,
+                 select):
+        """The pair's system with the domain rows ``select`` takes from
+        each half (None: one is trivially false), composed constraint by
+        constraint in the order below. A verdict when the query is
+        decided before any row is solved, else ``(base, cols,
+        alternatives)``: ``base`` is None when one of its rows is
+        trivially false, and each alternative is a list of :func:`_fix`
+        rows."""
+        se, sl = halves
         ke, kl = se.keys[0], sl.keys[1]
         cols: Dict = {}
         base: list = []
+        de, dl = select(se), select(sl)
         # one trivially false base row makes every alternative a gcd
         # reject, but the checks that return early below still decide
-        ok = se.feasible and sl.feasible
-        _place(se.domain, ke, cols, base)
-        _place(sl.domain, kl, cols, base)
+        ok = de is not None and dl is not None
+        _place(de or (), ke, cols, base)
+        _place(dl or (), kl, cols, base)
 
         # May-alias: equate affine index pairs dimension-wise.
         if se.indices is not None and sl.indices is not None:
@@ -445,12 +511,9 @@ class DepAnalyzer:
         if earlier.order < later.order:
             order_alts.append(same)
 
-        def systems():
-            for dir_alt in alternates:
-                for ord_alt in order_alts:
-                    yield _alternative(dir_alt + ord_alt, cols)
-
-        return feasible_rows(base if ok else None, len(cols), systems())
+        return base if ok else None, cols, [
+            dir_alt + ord_alt for dir_alt in alternates
+            for ord_alt in order_alts]
 
 
 def _place(rows, keys, cols: dict, out: list):

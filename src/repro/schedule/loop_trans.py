@@ -9,7 +9,8 @@ from typing import List, Optional, Tuple
 from ..analysis import DirItem, analyzer_for
 from ..errors import DependenceViolation, InvalidSchedule
 from ..ir import (For, ForProperty, If, IntConst, StmtSeq, Var, VarDef,
-                  collect_stmts, fresh_copy, same_expr, seq, substitute, wrap)
+                  collect_stmts, fresh_copy, fresh_name, rename_tensor,
+                  same_expr, seq, substitute, used_names, wrap)
 from ..polyhedral import Linearizer, any_feasible, relation
 from .common import (find_loop, find_stmt, fresh_iter, only_stmt_of,
                      parent_of, perfectly_nested, replace_stmt, stmts_of_body)
@@ -31,8 +32,9 @@ def split(func, loop_sel, factor=None, nparts=None):
     else:
         f = (n + wrap(nparts) - 1) // wrap(nparts)
     outer_n = (n + f - 1) // f
-    io = fresh_iter(func, loop.iter_var + ".o")
-    ii = fresh_iter(func, loop.iter_var + ".i")
+    taken = used_names(func)
+    io = fresh_name(loop.iter_var + ".o", taken)
+    ii = fresh_name(loop.iter_var + ".i", taken)
     offset = Var(io) * f + Var(ii)
     body = substitute(loop.body, {loop.iter_var: loop.begin + offset})
     exact = (isinstance(n, IntConst) and isinstance(f, IntConst)
@@ -208,8 +210,6 @@ def fission(func, loop_sel, after_sel, analyzer=None):
         return seq(list(prefixes[k]) + [nd])
 
     front_body = build_front(0)
-
-    from ..ir import fresh_name, rename_tensor, used_names
 
     taken = used_names(func)
     back_body = seq([fresh_copy(s) for s in back_inner])

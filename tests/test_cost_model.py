@@ -17,19 +17,23 @@ import numpy as np
 import pytest
 
 import repro as ft
+from repro.analysis import tightest_bounds
 from repro.analysis.cost import (COUNT_FIELDS, CostEstimate, Counts,
-                                 analyze_cost, clear_cost_memo,
+                                 analyze_cost, clear_cost_memo, count,
                                  estimate_cost, infer_scalar_env,
                                  perf_lint)
 from repro.autosched import CPU, auto_schedule
 from repro.autosched.search import StructuredTuner
 from repro.autosched.search.screen import CandidateScreen
 from repro.autosched.target import Target, default_target
+from repro.ir import IntConst, Var
 from repro.ir.hashing import struct_hash
 from repro.runtime import metrics
 from repro.runtime.driver import Executable, build
 from repro.runtime.interpreter import Interpreter, OpCounts
 from repro.workloads import ALL
+
+from .test_dep_rows import tune_search_sweep
 
 #: interpreter-friendly sizes (the oracle executes every scalar op)
 ORACLE_SIZES = {
@@ -45,6 +49,51 @@ ORACLE_SIZES = {
 #: loop code)
 ORACLE_PASSES = ["fuse", "vectorize", "parallelize", "mem_type",
                  "unroll"]
+
+
+def _candidate_bounds(e, ctx):
+    """``const_bounds`` by way of its bound candidates alone."""
+    lo, up = tightest_bounds(e, ctx, allowed_vars=())
+    return (lo.val if isinstance(lo, IntConst) else None,
+            up.val if isinstance(up, IntConst) else None)
+
+
+@pytest.fixture(autouse=True)
+def const_bounds_calls(monkeypatch):
+    """Every ``const_bounds`` call the cost model makes in this file must
+    answer as the candidate path does, shortcut or not. Yields the
+    calls' ``(expr, ctx)``; the check runs after the test, because a
+    search would count an exception raised in its cost model as an
+    invalid candidate."""
+    calls, wrong = [], []
+    real = count.const_bounds
+
+    def checked(e, ctx):
+        got = real(e, ctx)
+        if got != _candidate_bounds(e, ctx):
+            wrong.append((e, got))
+        calls.append((e, ctx))
+        return got
+
+    monkeypatch.setattr(count, "const_bounds", checked)
+    yield calls
+    assert not wrong
+
+
+def test_const_bounds_shortcut_on_a_tune_search_sweep(const_bounds_calls,
+                                                      monkeypatch):
+    ft.clear_compile_caches()
+    tune_search_sweep(monkeypatch)
+
+    def shortcut(e, ctx):
+        if isinstance(e, IntConst):
+            return True
+        ends = ctx.ranges.get(e.name, ()) if isinstance(e, Var) else ()
+        return len(ends) == 2 and all(isinstance(x, IntConst)
+                                      for x in ends)
+
+    taken = sum(shortcut(e, ctx) for e, ctx in const_bounds_calls)
+    assert taken > len(const_bounds_calls) // 2 > 0
 
 
 def _workload_args(name, data, func):

@@ -9,8 +9,10 @@ reference of a differential oracle: for every
 searching and randomly scheduling, the composed rows must equal the
 translation of the reference system item for item — the same sparse rows,
 the same dense rows, in the same order, over the same columns — so that
-the Omega memo keys, and with them every counter, are unchanged. The
-verdicts must agree too, decided without any memo.
+the whole system's Omega memo keys are unchanged. A query first tries
+subsets of those rows (the stages of ``deps._STAGES``); each one's rows
+must be rows of the whole system. The verdicts must agree too, decided
+without any memo.
 """
 
 import itertools
@@ -325,41 +327,115 @@ def _decide_without_memo(base, alternatives):
             os.environ["REPRO_NO_MEMO"] = old
 
 
+def _keyed(rows, cols):
+    """Sparse rows over ``cols`` as rows over the pair keys ``cols``
+    numbers."""
+    key = {c: k for k, c in cols.items()}
+    return [(is_eq, const, tuple((key[c], v) for c, v in terms))
+            for is_eq, const, terms in rows]
+
+
+def _key_rows(system):
+    """A composed system ``(base, cols, alternatives)`` as rows over pair
+    keys: the base's, and each alternative's, None where trivially
+    false."""
+    base, cols, alternatives = system
+
+    def alternative(fixed):
+        out = []
+        for f in fixed:
+            if f is None:
+                return None
+            if type(f) is list:  # placed over the base's columns
+                out += _keyed(f, cols)
+                continue
+            own, rows = {}, []
+            if not omega.append_row(rows, own, *f):
+                return None
+            out += _keyed(rows, own)
+        return out
+
+    return (None if base is None else _keyed(base, cols),
+            [alternative(fixed) for fixed in alternatives])
+
+
 class _Oracle:
-    """Checks every uncached dependence query against the reference."""
+    """Checks every uncached dependence query against the reference.
+
+    A query composes its system in stages (``deps._STAGES``), each with
+    more of the domain rows. Whenever the whole system is composed it
+    must equal the reference item for item; the oracle composes it
+    itself when the analyser stopped at an earlier stage, and every
+    earlier stage's rows must be a subset of it, compared through the
+    pair keys.
+    """
 
     def __init__(self, monkeypatch):
         self.calls = 0
         self.systems = 0
-        captured = []
+        #: queries an earlier stage than the whole system refuted
+        self.refuted = 0
+        stages = []
         real_rows = deps.feasible_rows
+        self.compose = real_compose = DepAnalyzer._compose
         real_uncached = DepAnalyzer._dep_exists_uncached
+
+        def spy_compose(earlier, later, direction, halves, select):
+            system = real_compose(earlier, later, direction, halves, select)
+            stages.append([tuple(select(h) for h in halves), system, None])
+            return system
 
         def spy_rows(base, ncols, alternatives):
             alternatives = list(alternatives)
-            captured.append((base, ncols, alternatives))
+            stages[-1][2] = (base, ncols, alternatives)
             return real_rows(base, ncols, iter(alternatives))
 
         def checked(analyzer, earlier, later, direction):
-            captured.clear()
+            stages.clear()
             verdict = real_uncached(analyzer, earlier, later, direction)
-            self.check(earlier, later, direction, verdict, captured)
+            self.check(earlier, later, direction, verdict, stages)
             return verdict
 
+        monkeypatch.setattr(DepAnalyzer, "_compose",
+                            staticmethod(spy_compose))
         monkeypatch.setattr(deps, "feasible_rows", spy_rows)
         monkeypatch.setattr(DepAnalyzer, "_dep_exists_uncached", checked)
 
-    def check(self, earlier, later, direction, verdict, captured):
+    def check(self, earlier, later, direction, verdict, stages):
         self.calls += 1
         ref = _reference(earlier, later, direction)
         what = (earlier, later, direction)
         if ref[0] == "early":
-            assert not captured, what
+            # decided by the first composition, before any solve
+            assert [captured for _d, _s, captured in stages] == [None], what
             assert verdict == ref[1], what
             return
         self.systems += 1
         _, base, alternatives = ref
-        (got_base, got_ncols, got_alts), = captured
+        halves = deps._local(earlier), deps._local(later)
+        whole = self.compose(earlier, later, direction, halves,
+                             deps._STAGES[-1])
+        whole_base, cols, whole_alts = whole
+        self.check_whole(what, base, alternatives, (
+            whole_base, len(cols),
+            [deps._alternative(alt, cols) for alt in whole_alts]))
+        domains = tuple(h.domain for h in halves)
+        for selected, system, captured in stages:
+            assert captured is not None, what
+            if selected == domains:
+                self.check_whole(what, base, alternatives, captured)
+            else:
+                self.check_subset(what, system, whole)
+        if stages[-1][0] != domains:
+            assert verdict is False, what
+            self.refuted += 1
+        assert verdict == _decide_without_memo(base, alternatives), what
+
+    @staticmethod
+    def check_whole(what, base, alternatives, captured):
+        """The solver's arguments of a whole system equal the reference
+        system's translation item for item."""
+        got_base, got_ncols, got_alts = captured
         cols = {}
         ref_base = _translate(base, cols)
         ref_alts = []
@@ -383,7 +459,22 @@ class _Oracle:
                 if rows is not None:
                     assert omega._dense(rows, n + 1) == \
                         omega._dense(ref_rows, ref_n + 1), what
-        assert verdict == _decide_without_memo(base, alternatives), what
+
+    @staticmethod
+    def check_subset(what, system, whole):
+        """Every row of an earlier stage's alternative is a row of the
+        whole system's same alternative, over the same pair keys."""
+        base, alts = _key_rows(system)
+        whole_base, whole_alts = _key_rows(whole)
+        assert len(alts) == len(whole_alts), what
+        if base is None:  # a trivially false row is the whole's too
+            assert whole_base is None, what
+        if whole_base is None:  # composition stopped at the false row
+            return
+        for rows, whole_rows in zip(alts, whole_alts):
+            assert (rows is None) == (whole_rows is None), what
+            if rows is not None:
+                assert set(base + rows) <= set(whole_base + whole_rows), what
 
 
 @pytest.fixture
@@ -414,7 +505,8 @@ def test_grad_of_a_workload(name, oracle):
     assert oracle.systems > 0
 
 
-def test_a_tune_search_sweep(oracle, monkeypatch):
+def tune_search_sweep(monkeypatch):
+    """One compile-only sweep of tune_search's four searches."""
     monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
     for name in sorted(ALL):
         mod = ALL[name]
@@ -424,7 +516,13 @@ def test_a_tune_search_sweep(oracle, monkeypatch):
         StructuredTuner(mod.make_program(), make_inputs=lambda: args,
                         backend="pycode", rounds=8, batch=4, seed=0,
                         scalars=scalars).tune()
+
+
+def test_a_tune_search_sweep(oracle, monkeypatch):
+    tune_search_sweep(monkeypatch)
     assert oracle.systems > 100
+    # most pairs are refuted before their whole system is composed
+    assert oracle.refuted > 300
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
