@@ -83,14 +83,17 @@ def spearman(xs, ys):
 
 
 def sample_candidates(space, rng):
-    """Structurally distinct candidates, the base schedule included."""
+    """Structurally distinct legal candidates, the base schedule included.
+    As in the tuner, a candidate is the replay of its realized trace
+    through the checked primitives; one whose replay raises is skipped."""
     cands = [space.base]
     seen = {struct_hash(space.base)}
     draws = 0
     while len(cands) < SAMPLE and draws < MAX_DRAWS:
         draws += 1
         try:
-            c, _trace = space.realize(space.random_assignment(rng))
+            _func, trace = space.realize(space.random_assignment(rng))
+            c = trace.apply(Schedule(space.base)).func
         except FreeTensorError:
             continue
         h = struct_hash(c)

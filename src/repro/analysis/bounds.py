@@ -8,6 +8,7 @@ shrinks over-allocated ones.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ir import (Expr, IntConst, Load, Var, all_vars, makeAdd, makeMax,
@@ -145,15 +146,71 @@ def tightest_bounds(e: Expr, ctx: BoundsCtx,
 
 def const_bounds(e: Expr, ctx: BoundsCtx
                  ) -> Tuple[Optional[int], Optional[int]]:
-    """Constant inclusive bounds of ``e`` when derivable, else None."""
-    # the two commonest cases, answered as their candidates would be
+    """Constant inclusive bounds of ``e`` when derivable, else None.
+
+    The integer reading of ``tightest_bounds(e, ctx, allowed_vars=())``:
+    the max of ``e``'s constant lower candidates and the min of its
+    constant upper ones, found by interval recursion over the cases
+    :func:`_cands` decomposes, without building a candidate tree. Each
+    case combines its operands' best bounds monotonically, so the best
+    bound of a combination is the combination of the best bounds. An
+    unranged ``Var`` or a ``Load`` bounds nothing, so where the candidate
+    path cancels a symbolic term (``n - max(n, 1)``) it finds a bound
+    this does not; both are sound.
+    """
     if isinstance(e, IntConst):
         return e.val, e.val
     if isinstance(e, Var):
-        lo, hi = ctx.ranges.get(e.name, (None, None))
-        if isinstance(lo, IntConst) and isinstance(hi, IntConst):
-            return lo.val, hi.val - 1
-    lo, up = tightest_bounds(e, ctx, allowed_vars=())
-    lo_v = lo.val if isinstance(lo, IntConst) else None
-    up_v = up.val if isinstance(up, IntConst) else None
-    return lo_v, up_v
+        rng = ctx.ranges.get(e.name)
+        if rng is None:
+            return None, None
+        lo, hi = rng
+        hi_up = const_bounds(hi, ctx)[1]
+        return (const_bounds(lo, ctx)[0],
+                None if hi_up is None else hi_up - 1)
+    if isinstance(e, (E.Add, E.Sub, E.Min, E.Max)):
+        ll, lu = const_bounds(e.lhs, ctx)
+        rl, ru = const_bounds(e.rhs, ctx)
+        if isinstance(e, E.Add):
+            return _apply(operator.add, ll, rl), _apply(operator.add, lu, ru)
+        if isinstance(e, E.Sub):
+            return _apply(operator.sub, ll, ru), _apply(operator.sub, lu, rl)
+        if isinstance(e, E.Min):  # upper: any side's candidate bounds it
+            return _apply(min, ll, rl), _either(min, lu, ru)
+        return _either(max, ll, rl), _apply(max, lu, ru)
+    if isinstance(e, E.Mul):
+        if isinstance(e.lhs, IntConst):
+            k, inner = e.lhs.val, e.rhs
+        elif isinstance(e.rhs, IntConst):
+            k, inner = e.rhs.val, e.lhs
+        else:
+            return None, None
+        lo, up = const_bounds(inner, ctx)
+        if k < 0:
+            lo, up = up, lo
+        return _apply(operator.mul, lo, k), _apply(operator.mul, up, k)
+    if isinstance(e, (E.FloorDiv, E.Mod)) \
+            and isinstance(e.rhs, IntConst) and e.rhs.val > 0:
+        d = e.rhs.val
+        if isinstance(e, E.Mod):
+            return 0, d - 1
+        lo, up = const_bounds(e.lhs, ctx)
+        return (_apply(operator.floordiv, lo, d),
+                _apply(operator.floordiv, up, d))
+    if isinstance(e, E.IfExpr):
+        tl, tu = const_bounds(e.then_case, ctx)
+        el, eu = const_bounds(e.else_case, ctx)
+        return _apply(min, tl, el), _apply(max, tu, eu)
+    return None, None
+
+
+def _apply(op, a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """``op(a, b)``, or None unless both are known."""
+    return None if a is None or b is None else op(a, b)
+
+
+def _either(op, a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """``op(a, b)`` over whichever of the two is known."""
+    if a is None:
+        return b
+    return a if b is None else op(a, b)

@@ -19,8 +19,10 @@ assignment* of those knobs (FlexTensor-style; see ROADMAP):
 
 ``realize()`` turns an assignment into a scheduled ``Func`` plus the
 :class:`~repro.autosched.search.trace.ScheduleTrace` that produced it, so
-every candidate ships with a replayable recipe. Assignments are plain
-JSON-able dicts, which is what mutation and crossover operate on.
+every candidate ships with a replayable recipe. The func is screened; the
+trace, replayed through the checked primitives, is what gets measured.
+Assignments are plain JSON-able dicts, which is what mutation and
+crossover operate on.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from ...ir import For, Func, IntConst, collect_stmts
 from ...schedule import Schedule
 from ...schedule.common import only_stmt_of
 from ...schedule.loop_trans import _check_permutation_legal
+from ...schedule.parallel_trans import mark_vectorize
 from .trace import ScheduleTrace, loop_ref, res_ref
 
 #: single-split factors offered to every splittable loop
@@ -234,11 +237,17 @@ class ScheduleSpace:
                 ) -> Tuple[Func, ScheduleTrace]:
         """Apply a knob assignment to a fresh schedule of the base.
 
-        Returns ``(func, trace)``. Raises
-        :class:`~repro.errors.FreeTensorError` when some interaction of
-        knobs is illegal (callers count it as an invalid candidate) —
-        individual knob choices are pre-gated, but e.g. a reorder can
-        invalidate a sibling band's annotation in rare aliasing cases.
+        Returns ``(func, trace)``. The func is for screening only: the
+        ``vectorize`` annotations are marked without their dependence
+        query, so a candidate is legal only once ``trace`` replays on
+        ``Schedule(base)`` through the checked primitives (what the tuner
+        does before it measures one). Individual knob choices are
+        pre-gated on the base, but e.g. a reorder can invalidate a
+        sibling band's annotation in rare aliasing cases. Raises
+        :class:`~repro.errors.FreeTensorError` when an eagerly checked
+        primitive (``reorder``, ``split``, ``parallelize``, ``unroll``)
+        rejects the assignment (callers count it as an invalid
+        candidate).
         """
         s = Schedule(self.base)
         tr = ScheduleTrace()
@@ -315,7 +324,9 @@ class ScheduleSpace:
             ref = (res_ref(last_step, 1) if last_step is not None
                    else loop_ref(s, inner_sid))
             tr.add("vectorize", loop=ref)
-            s.vectorize(inner_sid)
+            # marked unchecked: the tuner proves legality by replaying
+            # the trace of each candidate it measures
+            s.func = mark_vectorize(s.func, inner_sid)
         elif ann == "unroll":
             ref = (res_ref(last_step, 1) if last_step is not None
                    else loop_ref(s, inner_sid))

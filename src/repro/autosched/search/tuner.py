@@ -14,9 +14,13 @@ the paper's Table 2 (every candidate is compiled and measured).
    :class:`~repro.autosched.search.screen.CandidateScreen` (struct-hash
    dedup + dominance pruning);
 3. **rank** — screening survivors are ordered by the cost model's
-   ``time_proxy`` (``analysis.cost.frontier_order``) and only the top-k
-   are measured; the rest are counted as ``frontier_skips``;
-4. **measure** — the top-k go through a
+   ``time_proxy`` (``analysis.cost.frontier_order``); in that order each
+   one's trace is replayed on a fresh ``Schedule`` of the base, which
+   proves its legality (``realize`` marks ``vectorize`` unchecked). A
+   replay that raises counts ``invalid`` and the next candidate takes
+   its slot, until top-k are legal; the rest are counted as
+   ``frontier_skips``;
+4. **measure** — the top-k replayed funcs go through a
    :class:`~repro.autosched.search.measure.MeasurementPool` of worker
    processes (``workers=1`` measures serially in-process). Results fold
    back in submission order with strict ``<`` winner updates, and all
@@ -73,7 +77,8 @@ class TuneResult:
         #: candidates that survived screening but ranked below the
         #: measurement top-k
         self.frontier_skips = frontier_skips
-        #: knob assignments that failed to realize into a schedule
+        #: knob assignments that failed to realize into a schedule, or
+        #: whose trace failed to replay before measurement
         self.invalid = invalid
         #: measurements killed on the worker-pool deadline
         self.timeouts = timeouts
@@ -187,7 +192,7 @@ class StructuredTuner:
                 metrics.SEARCH.add("assignments", len(batch))
 
                 # realize + screen every assignment, in draw order
-                survivors = []  # (assignment, func, trace, est)
+                survivors = []  # (assignment, trace, est)
                 for a in batch:
                     key = self.space.assignment_key(a)
                     if key in seen_keys:
@@ -207,19 +212,34 @@ class StructuredTuner:
                     elif verdict == "cost_pruned":
                         cost_pruned += 1
                     else:
-                        survivors.append((a, func, trace, est))
+                        survivors.append((a, trace, est))
 
                 # rank survivors on the cost frontier; measure the top-k
-                order = frontier_order([s[3] for s in survivors])
-                chosen = order[:self.topk]
-                skipped = len(order) - len(chosen)
+                # whose trace replays through the checked primitives
+                # (an illegal one gives its slot to the next in order)
+                order = frontier_order([s[2] for s in survivors])
+                chosen = []  # (survivor index, replayed func)
+                tried = 0
+                for idx in order:
+                    if len(chosen) == self.topk:
+                        break
+                    tried += 1
+                    try:
+                        func = survivors[idx][1].apply(
+                            Schedule(self.base)).func
+                    except FreeTensorError:
+                        invalid += 1
+                        metrics.record_tuner_candidate("invalid")
+                        continue
+                    chosen.append((idx, func))
+                skipped = len(order) - tried
                 frontier_skips += skipped
                 for _ in range(skipped):
                     metrics.record_tuner_candidate("frontier_skips")
 
                 entries = []
-                for idx in chosen:
-                    _a, func, _tr, est = survivors[idx]
+                for idx, func in chosen:
+                    est = survivors[idx][2]
                     # deterministic pseudo-time, computed in the parent
                     # so every worker count sees identical "timings"
                     fake = float(est.time_proxy) if fake_mode else None
@@ -227,8 +247,9 @@ class StructuredTuner:
                 outcomes = mpool.measure_batch(entries)
 
                 # fold back in submission order (determinism)
-                for (idx, (outcome, payload)) in zip(chosen, outcomes):
-                    a, func, trace, est = survivors[idx]
+                for ((idx, func), (outcome, payload)) in zip(chosen,
+                                                             outcomes):
+                    a, trace, est = survivors[idx]
                     if outcome == OK:
                         metrics.record_tuner_candidate("measured")
                         t = float(payload)

@@ -9,7 +9,9 @@ def _is_empty(s: Stmt) -> bool:
     return isinstance(s, StmtSeq) and not s.stmts
 
 
-class _Flatten(Mutator):
+class Flatten(Mutator):
+    """Splice nested unlabelled sequences into their parent and drop empty
+    ones, bottom-up (``simplify``'s sweep inherits the rule)."""
 
     def mutate_StmtSeq(self, s: StmtSeq) -> Stmt:
         flat = []
@@ -33,4 +35,4 @@ class _Flatten(Mutator):
 
 def flatten_stmt_seq(node):
     """Flatten nested unlabelled StmtSeq nodes; drop empty sequences."""
-    return _Flatten()(node)
+    return Flatten()(node)

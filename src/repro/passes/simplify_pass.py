@@ -1,16 +1,16 @@
 """Rebuild expressions through folding constructors, canonicalise integer
 ``+``/``-``/``*`` as linear forms, and prune dead control flow (constant
-conditions, empty or single-iteration loops)."""
+conditions, empty or single-iteration loops), in one bottom-up sweep."""
 
 from __future__ import annotations
 
-from ..ir import (BoolConst, Expr, If, IntConst, For, Mutator, Stmt, StmtSeq,
-                  count_nodes, join_dtype, makeAdd, makeCast, makeCmp,
-                  makeIfExpr, makeIntrinsic, makeLNot, makeMul, makeSub,
-                  substitute, wrap_like)
+from ..ir import (BoolConst, Expr, If, IntConst, For, Stmt, StmtSeq,
+                  join_dtype, makeAdd, makeCast, makeCmp, makeIfExpr,
+                  makeIntrinsic, makeLNot, makeMul, makeSub, substitute,
+                  wrap_like)
 from ..ir import expr as E
 from ..polyhedral.build import Linear, combine, scale
-from .flatten import flatten_stmt_seq
+from .flatten import Flatten
 
 
 def _emit(lin: Linear, atoms, dtype) -> Expr:
@@ -54,12 +54,15 @@ class _Sum(Expr):
         return ("_Sum", id(self))
 
 
-class _Simplify(Mutator):
+class _Simplify(Flatten):
     """One bottom-up folding sweep over expressions and control flow. Each
     non-float ``+``/``-``/``*`` gets its linear form once, from its
     operands'. A column is the ``key()`` of an atom, which keeps its own
     node: any operand but an integer constant or such a sum, ``//`` and
-    ``%`` included (no quotient columns here)."""
+    ``%`` included (no quotient columns here). Statement sequences splice
+    nested ones and drop empty statements as they are rebuilt (the
+    inherited :class:`~repro.passes.flatten.Flatten` rule), so a loop or
+    ``else`` that empties only once flattened goes in the same sweep."""
 
     def __init__(self):
         #: id(tree) -> (tree, _Sum) of each sum made a tree; a fold such
@@ -177,11 +180,6 @@ def simplify_expr(e: Expr) -> Expr:
 
 
 def simplify(node):
-    """Iterate folding sweeps to a fixed point (bounded)."""
-    size = count_nodes(node)
-    for _round in range(10):
-        node = flatten_stmt_seq(_Simplify()(node))
-        before, size = size, count_nodes(node)
-        if size == before:
-            break
-    return node
+    """Fold, canonicalise and prune ``node`` in one sweep, which is a
+    fixed point: a second sweep changes nothing."""
+    return _Simplify()(node)

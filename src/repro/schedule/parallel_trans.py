@@ -96,6 +96,13 @@ def vectorize(func, loop_sel, analyzer=None):
     Requires the same independence as ``parallelize``; reductions are
     allowed (lowered to vector reductions).
     """
+    check_vectorize(func, loop_sel, analyzer)
+    return mark_vectorize(func, loop_sel)
+
+
+def check_vectorize(func, loop_sel, analyzer=None):
+    """``vectorize``'s legality query: raise when the loop carries a
+    dependence."""
     loop = find_loop(func.body, loop_sel)
     analyzer = analyzer_for(func, analyzer)
     deps = analyzer.find(direction=[DirItem.same_loop(loop.sid, "!=")],
@@ -104,6 +111,12 @@ def vectorize(func, loop_sel, analyzer=None):
         raise DependenceViolation(
             f"cannot vectorize {loop_sel!r}: loop-carried {deps[0]}", deps)
 
+
+def mark_vectorize(func, loop_sel):
+    """``vectorize``'s marking, unchecked: callers prove legality
+    themselves (the schedule search replays each candidate it measures
+    through the checked primitive)."""
+    loop = find_loop(func.body, loop_sel)
     return replace_stmt(func, loop.sid,
                         lambda l: l.with_property(vectorize=True))
 

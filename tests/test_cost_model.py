@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro as ft
-from repro.analysis import tightest_bounds
+from repro.analysis import BoundsCtx, const_bounds, tightest_bounds
 from repro.analysis.cost import (COUNT_FIELDS, CostEstimate, Counts,
                                  analyze_cost, clear_cost_memo, count,
                                  estimate_cost, infer_scalar_env,
@@ -26,7 +26,8 @@ from repro.autosched import CPU, auto_schedule
 from repro.autosched.search import StructuredTuner
 from repro.autosched.search.screen import CandidateScreen
 from repro.autosched.target import Target, default_target
-from repro.ir import IntConst, Var
+from repro.ir import (DataType, IntConst, Load, Var, makeIfExpr, makeMax,
+                      makeMin)
 from repro.ir.hashing import struct_hash
 from repro.runtime import metrics
 from repro.runtime.driver import Executable, build
@@ -61,7 +62,7 @@ def _candidate_bounds(e, ctx):
 @pytest.fixture(autouse=True)
 def const_bounds_calls(monkeypatch):
     """Every ``const_bounds`` call the cost model makes in this file must
-    answer as the candidate path does, shortcut or not. Yields the
+    answer as the candidate path does. Yields the
     calls' ``(expr, ctx)``; the check runs after the test, because a
     search would count an exception raised in its cost model as an
     invalid candidate."""
@@ -80,20 +81,40 @@ def const_bounds_calls(monkeypatch):
     assert not wrong
 
 
-def test_const_bounds_shortcut_on_a_tune_search_sweep(const_bounds_calls,
-                                                      monkeypatch):
+def test_const_bounds_on_a_tune_search_sweep(const_bounds_calls,
+                                             monkeypatch):
+    """Every call of a sweep, compound expressions included, answers as
+    the candidate path does (checked by the autouse fixture)."""
     ft.clear_compile_caches()
     tune_search_sweep(monkeypatch)
+    compound = [e for e, _ctx in const_bounds_calls
+                if not isinstance(e, (IntConst, Var))]
+    assert len(const_bounds_calls) > 1000
+    assert len(compound) > 100
 
-    def shortcut(e, ctx):
-        if isinstance(e, IntConst):
-            return True
-        ends = ctx.ranges.get(e.name, ()) if isinstance(e, Var) else ()
-        return len(ends) == 2 and all(isinstance(x, IntConst)
-                                      for x in ends)
 
-    taken = sum(shortcut(e, ctx) for e, ctx in const_bounds_calls)
-    assert taken > len(const_bounds_calls) // 2 > 0
+_I, _N = Var("i"), Var("n")  # i in [2, 10) below; n has no range
+
+
+@pytest.mark.parametrize("e, want", [
+    (makeMin(_I, 7), (2, 7)),
+    (makeMin(_N, _I), (None, 9)),
+    (makeMax(_I, 4), (4, 9)),
+    (makeMax(_N, _I), (2, None)),
+    (makeIfExpr(_I < 5, _I, 20 - _I), (2, 18)),
+    ((_I - 9) % 4, (0, 3)),
+    ((_I - 9) // 4, (-2, 0)),
+    (_I * -3 + 1, (-26, -5)),
+    (makeMin(_I, 6) * -2, (-12, -4)),
+    (Var("j"), (-3, 8)),  # j in [-3, i)
+    (Load("t", [_I], DataType.INT32) + 1, (None, None)),
+    (_N + _I, (None, None)),
+], ids=["min", "min_unranged", "max", "max_unranged", "if", "mod",
+         "floordiv", "mul_negative", "mul_negative_min", "var_symbolic_end",
+         "load", "unranged"])
+def test_const_bounds_cases(e, want):
+    ctx = BoundsCtx().with_loop("i", 2, 10).with_loop("j", -3, _I)
+    assert const_bounds(e, ctx) == want == _candidate_bounds(e, ctx)
 
 
 def _workload_args(name, data, func):

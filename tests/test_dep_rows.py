@@ -506,23 +506,27 @@ def test_grad_of_a_workload(name, oracle):
 
 
 def tune_search_sweep(monkeypatch):
-    """One compile-only sweep of tune_search's four searches."""
+    """One compile-only sweep of tune_search's four searches; returns
+    each program's ``TuneResult``."""
     monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
+    results = {}
     for name in sorted(ALL):
         mod = ALL[name]
         data = mod.make_data(seed=1, **TINY[name])
         args = tuple(data[p] for p in ARRAY_PARAMS[name])
         scalars = {"w": data["w"]} if name == "longformer" else {}
-        StructuredTuner(mod.make_program(), make_inputs=lambda: args,
-                        backend="pycode", rounds=8, batch=4, seed=0,
-                        scalars=scalars).tune()
+        results[name] = StructuredTuner(
+            mod.make_program(), make_inputs=lambda: args,
+            backend="pycode", rounds=8, batch=4, seed=0,
+            scalars=scalars).tune()
+    return results
 
 
 def test_a_tune_search_sweep(oracle, monkeypatch):
     tune_search_sweep(monkeypatch)
     assert oracle.systems > 100
     # most pairs are refuted before their whole system is composed
-    assert oracle.refuted > 300
+    assert oracle.refuted * 3 > oracle.calls * 2
 
 
 @pytest.mark.parametrize("name", sorted(ALL))

@@ -3,11 +3,12 @@
 ``Mutator`` is copy-on-write, a mutator that rewrites no expression never
 enters one, ``replace_stmt`` rebuilds only the spine from the root to
 its target, and ``simplify`` builds each integer sum's linear form once,
-from its operands' forms. Two things are pinned here:
+from its operands' forms, in one sweep. Two things are pinned here:
 
 - the compile path produces the same programs the rebuild-everything
-  implementation and the re-linearizing ``simplify`` produced. Both are
-  kept below, in this file only, as references of a differential oracle;
+  implementation, the re-linearizing ``simplify`` and the fixed-point
+  loop of ``simplify`` sweeps produced. All three are kept below, in this
+  file only, as references of a differential oracle;
 - no rewrite writes into its input, whose subtrees are now shared with
   its output, with the pass cache and with parent schedules.
 """
@@ -23,12 +24,13 @@ from repro.codegen.ccode import CCodegen
 from repro.cache.serial import canonical_key
 from repro.errors import InvalidSchedule
 from repro.ir import (Alloc, DataType, Eval, For, Free, LibCall, Load, Store,
-                      StmtSeq, Var, collect_stmts, fresh_copy, map_exprs,
-                      rename_tensor, struct_hash, substitute)
+                      StmtSeq, Var, collect_stmts, count_nodes, fresh_copy,
+                      map_exprs, rename_tensor, struct_hash, substitute)
 from repro.ir import expr as E
 from repro.ir import stmt as S
+from repro.ir.hashing import fingerprint
 from repro.ir.visitor import Mutator
-from repro.passes import simplify_pass
+from repro.passes import flatten_stmt_seq, simplify_pass
 from repro.pipeline import (compile_ir, legalization_passes, lowering_passes,
                             suppress_illegal_simd)
 from repro.schedule import (Schedule, common, loop_trans, mem_trans,
@@ -257,6 +259,43 @@ def _use_relinearizing_simplify(monkeypatch):
                         _relinearizing_mutate_expr)
 
 
+# ---------------------------------------------------------------------------
+# the reference simplify loop: sweeps that do not splice sequences, each
+# followed by the flatten pass, until the node count stops changing
+# ---------------------------------------------------------------------------
+
+
+class _SweepWithoutSplicing(simplify_pass._Simplify):
+    mutate_StmtSeq = Mutator.generic_mutate_stmt
+
+
+def _fixed_point_call(self, node):
+    size = count_nodes(node)
+    for _round in range(10):
+        node = flatten_stmt_seq(
+            Mutator.__call__(_SweepWithoutSplicing(), node))
+        before, size = size, count_nodes(node)
+        if size == before:
+            break
+    return node
+
+
+def _use_fixed_point_simplify(monkeypatch):
+    monkeypatch.setattr(simplify_pass._Simplify, "__call__",
+                        _fixed_point_call)
+
+
+def one_more_sweep_changes_nothing(node):
+    """Whether a second ``simplify`` sweep gives ``simplify``'s output
+    ``node`` back key for key: the same sid-inclusive structure and every
+    expression's dtype."""
+    again = simplify_pass.simplify(node)
+    if isinstance(node, E.Expr):
+        return same_tree(again, node)
+    return (fingerprint(again, include_sids=True), _dtypes(again)) == \
+        (fingerprint(node, include_sids=True), _dtypes(node))
+
+
 @pytest.fixture
 def cleared():
     ft.clear_compile_caches()
@@ -269,10 +308,9 @@ def cleared():
 # ---------------------------------------------------------------------------
 
 
-def _fingerprint(func):
-    """The canonical sid-inclusive hash (absolute sids differ: fewer
-    throwaway nodes mint fewer sids) plus every expression's dtype, which
-    ``struct_hash`` ignores and code generation reads."""
+def _dtypes(node):
+    """Every expression's dtype in ``node``, which ``struct_hash`` ignores
+    and code generation reads."""
     dtypes = []
 
     def walk(e):
@@ -280,10 +318,16 @@ def _fingerprint(func):
         for c in e.children():
             walk(c)
 
-    for s in collect_stmts(func, lambda _s: True):
+    for s in collect_stmts(node, lambda _s: True):
         for e in s.child_exprs():
             walk(e)
-    return canonical_key(func)[0], tuple(dtypes)
+    return tuple(dtypes)
+
+
+def _fingerprint(func):
+    """The canonical sid-inclusive hash (absolute sids differ: fewer
+    throwaway nodes mint fewer sids) plus every expression's dtype."""
+    return canonical_key(func)[0], _dtypes(func)
 
 
 def _products(name):
@@ -316,10 +360,12 @@ def _products(name):
 
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_same_programs_as_rebuilding_everything(name, monkeypatch, cleared):
-    """The shipped rewrites against the re-linearizing simplify, then
-    against it and the rebuild-everything mutator together."""
+    """The shipped rewrites against the fixed-point simplify loop, then
+    against it and the re-linearizing simplify, then against those and
+    the rebuild-everything mutator together."""
     shipped = _products(name)
-    for install in (_use_relinearizing_simplify, _use_reference):
+    for install in (_use_fixed_point_simplify, _use_relinearizing_simplify,
+                    _use_reference):
         install(monkeypatch)
         reference = _products(name)
         assert shipped.keys() == reference.keys()
@@ -328,6 +374,28 @@ def test_same_programs_as_rebuilding_everything(name, monkeypatch, cleared):
     f = ALL[name].make_program().func
     assert Mutator()(f).body is not f.body  # the references are installed
     assert simplify_pass._Simplify.mutate_expr is _relinearizing_mutate_expr
+    assert simplify_pass._Simplify.__call__ is _fixed_point_call
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_one_simplify_sweep_is_a_fixed_point(name, monkeypatch, cleared):
+    """Every tree ``simplify`` returns while workload ``name`` is compiled
+    (each backend's lowering with and without ``optimize``, ``grad()``'s
+    forward and backward, a realized candidate) comes back unchanged from
+    one more sweep."""
+    outs = []
+
+    def recording(self, node, _sweep=simplify_pass._Simplify.__call__):
+        out = _sweep(self, node)
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(simplify_pass._Simplify, "__call__", recording)
+    _products(name)
+    monkeypatch.undo()
+    assert len(outs) > 5
+    for out in outs:
+        assert one_more_sweep_changes_nothing(out)
 
 
 # ---------------------------------------------------------------------------

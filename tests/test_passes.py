@@ -33,6 +33,18 @@ class TestSimplify:
         out = simplify(s)
         assert isinstance(out, StmtSeq) and not out.stmts
 
+    def test_a_loop_emptied_by_flattening_goes_in_one_sweep(self):
+        # the body is empty only once its nested sequences are spliced;
+        # the sweep splices them on its way up, so the loop goes with it
+        empty = StmtSeq([StmtSeq([]), StmtSeq([StmtSeq([])])])
+        s = seq([For("i", 0, Var("n"), empty),
+                 If(Var("n") > 2, Store("a", [], 1), empty)])
+        out = simplify(s)
+        assert match(out, If(Var("n") > 2, Store("a", [], 1)))
+        assert out.else_case is None
+        assert match(simplify(For("j", 0, 4, s)),
+                     For("j", 0, 4, If(Var("n") > 2, Store("a", [], 1))))
+
     def test_single_iteration_inlined(self):
         s = For("i", 2, 3, Store("a", [Var("i")], Var("i") * 2))
         out = simplify(s)

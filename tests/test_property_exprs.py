@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from repro.analysis import BoundsCtx, const_bounds, tightest_bounds
 from repro.ir import (DataType, Expr, IntConst, Load, Var, dump, makeMax,
                       makeMin, wrap)
-from repro.passes import simplify_expr
+from repro.passes import simplify, simplify_expr
 from repro.runtime.interpreter import Interpreter
 
-from .test_ir_sharing import reference_simplify_expr, same_tree
+from .test_ir_sharing import (one_more_sweep_changes_nothing,
+                              reference_simplify_expr, same_tree)
 
 _INTERP = Interpreter()
 
@@ -73,6 +74,12 @@ def test_simplify_builds_the_reference_tree(e):
     re-linearizing every subtree gave, node for node and dtype for
     dtype."""
     assert same_tree(simplify_expr(e), reference_simplify_expr(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_exprs())
+def test_one_simplify_sweep_is_a_fixed_point(e):
+    assert one_more_sweep_changes_nothing(simplify(e))
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from repro.errors import InvalidSchedule
 from repro.ir import (DataType, For, Func, If, IntConst, Load, ReduceTo,
                       Store, StmtSeq, Var, VarDef, collect_stmts, seq)
-from repro.passes import lower
+from repro.passes import flatten_stmt_seq, lower, make_reduction, simplify
 from repro.runtime import build
 from repro.schedule import Schedule
+
+from .test_ir_sharing import one_more_sweep_changes_nothing
 
 N, M = 5, 4  # fixed tensor extents (small => interp is fast)
 
@@ -182,6 +184,16 @@ def test_random_schedules_preserve_semantics(func, rnd):
         np.testing.assert_allclose(
             _run(s.func, backend), ref, rtol=1e-4, atol=1e-5,
             err_msg=f"{backend} after: {'; '.join(s.log)}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(programs())
+def test_one_simplify_sweep_is_a_fixed_point(func):
+    """``simplify``'s single sweep leaves nothing for a second one, on the
+    generated program and on what the lowering hands it."""
+    assert one_more_sweep_changes_nothing(simplify(func))
+    lowered = make_reduction(flatten_stmt_seq(func))
+    assert one_more_sweep_changes_nothing(simplify(lowered))
 
 
 @settings(max_examples=20, deadline=None)

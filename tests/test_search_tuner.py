@@ -13,11 +13,16 @@ import pytest
 import repro as ft
 from repro.analysis.cost import frontier_order, pareto_front
 from repro.autosched import StructuredTuner
-from repro.autosched.search.space import ScheduleSpace
+from repro.autosched.search.measure import MeasurementPool
+from repro.autosched.search.space import Knob, ScheduleSpace
 from repro.autosched.search.trace import ScheduleTrace
+from repro.errors import FreeTensorError
+from repro.ir import For, collect_stmts
 from repro.ir.hashing import struct_hash
 from repro.runtime import metrics
 from repro.schedule import Schedule
+
+from .test_dep_rows import tune_search_sweep
 
 
 def _mm_program(n=8, m=6, k=5):
@@ -214,6 +219,134 @@ class TestScheduleTrace:
         assert res.best_trace is not None
         replayed = res.best_trace.apply(Schedule(tuner.base)).func
         assert struct_hash(replayed) == struct_hash(res.best_func)
+
+
+# ---------------------------------------------------------------------------
+# legality is proven at measurement
+# ---------------------------------------------------------------------------
+
+
+def _scan_program(n=16):
+    @ft.transform
+    def scan(a: ft.Tensor[(n,), "f32", "input"],
+             y: ft.Tensor[(n,), "f32", "output"]):
+        y[0] = a[0]
+        for i in range(1, n):
+            y[i] = y[i - 1] + a[i]
+
+    return scan
+
+
+class _SearchSpy:
+    """Records what searches realize, replay and hand to measurement."""
+
+    def __init__(self, monkeypatch):
+        #: id(trace) -> (trace, realized func)
+        self.realized = {}
+        #: (trace, replayed func or None when the replay raised), in order
+        self.replays = []
+        #: funcs handed to the measurement pool
+        self.measured = []
+        realize = ScheduleSpace.realize
+        apply = ScheduleTrace.apply
+        measure_batch = MeasurementPool.measure_batch
+
+        def spy_realize(space, assignment):
+            func, trace = realize(space, assignment)
+            self.realized[id(trace)] = trace, func
+            return func, trace
+
+        def spy_apply(trace, schedule):
+            try:
+                out = apply(trace, schedule)
+            except FreeTensorError:
+                self.replays.append((trace, None))
+                raise
+            self.replays.append((trace, out.func))
+            return out
+
+        def spy_measure(pool, entries):
+            self.measured.extend(func for func, _fake in entries)
+            return measure_batch(pool, entries)
+
+        monkeypatch.setattr(ScheduleSpace, "realize", spy_realize)
+        monkeypatch.setattr(ScheduleTrace, "apply", spy_apply)
+        monkeypatch.setattr(MeasurementPool, "measure_batch", spy_measure)
+
+
+class TestLegalityAtMeasurement:
+
+    def test_measured_funcs_are_replays_of_realized_ones(self,
+                                                        monkeypatch):
+        spy = _SearchSpy(monkeypatch)
+        results = tune_search_sweep(monkeypatch)
+        replayed = [(trace, func) for trace, func in spy.replays
+                    if id(trace) in spy.realized]
+        assert len(replayed) == len(spy.replays) == len(spy.measured) \
+            == sum(r.measured for r in results.values()) > 4
+        for trace, func in replayed:
+            assert func is not None
+            realized = spy.realized[id(trace)][1]
+            assert struct_hash(func) == struct_hash(realized)
+        # what is measured, pooled and returned is the replayed func
+        assert [id(f) for _t, f in replayed] == \
+            [id(f) for f in spy.measured]
+        for res in results.values():
+            assert any(res.best_func is f for f in spy.measured)
+
+    def test_an_illegal_vectorize_gives_its_slot_away(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
+        spy = _SearchSpy(monkeypatch)
+        a = np.arange(16, dtype=np.float32)
+        tuner = StructuredTuner(_scan_program(), make_inputs=lambda: (a,),
+                                backend="pycode", rounds=8, batch=8,
+                                topk=2, seed=0, explore_prob=1.0,
+                                workers=1)
+        # the scan's loop carries y[i - 1] -> y[i]: extraction offers no
+        # vectorize, so inject one (realize marks it unchecked)
+        tile = next(k for k in tuner.space.knobs if k.kind == "tile")
+        knob = Knob(tile.name.replace(".tile", ".ann"), "ann",
+                    ["none", "vectorize"], sid=tile.sid)
+        tuner.space.knobs.append(knob)
+        tuner.space._by_name[knob.name] = knob
+        res = tuner.tune()
+
+        def vectorized(func):
+            return any(loop.property.vectorize for loop in collect_stmts(
+                func.body, lambda x: isinstance(x, For)))
+
+        assert any(vectorized(func)
+                   for _trace, func in spy.realized.values())
+        assert res.invalid >= 1
+        # every illegal candidate the frontier reached was replaced
+        assert res.measured == tuner.topk == len(spy.measured)
+        legal = [func is not None for _t, func in spy.replays]
+        assert legal.count(False) == res.invalid
+        # replays run in frontier order and stop at the topk-th legal
+        # one, so an illegal one ranked ahead of it gave its slot away
+        assert legal[-1] and False in legal[:-1]
+        assert not any(vectorized(func) for func in spy.measured)
+        assert not vectorized(res.best_func)
+        assert all(step["prim"] != "vectorize"
+                   for step in res.best_trace.as_json())
+        assert (res.measured + res.dedup_skips + res.cost_pruned
+                + res.frontier_skips + res.invalid) == res.rounds
+
+    def test_winners_of_a_tune_search_sweep(self, monkeypatch):
+        # the identity schedule wins all four searches under the cost
+        # proxy; pinned with each search's counters, so a change to what
+        # is screened, ranked or measured shows here
+        results = tune_search_sweep(monkeypatch)
+        got = {name: (res.best_trace.as_json(), res.best_time,
+                      res.measured, res.cost_pruned, res.frontier_skips,
+                      res.invalid)
+               for name, res in results.items()}
+        assert got == {
+            "gat": ([], 39026.0, 2, 4, 2, 0),
+            "longformer": ([], 69456.0, 3, 3, 2, 0),
+            "softras": ([], 36220.0, 2, 2, 2, 0),
+            "subdivnet": ([], 32210.0, 2, 2, 2, 0),
+        }
 
 
 # ---------------------------------------------------------------------------
