@@ -28,7 +28,8 @@ def main():
     face_loop = loops[0]  # the outer loop over faces
     outer, inner = s.split(face_loop.sid, factor=16)
     s.parallelize(outer, "openmp")
-    print("applied:", "; ".join(s.log))
+    print("applied:")
+    print(s.trace.summary())
 
     # dependence analysis refuses illegal moves: the inner-product loop
     # accumulates into y[i, oo], so it cannot be fused backwards etc.

@@ -593,8 +593,8 @@ def analyzer_for(func, analyzer: Optional[DepAnalyzer] = None) -> DepAnalyzer:
 
     Schedule primitives accept an optional persistent analyzer (owned by
     the Schedule); this refreshes it against ``func`` when needed, or
-    builds a fresh one. With ``REPRO_NO_MEMO=1`` a fresh
-    analyzer is always built (the escape hatch for differential testing).
+    builds a fresh one. With memos disabled (``state.memos_on``, set by
+    differential tests) a fresh analyzer is always built.
     """
     if analyzer is None or not memos_enabled():
         return DepAnalyzer(func)

@@ -13,12 +13,12 @@ __getattr__ = lazy_exports(__name__, globals(), {
     "auto_schedule": ".rules", "auto_unroll": ".rules",
     "auto_use_lib": ".rules", "auto_vectorize": ".rules",
     "MeasurementPool": ".search", "ScheduleSpace": ".search",
-    "ScheduleTrace": ".search", "StructuredTuner": ".search",
+    "StructuredTuner": ".search",
 })
 
 __all__ = [
     "StructuredTuner", "TuneResult",
-    "MeasurementPool", "ScheduleSpace", "ScheduleTrace",
+    "MeasurementPool", "ScheduleSpace",
     "auto_fuse", "auto_mem_type", "auto_parallelize", "auto_schedule",
     "auto_unroll", "auto_use_lib", "auto_vectorize",
     "CPU", "GPU", "Target", "default_target",

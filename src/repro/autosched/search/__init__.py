@@ -4,7 +4,6 @@ parallel measurement").
 
 - :mod:`.space` — typed knobs (tile chains, legal reorder permutations,
   legality-gated annotations) extracted once per program;
-- :mod:`.trace` — replayable, serializable schedule traces;
 - :mod:`.screen` — the dedup + dominance-pruning front-end, plus
   per-session input caching;
 - :mod:`.measure` — the fault-isolated worker-process measurement pool;
@@ -19,7 +18,6 @@ _LAZY = {
     "StructuredTuner": ".tuner",
     "ScheduleSpace": ".space",
     "Knob": ".space",
-    "ScheduleTrace": ".trace",
     "CandidateScreen": ".screen",
     "MeasurementPool": ".measure",
 }

@@ -18,7 +18,7 @@ assignment* of those knobs (FlexTensor-style; see ROADMAP):
   the annotation is a no-op).
 
 ``realize()`` turns an assignment into a scheduled ``Func`` plus the
-:class:`~repro.autosched.search.trace.ScheduleTrace` that produced it, so
+:class:`~repro.schedule.trace.ScheduleTrace` its schedule recorded, so
 every candidate ships with a replayable recipe. The func is screened; the
 trace, replayed through the checked primitives, is what gets measured.
 Assignments are plain JSON-able dicts, which is what mutation and
@@ -33,11 +33,9 @@ from typing import Dict, List, Optional, Tuple
 from ...analysis import DepAnalyzer, DirItem
 from ...errors import FreeTensorError
 from ...ir import For, Func, IntConst, collect_stmts
-from ...schedule import Schedule
+from ...schedule import Schedule, ScheduleTrace
 from ...schedule.common import only_stmt_of
 from ...schedule.loop_trans import _check_permutation_legal
-from ...schedule.parallel_trans import mark_vectorize
-from .trace import ScheduleTrace, loop_ref, res_ref
 
 #: single-split factors offered to every splittable loop
 TILE_FACTORS = (2, 4, 8, 16, 32, 64)
@@ -237,9 +235,10 @@ class ScheduleSpace:
                 ) -> Tuple[Func, ScheduleTrace]:
         """Apply a knob assignment to a fresh schedule of the base.
 
-        Returns ``(func, trace)``. The func is for screening only: the
-        ``vectorize`` annotations are marked without their dependence
-        query, so a candidate is legal only once ``trace`` replays on
+        Returns ``(func, trace)``: the schedule's tree and the trace it
+        recorded. The func is for screening only: the ``vectorize``
+        annotations are marked without their dependence query, so a
+        candidate is legal only once ``trace`` replays on
         ``Schedule(base)`` through the checked primitives (what the tuner
         does before it measures one). Individual knob choices are
         pre-gated on the base, but e.g. a reorder can invalidate a
@@ -250,7 +249,6 @@ class ScheduleSpace:
         candidate).
         """
         s = Schedule(self.base)
-        tr = ScheduleTrace()
 
         # reorders first: band sids are base sids and reorder keeps them
         for k in self.knobs:
@@ -259,79 +257,48 @@ class ScheduleSpace:
             perm = assignment.get(k.name, k.choices[0])
             if list(perm) == sorted(perm):
                 continue  # identity
-            order = [k.band[p] for p in perm]
-            tr.add("reorder", order=[loop_ref(s, sid) for sid in order])
-            s.reorder(order)
+            s.reorder([k.band[p] for p in perm])
 
         # then every split chain, in base pre-order (splits preserve the
         # sids of the loops nested inside), deferring annotations
-        pending = []  # (ann, outer_sid, inner_sid, first_step, last_step)
+        pending = []  # (ann, outer_sid, inner_sid)
         for k in self.knobs:
             if k.kind == "tile":
-                chain = assignment.get(k.name, [])
-                inner_sid = k.sid
-                outer_sid = k.sid
-                first_step = None
-                last_step = None
-                for level, f in enumerate(chain):
-                    step = tr.add("split", loop=loop_ref(s, inner_sid),
-                                  factor=int(f))
-                    outer, inner = s.split(inner_sid, factor=int(f))
+                outer_sid = inner_sid = k.sid
+                for level, f in enumerate(assignment.get(k.name, [])):
+                    outer, inner_sid = s.split(inner_sid, factor=int(f))
                     if level == 0:
                         outer_sid = outer
-                        first_step = step
-                    inner_sid = inner
-                    last_step = step
                 ann_name = k.name.replace(".tile", ".ann")
                 pending.append((assignment.get(ann_name, "none"),
-                                outer_sid, inner_sid, first_step,
-                                last_step))
+                                outer_sid, inner_sid))
             elif k.kind == "ann" \
                     and k.name.replace(".ann", ".tile") \
                     not in self._by_name:
                 pending.append((assignment.get(k.name, "none"),
-                                k.sid, k.sid, None, None))
+                                k.sid, k.sid))
 
         # annotations innermost-first: an immediate ``unroll`` duplicates
         # its body with fresh sids, so an ancestor must only unroll after
         # its descendants are fully scheduled. "Innermost" is judged on
         # the *current* tree (a reorder can invert the base nesting), by
         # descending pre-order index — descendants always come after
-        # their ancestors in pre-order.
+        # their ancestors in pre-order. ``parallel`` binds the outer
+        # result of the *first* split in the chain (distribute tiles),
+        # ``vectorize``/``unroll`` the inner result of the *last* split
+        # (contiguous short loop).
         pos = {l.sid: i for i, l in enumerate(s.loops())}
         pending.sort(key=lambda p: -pos[p[2]])
-        for ann, outer_sid, inner_sid, first_step, last_step in pending:
-            self._apply_ann(s, tr, ann, outer_sid, inner_sid,
-                            first_step, last_step)
-        return s.func, tr
-
-    def _apply_ann(self, s: Schedule, tr: ScheduleTrace, ann: str,
-                   outer_sid: str, inner_sid: str,
-                   first_step: Optional[int],
-                   last_step: Optional[int]):
-        """Attach one annotation choice: ``parallel`` binds the outer
-        result of the *first* split in the chain (distribute tiles),
-        ``vectorize``/``unroll`` the inner result of the *last* split
-        (contiguous short loop)."""
-        if ann == "none" or not ann:
-            return
-        if ann == "parallel":
-            ref = (res_ref(first_step, 0) if first_step is not None
-                   else loop_ref(s, outer_sid))
-            tr.add("parallelize", loop=ref, kind=self.parallel_kind)
-            s.parallelize(outer_sid, self.parallel_kind)
-        elif ann == "vectorize":
-            ref = (res_ref(last_step, 1) if last_step is not None
-                   else loop_ref(s, inner_sid))
-            tr.add("vectorize", loop=ref)
-            # marked unchecked: the tuner proves legality by replaying
-            # the trace of each candidate it measures
-            s.func = mark_vectorize(s.func, inner_sid)
-        elif ann == "unroll":
-            ref = (res_ref(last_step, 1) if last_step is not None
-                   else loop_ref(s, inner_sid))
-            tr.add("unroll", loop=ref)
-            s.unroll(inner_sid)
+        for ann, outer_sid, inner_sid in pending:
+            if ann == "parallel":
+                s.parallelize(outer_sid, self.parallel_kind)
+            elif ann == "vectorize":
+                # marked unchecked: the tuner proves legality by
+                # replaying the trace of each candidate it measures
+                s._mark_vectorize(inner_sid)
+            elif ann == "unroll":
+                s.unroll(inner_sid)
+        return s.func, s.trace
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"<ScheduleSpace {len(self.knobs)} knobs, "

@@ -42,13 +42,12 @@ from typing import Callable, List, Optional, Tuple
 import time
 
 from ...errors import FreeTensorError
-from ...schedule import Schedule
+from ...schedule import Schedule, ScheduleTrace
 from ..target import default_target
 from .measure import (MeasurementPool, OK, TIMEOUT, fake_measure_enabled,
                       pool_size)
 from .screen import CandidateScreen
 from .space import ScheduleSpace
-from .trace import ScheduleTrace
 
 
 class TuneResult:

@@ -21,7 +21,7 @@ def lower(func):
 
     Equivalent to ``repro.pipeline.lowering_pipeline().run(func)`` — a
     tree already lowered in this process is served from the pass
-    manager's lowering memo (disable with ``REPRO_NO_MEMO=1``).
+    manager's lowering memo.
     """
     from ..pipeline import lowering_pipeline
 

@@ -18,7 +18,7 @@ entry points (``repro.runtime.build``, ``repro.autosched.auto_schedule``,
 
 See docs/ARCHITECTURE.md for the full diagram, the pass inventory per
 target, and the instrumentation environment variables
-(``REPRO_DUMP_IR``, ``REPRO_VERIFY_EACH_PASS``, ``REPRO_NO_MEMO``).
+(``REPRO_DUMP_IR``, ``REPRO_VERIFY_EACH_PASS``).
 """
 
 from __future__ import annotations

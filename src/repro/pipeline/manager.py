@@ -26,9 +26,8 @@ The lowering memo is in-process only. What outlives the process is one
 backend's native index, ``grad()``) in the persistent store of
 ``repro.cache`` (:func:`product_store`; docs/PERFORMANCE.md).
 
-Escape hatches: ``REPRO_NO_MEMO=1`` disables the lowering memo (with
-every other in-process memo, and the product records);
-``REPRO_NO_DISK_CACHE=1`` disables the persistent store only.
+``REPRO_NO_DISK_CACHE=1`` disables the persistent store; tests disable
+every in-process memo and the product records with ``state.memos_on``.
 """
 
 from __future__ import annotations
@@ -80,8 +79,8 @@ def instrumentation() -> Tuple[str, bool]:
 
 def product_store():
     """The persistent store the product records live in (kinds
-    ``compile``, ``native``, ``grad``), or None: disk caching off,
-    ``REPRO_NO_MEMO=1``, or an instrumented run (every pass must run)."""
+    ``compile``, ``native``, ``grad``), or None: disk caching off, memos
+    disabled, or an instrumented run (every pass must run)."""
     if not memos_enabled() or any(instrumentation()):
         return None
     from ..cache.store import get_store

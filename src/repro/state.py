@@ -4,7 +4,7 @@ A memo or a counter table that outlives a call is an instance of one of
 the two classes below, registered here by name. "Clear every memo",
 "snapshot every table", "reset every table" and "disable every memo" are
 loops over this module's registry (``clear_memos`` / ``stats`` /
-``reset_stats`` / ``REPRO_NO_MEMO=1``), never hand-kept lists of imports.
+``reset_stats`` / ``memos_on``), never hand-kept lists of imports.
 
 This is a leaf: it imports nothing from ``repro``, so the polyhedral
 engine at the bottom of the stack and the serving layer at the top
@@ -30,10 +30,13 @@ _MEMOS = {}
 _COUNTERS = {}
 
 
+#: False disables every memo (differential tests set it)
+memos_on = True
+
+
 def memos_enabled() -> bool:
-    """False under ``REPRO_NO_MEMO=1`` (the differential-testing escape
-    hatch). Read per lookup, so flipping it mid-process takes effect."""
-    return os.environ.get("REPRO_NO_MEMO", "") != "1"
+    """``memos_on``, read per lookup: flipping it takes effect at once."""
+    return memos_on
 
 
 def _register(table: dict, name: str, obj):
@@ -54,8 +57,8 @@ class BoundedMemo:
         _register(_MEMOS, name, self)
 
     def get(self, key):
-        """The memoized value, or None on a miss — and always under
-        ``REPRO_NO_MEMO=1``."""
+        """The memoized value, or None on a miss — and always while
+        memos are disabled."""
         if not memos_enabled():
             return None
         return self._d.get(key)

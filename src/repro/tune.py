@@ -59,7 +59,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3,
                         help="min-of-N measurement repeats (default: 3)")
     parser.add_argument("--trace", metavar="FILE",
-                        help="write the winning schedule trace as JSON")
+                        help="write the winning ScheduleTrace as JSON "
+                             "({prim, args} steps; statements as "
+                             "{\"$stmt\": pre-order index})")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print a JSON report instead of text")
     args = parser.parse_args(argv)

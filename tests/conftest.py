@@ -15,6 +15,15 @@ os.environ.setdefault("REPRO_NO_DISK_CACHE", "1")
 
 
 @pytest.fixture
+def memos_off(monkeypatch):
+    """Call it to disable every in-process memo (``repro.state``) for the
+    rest of the test."""
+    from repro import state
+
+    return lambda: monkeypatch.setattr(state, "memos_on", False)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

@@ -131,8 +131,8 @@ class TestCaps:
         assert caps.vec_kernel_seq == 96.0
         assert caps.vec_whole_width == 16
 
-    def test_npblock_block_size_is_not_an_environment_knob(self,
-                                                           monkeypatch):
+    def test_npblock_block_size_is_not_an_environment_knob(
+            self, monkeypatch, memos_off):
         # the block size is baked into generated source but in no cache
         # key: while it was read from the environment, changing the
         # variable returned the cached Executable with the old size
@@ -144,7 +144,7 @@ class TestCaps:
         monkeypatch.setenv("REPRO_NPBLOCK_BLOCK", "8")
         monkeypatch.setenv("REPRO_NPBLOCK_MIN_TRIP", "2")
         assert build(prog, backend="npblock", optimize=True) is first
-        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        memos_off()
         fresh = build(prog, backend="npblock", optimize=True)
         assert fresh is not first
         assert fresh.source == first.source

@@ -104,12 +104,12 @@ class TestOmegaFastPaths:
         assert r1 == r2
         assert after["memo_hits"] == before["memo_hits"] + 1
 
-    def test_memo_disabled_agrees(self, monkeypatch):
+    def test_memo_disabled_agrees(self, memos_off):
         systems = [rows(i == j, i < j), rows(i >= 0, i < 8),
                    rows(i * 4 == j * 6 + 1)]
         clear_feasibility_cache()
         with_memo = [is_feasible(s) for s in systems]
-        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        memos_off()
         without = [is_feasible(s) for s in systems]
         assert with_memo == without
 
@@ -169,10 +169,10 @@ class TestBuildCache:
         assert e1 is not e2
         assert e1 is not e3
 
-    def test_env_hatch_bypasses(self, monkeypatch):
+    def test_env_hatch_bypasses(self, memos_off):
         clear_build_cache()
         p = make_program()
-        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        memos_off()
         e1 = build(p, backend="pycode")
         e2 = build(p, backend="pycode")
         assert e1 is not e2
@@ -222,12 +222,12 @@ class TestLowerCache:
         l2 = lower(make_program().func)
         assert l1 is not l2
 
-    def test_env_hatch_bypasses(self, monkeypatch):
+    def test_env_hatch_bypasses(self, memos_off):
         from repro.passes import lower
         from repro.pipeline import clear_pass_cache
 
         clear_pass_cache()
-        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        memos_off()
         f = make_program().func
         assert lower(f) is not lower(f)
 
@@ -327,11 +327,11 @@ class TestBoundedMemos:
                                                  monkeypatch):
         memo = scratch_memo(4)
         memo.put("k", 1)
-        monkeypatch.setenv("REPRO_NO_MEMO", "1")  # read per lookup
+        monkeypatch.setattr(state, "memos_on", False)  # read per lookup
         assert not state.memos_enabled()
         assert memo.get("k") is None
         memo.put("other", 2)
-        monkeypatch.delenv("REPRO_NO_MEMO")
+        monkeypatch.setattr(state, "memos_on", True)
         assert memo.get("k") == 1 and memo.get("other") is None
 
     def test_duplicate_name_raises(self, scratch_memo):

@@ -3,7 +3,8 @@ the default behaviour holds.
 
 ``build(verify=True)``, ``Interpreter(op_counts=...)`` and a spy on
 ``CandidateScreen.screen`` are the explicit switches; source spans are
-always captured.
+always captured, and only tests disable the memos
+(``repro.state.memos_on``).
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.runtime.driver import build
 from repro.runtime.interpreter import Interpreter
 
 DELETED = ("REPRO_VERIFY", "REPRO_COUNT_OPS", "REPRO_NO_SPANS",
-           "REPRO_NO_COST_PRUNE")
+           "REPRO_NO_COST_PRUNE", "REPRO_NO_MEMO")
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +36,17 @@ def test_build_does_not_verify():
         return y
 
     assert build(f) is not None
+
+
+def test_memos_stay_on():
+    @ft.transform
+    def f(x: ft.Tensor[(4,), "f32", "input"]):
+        y = ft.empty((4,), "f32")
+        for i in range(4):
+            y[i] = x[i] * 2.0
+        return y
+
+    assert build(f, backend="pycode") is build(f, backend="pycode")
 
 
 def test_interpreter_counts_nothing():

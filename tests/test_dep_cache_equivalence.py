@@ -2,7 +2,7 @@
 
 Every scenario runs the same scripted schedule session twice — once with
 the compile-path caches enabled (the default) and once with every cache
-disabled through the environment escape hatches — and asserts that the
+disabled (``repro.state.memos_on``) — and asserts that the
 legality verdicts and the transformed IR are identical. A warm-cache
 re-run of each scenario must also agree, proving that memoized verdicts
 never leak between structurally different queries.
@@ -17,11 +17,6 @@ from repro.autosched import CPU, auto_schedule
 from repro.errors import DependenceViolation, InvalidSchedule
 from repro.ir import dump
 from repro.schedule import Schedule
-
-#: the escape hatch; it disables every memo at once, so no cache layer
-#: can mask another's bug
-ALL_HATCHES = ("REPRO_NO_MEMO",)
-
 
 def make_elementwise():
     @ft.transform
@@ -154,11 +149,10 @@ def run_scenario(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_cached_equals_uncached(name, monkeypatch):
+def test_cached_equals_uncached(name, memos_off):
     ft.clear_compile_caches()
     cached_verdicts, cached_ir = run_scenario(name)
-    for var in ALL_HATCHES:
-        monkeypatch.setenv(var, "1")
+    memos_off()  # every memo at once: no layer masks another's bug
     plain_verdicts, plain_ir = run_scenario(name)
     assert cached_verdicts == plain_verdicts
     assert cached_ir == plain_ir
@@ -181,11 +175,10 @@ def test_warm_cache_agrees_with_cold(name):
 @pytest.mark.parametrize("make", [make_elementwise, make_reduction,
                                   make_two_stage],
                          ids=["elementwise", "reduction", "two_stage"])
-def test_auto_schedule_ir_identical(make, monkeypatch):
+def test_auto_schedule_ir_identical(make, memos_off):
     ft.clear_compile_caches()
     cached = dump(auto_schedule(make(), target=CPU))
-    for var in ALL_HATCHES:
-        monkeypatch.setenv(var, "1")
+    memos_off()  # every memo at once: no layer masks another's bug
     plain = dump(auto_schedule(make(), target=CPU))
     assert cached == plain
 

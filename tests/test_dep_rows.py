@@ -16,13 +16,13 @@ without any memo.
 """
 
 import itertools
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro as ft
+from repro import state
 from repro.ad import grad
 from repro.analysis import deps
 from repro.analysis.deps import DepAnalyzer, DirItem
@@ -314,17 +314,13 @@ def _reference(earlier, later, direction):
 
 
 def _decide_without_memo(base, alternatives):
-    old = os.environ.get("REPRO_NO_MEMO")
-    os.environ["REPRO_NO_MEMO"] = "1"
+    old, state.memos_on = state.memos_on, False
     try:
         return omega.any_feasible([c.row() for c in base],
                                   [[c.row() for c in alt]
                                    for alt in alternatives])
     finally:
-        if old is None:
-            del os.environ["REPRO_NO_MEMO"]
-        else:
-            os.environ["REPRO_NO_MEMO"] = old
+        state.memos_on = old
 
 
 def _keyed(rows, cols):
@@ -636,11 +632,11 @@ def _all_verdicts(name):
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
-def test_memo_on_and_off_give_the_same_verdicts(name, monkeypatch):
+def test_memo_on_and_off_give_the_same_verdicts(name, memos_off):
     ft.clear_compile_caches()
     with_memo = _all_verdicts(name)
     assert len(deps._LOCAL_MEMO) > 0
-    monkeypatch.setenv("REPRO_NO_MEMO", "1")
+    memos_off()
     ft.clear_compile_caches()
     without = _all_verdicts(name)
     assert len(deps._LOCAL_MEMO) == 0

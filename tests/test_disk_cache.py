@@ -692,17 +692,20 @@ class TestOneRecordPerEntryPoint:
         assert "compile" in text and "native" in text and "grad" in text
 
     @pytest.mark.parametrize("knob", ["REPRO_VERIFY_EACH_PASS",
-                                      "REPRO_DUMP_IR", "REPRO_NO_MEMO",
+                                      "REPRO_DUMP_IR", "memos_off",
                                       "REPRO_NO_DISK_CACHE"])
     def test_switches_gate_compile_and_native_records(
-            self, disk_env, monkeypatch, tmp_path, knob):
+            self, disk_env, monkeypatch, memos_off, tmp_path, knob):
         from repro.backend import get_backend
 
         func = compile_ir(gat.make_program().func, backend="c")
         get_backend("c").build(func)
         ft.clear_compile_caches()
-        monkeypatch.setenv(knob, str(tmp_path / "dump")
-                           if knob == "REPRO_DUMP_IR" else "1")
+        if knob == "memos_off":
+            memos_off()
+        else:
+            monkeypatch.setenv(knob, str(tmp_path / "dump")
+                               if knob == "REPRO_DUMP_IR" else "1")
         before, ran = _disk(), _passes_executed()
         func = compile_ir(gat.make_program().func, backend="c")
         get_backend("c").build(func)

@@ -493,7 +493,7 @@ class TestStagedCodeMemo:
 
         return f
 
-    def test_one_function_is_compiled_once(self, monkeypatch):
+    def test_one_function_is_compiled_once(self, monkeypatch, memos_off):
         from repro.frontend import staging
 
         compiled = []
@@ -511,7 +511,7 @@ class TestStagedCodeMemo:
         assert len(compiled) == 1
         assert first is not second
         assert first.__code__ is second.__code__ is third.__code__
-        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        memos_off()
         staging._rewrite_function(fn)
         assert len(compiled) == 2
 

@@ -123,10 +123,10 @@ class TestPassCache:
         assert pass_cache_stats()["hits"] - after["hits"] == 4
         assert pass_cache_stats()["misses"] - after["misses"] == 2
 
-    def test_env_hatches_bypass_cache(self, monkeypatch):
+    def test_env_hatches_bypass_cache(self, memos_off):
         clear_pass_cache()
         func = make_program().func
-        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        memos_off()
         pipe = lowering_pipeline()
         hits = pass_cache_stats()["hits"]
         assert pipe.run(func) is not pipe.run(func)

@@ -183,7 +183,7 @@ def test_random_schedules_preserve_semantics(func, rnd):
     for backend in ("interp", "pycode", "c"):
         np.testing.assert_allclose(
             _run(s.func, backend), ref, rtol=1e-4, atol=1e-5,
-            err_msg=f"{backend} after: {'; '.join(s.log)}")
+            err_msg=f"{backend} after:\n{s.trace.summary()}")
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,12 +15,11 @@ from repro.analysis.cost import frontier_order, pareto_front
 from repro.autosched import StructuredTuner
 from repro.autosched.search.measure import MeasurementPool
 from repro.autosched.search.space import Knob, ScheduleSpace
-from repro.autosched.search.trace import ScheduleTrace
 from repro.errors import FreeTensorError
 from repro.ir import For, collect_stmts
 from repro.ir.hashing import struct_hash
 from repro.runtime import metrics
-from repro.schedule import Schedule
+from repro.schedule import Schedule, ScheduleTrace
 
 from .test_dep_rows import tune_search_sweep
 
@@ -183,17 +182,6 @@ class TestScheduleTrace:
         assert back.as_json() == trace.as_json()
         replayed = back.apply(Schedule(base)).func
         assert struct_hash(func) == struct_hash(replayed)
-
-    def test_res_refs_resolve_split_results(self):
-        base = Schedule(_mm_program()).func
-        s = Schedule(base)
-        tr = ScheduleTrace()
-        step = tr.add("split", loop={"$loop": 0}, factor=2)
-        tr.add("vectorize", loop={"$res": [step, 1]})
-        outer, inner = s.split(s.loops()[0].sid, factor=2)
-        s.vectorize(inner)
-        replayed = tr.apply(Schedule(base)).func
-        assert struct_hash(replayed) == struct_hash(s.func)
 
     def test_random_tuner_winner_trace_replays(self):
         # explore_prob=1: every draw is a fresh random assignment
