@@ -19,7 +19,7 @@ from .model import (COUNT_FIELDS, CostEstimate, Counts, LoopCost,
 _LAZY = ("analyze_cost", "estimate_cost", "perf_lint", "clear_cost_memo",
          "infer_scalar_env")
 
-_LAZY_FRONTIER = ("frontier_order", "pareto_front")
+_LAZY_FRONTIER = ("frontier_order",)
 
 
 def __getattr__(name):

@@ -4,11 +4,9 @@ PR 7 used :class:`~repro.analysis.cost.model.CostEstimate` only as a
 *pruner* (dominance against the incumbent). The structured searcher
 (``repro.autosched.search``) also needs it as an *ordering*: each
 generation screens a batch of candidates and measures only the most
-promising few. This module provides that ordering as plain functions so
-other consumers (benchmarks, future serving-time admission) can share
-it.
+promising few. This module provides that ordering.
 
-Both functions take a list of ``CostEstimate | None`` and return
+:func:`frontier_order` takes a list of ``CostEstimate | None`` and returns
 **indices** into it. ``None`` estimates (screening disabled, or the
 estimate failed) sort after every real estimate but are never dropped —
 ordering is advisory, candidates must not silently disappear here. Ties
@@ -36,29 +34,3 @@ def frontier_order(estimates: Sequence[Optional[CostEstimate]]
 
     return sorted(range(len(estimates)), key=key)
 
-
-def pareto_front(estimates: Sequence[Optional[CostEstimate]]
-                 ) -> List[int]:
-    """Indices of the non-dominated estimates (the Pareto front under
-    :meth:`CostEstimate.dominates_or_equal`), in input order.
-
-    A ``None`` estimate is incomparable, so it is always on the front.
-    Duplicate estimates (mutual domination) all stay: the front answers
-    "which candidates could still win on some axis", not "pick one".
-    """
-    front: List[int] = []
-    for i, e in enumerate(estimates):
-        if e is None:
-            front.append(i)
-            continue
-        dominated = False
-        for j, other in enumerate(estimates):
-            if j == i or other is None:
-                continue
-            if other.dominates_or_equal(e) \
-                    and not e.dominates_or_equal(other):
-                dominated = True
-                break
-        if not dominated:
-            front.append(i)
-    return front

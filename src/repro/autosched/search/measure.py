@@ -23,17 +23,18 @@ instead (its docstring states the crash/hang/respawn protocol once):
 - **deadline** — ``timeout_s`` (default 60) bounds each candidate; a
   worker past it is killed and the candidate counted as a timeout.
 
-Environment knobs (see docs/PERFORMANCE.md):
+Environment knob (see docs/PERFORMANCE.md):
 
 - ``REPRO_TUNE_FAKE_MEASURE=1`` — compile-only mode: the pool returns
   the deterministic pseudo-time the searcher attached to each task
   (derived from the cost model's ``time_proxy``) instead of wall-clock.
   Used by the determinism tests and the shared-store test, where real
-  timings would be noise;
-- ``REPRO_TUNE_FAULT=crash:<hash-prefix|*>`` / ``hang:<prefix|*>`` —
-  fault injection for the isolation tests: a worker about to measure a
-  candidate whose sid-less ``struct_hash`` matches the prefix exits
-  without cleanup or hangs instead.
+  timings would be noise.
+
+Fault injection for the isolation tests (``repro.runtime.pool.fault``,
+``crash:<hash-prefix|*>`` / ``hang:<prefix|*>``): a worker about to
+measure a candidate whose sid-less ``struct_hash`` matches the prefix
+exits without cleanup or hangs instead.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def fake_measure_enabled() -> bool:
 
 
 def _injected_fault(func: Func) -> Optional[str]:
-    kind, pattern = fault_spec("REPRO_TUNE_FAULT")
+    kind, pattern = fault_spec()
     if kind and (pattern == "*" or struct_hash(func).startswith(pattern)):
         return kind
     return None

@@ -25,18 +25,18 @@ query goes through, expands sparse rows into dense tuples ``(const, c1,
 ``is_feasible`` / ``any_feasible`` tighten ``Linearizer`` rows for
 ``prune``, ``loop_trans`` and the bounds checker.
 
-Safety valve: a system that grows past ``_MAX_CONSTRAINTS`` rows or
-``_MAX_DEPTH`` eliminations, or whose equalities do not vanish within 500
-substitutions, is given up on. The DSL does produce pathological systems:
-split-then-merge schedules of small programs leave nested ``//`` / ``%``
-indices that make the solver splinter for minutes. A verdict that depends
-on a give-up is :data:`UNKNOWN`, counted in ``gave_up`` and memoized like
-any other; a ``False`` is always a proof. ``UNKNOWN`` is truthy, so the
-callers that ask "may it be feasible?" — dependences, ``prune`` and
-``loop_trans``'s equality proof — read it as feasible and refuse the
-transformation or keep the branch. The bounds checker, for which feasible
-means a *proven* out-of-bounds access, reports it as "cannot prove"
-instead.
+Work budget: a query (one system :func:`feasible_rows` solves) may build
+``_BUDGET`` rows. A shadow is charged ``len(others) + len(lows) *
+len(ups)`` before it is built, an equality-substitution round ``len(eqs) +
+len(ineqs)``. Split-then-merge schedules of small programs leave nested
+``//`` / ``%`` indices whose shadows grow to tens of thousands of rows. A
+give-up is all or nothing: the query is :data:`UNKNOWN`, counted in
+``gave_up`` and memoized like any other, so ``True`` and ``False`` are
+always proofs. ``UNKNOWN`` is truthy, so the callers that ask "may it be
+feasible?" — dependences, ``prune`` and ``loop_trans``'s equality proof —
+read it as feasible and refuse the transformation or keep the branch. The
+bounds checker, for which feasible means a *proven* out-of-bounds access,
+reports it as "cannot prove" instead.
 """
 
 from __future__ import annotations
@@ -46,13 +46,16 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..state import BoundedMemo, Counters
 
-#: give-up budget: constraint-count ceiling during elimination
-_MAX_CONSTRAINTS = 4000
-_MAX_DEPTH = 64
+#: rows one query may build before it is given up on
+_BUDGET = 100_000
 
 
 class _Infeasible(Exception):
     """A constraint system is trivially unsatisfiable."""
+
+
+class _GiveUp(Exception):
+    """A query spent its work budget."""
 
 
 class _Unknown:
@@ -174,10 +177,12 @@ def feasible_rows(base: Optional[list], ncols: int,
         if verdict is None:
             _STATS.add("memo_misses")
             _STATS.add("full_solves")
-            verdict = _solve([row for is_eq, row in system if is_eq],
-                             [row for is_eq, row in system if not is_eq], 0)
-            if verdict is UNKNOWN:
+            try:
+                verdict = _solve([_BUDGET], [r for eq, r in system if eq],
+                                 [r for eq, r in system if not eq])
+            except _GiveUp:
                 _STATS.add("gave_up")
+                verdict = UNKNOWN
             _MEMO.put(key, verdict)
         else:
             _STATS.add("memo_hits")
@@ -264,17 +269,13 @@ def _tighten(row, is_eq: bool) -> Optional[Row]:
     return tuple([c // g for c in row])
 
 
-def _solve(eqs: List[Row], ineqs: List[Row], depth: int):
-    """``True``, ``False`` or :data:`UNKNOWN`: a verdict reached through a
-    give-up is never ``True``, and ``False`` never needs one."""
-    if depth > _MAX_DEPTH or len(eqs) + len(ineqs) > _MAX_CONSTRAINTS:
-        return UNKNOWN
+def _solve(left: List[int], eqs: List[Row], ineqs: List[Row]) -> bool:
+    """Whether the system has an integer point. ``left`` holds what is left
+    of the query's budget; raises :class:`_GiveUp` once it is spent."""
     try:
-        ineqs, exact = _eliminate_equalities(eqs, ineqs)
+        ineqs = _eliminate_equalities(left, eqs, ineqs)
     except _Infeasible:
         return False
-    if not exact:  # equalities dropped: the rest can only prove "no"
-        return _solve([], ineqs, depth) and UNKNOWN
 
     # Drop variables unbounded on one side (they can always be satisfied).
     while True:
@@ -297,39 +298,38 @@ def _solve(eqs: List[Row], ineqs: List[Row], depth: int):
     ups = [r for r in ineqs if r[j] < 0]
     others = [r for r in ineqs if not r[j]]
     try:
-        real = _shadow(others, lows, ups, j, False)
+        real = _shadow(left, others, lows, ups, j, False)
     except _Infeasible:
         return False
     if exact:
-        return _solve([], real, depth + 1)
+        return _solve(left, [], real)
     try:
-        dark = _shadow(others, lows, ups, j, True)
-    except _Infeasible:
-        dark = None
-    if dark is not None:
-        verdict = _solve([], dark, depth + 1)
-        if verdict:
-            return verdict
-    if not _solve([], real, depth + 1):
-        return False
-    return _splinter(ineqs, lows, j, -min(cols[j]), depth)
+        if _solve(left, [], _shadow(left, others, lows, ups, j, True)):
+            return True
+    except _Infeasible:  # the dark shadow is empty
+        pass
+    return _solve(left, [], real) \
+        and _splinter(left, ineqs, lows, j, -min(cols[j]))
 
 
 # ---------------------------------------------------------------------------
 
 
-def _splinter(ineqs: List[Row], lows: List[Row], j: int, a_max: int,
-              depth: int):
+def _charge(left: List[int], rows: int):
+    """Spend ``rows`` of the budget ``left``; :class:`_GiveUp` past it."""
+    left[0] -= rows
+    if left[0] < 0:
+        raise _GiveUp
+
+
+def _splinter(left: List[int], ineqs: List[Row], lows: List[Row], j: int,
+              a_max: int) -> bool:
     """Search the gap between the dark and real shadows (Pugh, 1991): a
     point there has some lower bound ``L = b*x + ...`` equal to a small
     ``i >= 0``, so ``ineqs`` plus ``L - i == 0`` is solved for each."""
-    for low in lows:
-        b = low[j]
-        for i in range((a_max * b - a_max - b) // a_max + 1):
-            verdict = _solve([(low[0] - i,) + low[1:]], ineqs, depth + 1)
-            if verdict:
-                return verdict
-    return False
+    return any(_solve(left, [(low[0] - i,) + low[1:]], ineqs)
+               for low in lows
+               for i in range((a_max * low[j] - a_max - low[j]) // a_max + 1))
 
 
 def _choose_var(cols, both) -> Tuple[int, bool]:
@@ -347,12 +347,13 @@ def _choose_var(cols, both) -> Tuple[int, bool]:
     return best, not best_key[0]
 
 
-def _shadow(others: List[Row], lows: List[Row], ups: List[Row], j: int,
-            dark: bool) -> List[Row]:
+def _shadow(left: List[int], others: List[Row], lows: List[Row],
+            ups: List[Row], j: int, dark: bool) -> List[Row]:
     """``others`` plus ``a*L + b*U`` for every lower bound ``L = b*x + ...``
     and upper bound ``U = -a*x + ...`` of column ``j`` (the real shadow);
     the dark shadow lowers each constant by ``(a-1)*(b-1)``. Tightened and
-    deduplicated; raises :class:`_Infeasible`."""
+    deduplicated, charged to ``left`` first; raises :class:`_Infeasible`."""
+    _charge(left, len(others) + len(lows) * len(ups))
     out, seen = list(others), set(others)
     for low in lows:
         b = low[j]
@@ -368,14 +369,13 @@ def _shadow(others: List[Row], lows: List[Row], ups: List[Row], j: int,
     return out
 
 
-def _eliminate_equalities(eqs: List[Row], ineqs: List[Row]
-                          ) -> Tuple[List[Row], bool]:
-    """The inequalities left once every equality is substituted away, and
-    whether they all were: past 500 substitutions (pathological) the
-    equalities left are dropped. Raises :class:`_Infeasible`."""
-    for _ in range(500):
-        if not eqs:
-            return ineqs, True
+def _eliminate_equalities(left: List[int], eqs: List[Row],
+                          ineqs: List[Row]) -> List[Row]:
+    """The inequalities left once every equality is substituted away, each
+    round charged to ``left`` the rows it rewrites. Raises
+    :class:`_Infeasible`."""
+    while eqs:
+        _charge(left, len(eqs) + len(ineqs))
         for n, e in enumerate(eqs):
             j = next((j for j in range(1, len(e)) if e[j] in (1, -1)), 0)
             if j:
@@ -394,7 +394,7 @@ def _eliminate_equalities(eqs: List[Row], ineqs: List[Row]
             eqs = [r + (0,) for r in eqs]
             eqs.append(tuple(_mod_hat(c, m) for c in e) + (-m,))
             ineqs = [r + (0,) for r in ineqs]
-    return ineqs, not eqs
+    return ineqs
 
 
 def _substitute(rows: List[Row], e: Row, j: int, is_eq: bool) -> List[Row]:

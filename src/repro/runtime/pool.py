@@ -30,11 +30,11 @@ anything. Not ``multiprocessing.Pool`` / ``concurrent.futures``: neither
 can kill one hung task without tearing the pool down, and a worker that
 dies there breaks the whole pool instead of failing one task.
 
-Fault injection for the isolation tests is written once here
-(:func:`fault_spec` parses ``crash:<pattern>`` / ``hang:<pattern>``,
-:func:`inject` acts on it inside a worker); each task definition keeps
-its own variable and match rule (``REPRO_TUNE_FAULT`` matches a hash
-prefix, ``REPRO_SERVE_FAULT`` an endpoint name).
+Fault injection for the isolation tests is written once here: they set
+:data:`fault` (through the ``faults`` fixture) before the workers fork,
+:func:`fault_spec` parses it and :func:`inject` acts on it inside a
+worker. Each task definition keeps its own match rule (the tuner matches
+a hash prefix, the server an endpoint name).
 """
 
 from __future__ import annotations
@@ -56,12 +56,16 @@ OK, FAILED, TIMEOUT = "ok", "failed", "timeout"
 _FORK_LOCK = threading.Lock()
 
 
-def fault_spec(var: str) -> Tuple[Optional[str], str]:
-    """``(kind, pattern)`` of the ``crash:<pattern>`` / ``hang:<pattern>``
-    spec in environment variable ``var``; ``(None, "")`` when it is unset
-    or malformed. What ``pattern`` is matched against is the caller's
-    rule (``*`` conventionally matches everything)."""
-    kind, sep, pattern = os.environ.get(var, "").partition(":")
+#: the fault the isolation tests inject, ``crash:<pattern>`` or
+#: ``hang:<pattern>``; None injects nothing
+fault: Optional[str] = None
+
+
+def fault_spec() -> Tuple[Optional[str], str]:
+    """``(kind, pattern)`` of :data:`fault`; ``(None, "")`` when it is
+    unset or malformed. What ``pattern`` is matched against is the
+    caller's rule (``*`` conventionally matches everything)."""
+    kind, sep, pattern = (fault or "").partition(":")
     if not sep or kind not in ("crash", "hang"):
         return None, ""
     return kind, pattern

@@ -15,12 +15,13 @@ Two execution modes back the server's dispatcher threads:
   artifact store by fork, so each program is natively compiled at most
   once per host.
 
-Fault injection (tests / drills): ``REPRO_SERVE_FAULT=crash:<endpoint>``
-or ``hang:<endpoint>`` (``*`` matches all), read once when a
-:class:`~repro.serving.Server` is constructed. In process mode the worker
-genuinely exits without cleanup or sleeps; in thread mode both degrade
-to a raised error (a real crash would kill the server — which is the
-point of process mode) so the request still resolves as failed.
+Fault injection (tests): ``repro.runtime.pool.fault`` set to
+``crash:<endpoint>`` or ``hang:<endpoint>`` (``*`` matches all), read
+once when a :class:`~repro.serving.Server` is constructed. In process
+mode the worker genuinely exits without cleanup or sleeps; in thread
+mode both degrade to a raised error (a real crash would kill the server
+— which is the point of process mode) so the request still resolves as
+failed.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ DEFAULT_TIMEOUT_S = 30.0
 
 def injected_faults(endpoints: Iterable[str]) -> Dict[str, str]:
     """Endpoint name -> the fault (``"crash"``/``"hang"``) that
-    ``REPRO_SERVE_FAULT`` configures for it; endpoints it does not
-    name are absent."""
-    kind, pattern = fault_spec("REPRO_SERVE_FAULT")
+    ``repro.runtime.pool.fault`` configures for it; endpoints it does
+    not name are absent."""
+    kind, pattern = fault_spec()
     return {name: kind for name in endpoints
             if kind and pattern in ("*", name)}
 

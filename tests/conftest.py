@@ -24,6 +24,16 @@ def memos_off(monkeypatch):
 
 
 @pytest.fixture
+def faults(monkeypatch):
+    """Call it with ``crash:<pattern>`` or ``hang:<pattern>`` to inject
+    that fault into pool workers (``repro.runtime.pool.fault``) for the
+    rest of the test; workers forked later inherit it."""
+    from repro.runtime import pool
+
+    return lambda spec: monkeypatch.setattr(pool, "fault", spec)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

@@ -4,7 +4,8 @@ the default behaviour holds.
 ``build(verify=True)``, ``Interpreter(op_counts=...)`` and a spy on
 ``CandidateScreen.screen`` are the explicit switches; source spans are
 always captured, and only tests disable the memos
-(``repro.state.memos_on``).
+(``repro.state.memos_on``) or inject worker faults
+(``repro.runtime.pool.fault``).
 """
 
 import numpy as np
@@ -18,7 +19,8 @@ from repro.runtime.driver import build
 from repro.runtime.interpreter import Interpreter
 
 DELETED = ("REPRO_VERIFY", "REPRO_COUNT_OPS", "REPRO_NO_SPANS",
-           "REPRO_NO_COST_PRUNE", "REPRO_NO_MEMO")
+           "REPRO_NO_COST_PRUNE", "REPRO_NO_MEMO", "REPRO_TUNE_FAULT",
+           "REPRO_SERVE_FAULT")
 
 
 @pytest.fixture(autouse=True)
@@ -47,6 +49,13 @@ def test_memos_stay_on():
         return y
 
     assert build(f, backend="pycode") is build(f, backend="pycode")
+
+
+def test_environment_injects_no_fault(monkeypatch):
+    from repro.serving import injected_faults
+
+    monkeypatch.setenv("REPRO_SERVE_FAULT", "crash:*")
+    assert injected_faults(["gat"]) == {}
 
 
 def test_interpreter_counts_nothing():

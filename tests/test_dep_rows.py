@@ -589,12 +589,11 @@ def _random_schedule(func, rnd):
 
 
 def test_random_schedules_of_generated_programs():
-    # derandomized: some split-then-merge schedules of these programs make
-    # the Omega test splinter for minutes (a solver limit, whichever way
-    # the system is built); the fixed draws are ones it decides quickly
     systems = []
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    # drawn at random: at 60 examples a quarter of runs checked fewer
+    # than 60 systems
+    @settings(max_examples=200, deadline=None)
     @given(programs(), st.randoms(use_true_random=False))
     def check(func, rnd):
         ft.clear_compile_caches()

@@ -2,6 +2,7 @@
 IR-to-linear translator (``Linearizer``)."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -272,13 +273,13 @@ class TestOmegaOracle:
 
 
 class TestGiveUp:
-    """A tripped safety valve is UNKNOWN: truthy, counted, memoized, and
-    never reported as ``True``."""
+    """A query past the work budget is UNKNOWN: truthy, counted, memoized,
+    and never reported as ``True``."""
 
     def test_valve_answers_unknown(self, monkeypatch):
         from repro.polyhedral import omega
 
-        monkeypatch.setattr(omega, "_MAX_CONSTRAINTS", 0)
+        monkeypatch.setattr(omega, "_BUDGET", 0)
         clear_feasibility_cache()
         system = rows(x >= y, x <= y * 2)
         before = feasibility_stats()
@@ -291,32 +292,47 @@ class TestGiveUp:
         assert any_feasible(system, [[]])
         clear_feasibility_cache()
 
-    def test_no_for_an_answer_needs_no_give_up(self, monkeypatch):
-        from repro.polyhedral import omega
+    @pytest.mark.parametrize("prim", ["parallelize", "vectorize"])
+    def test_split_then_merge_is_refused_in_bounded_time(self, prim):
+        # split(factor=3) then merge leaves nested // and % indices whose
+        # shadows and splinters once grew without bound: the queries are
+        # given up on, and the refusal is right (y[3, 0] is written every
+        # iteration)
+        import repro as ft
+        from repro.errors import InvalidSchedule
+        from repro.ir.parser import parse_program
+        from repro.schedule import Schedule
 
-        # the real shadow is past the depth budget, yet the splinters
-        # alone prove Pugh's example empty
-        monkeypatch.setattr(omega, "_MAX_DEPTH", 1)
-        clear_feasibility_cache()
-        assert is_feasible(rows(x * 11 + y * 13 >= 27, x * 11 + y * 13 <= 45,
-                                x * 7 - y * 9 >= -10, x * 7 - y * 9 <= 4)) \
-            is False
-        clear_feasibility_cache()
+        s = Schedule(parse_program(SPLIT_THEN_MERGE))
+        s.split(s._preorder(s.func)[5], factor=3)
+        sids = s._preorder(s.func)
+        s.merge(sids[5], sids[6])
+        ft.clear_compile_caches()
+        before = feasibility_stats()["gave_up"]
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidSchedule):
+            getattr(s, prim)(s.loops()[0].sid)
+        assert time.perf_counter() - t0 < 5
+        assert feasibility_stats()["gave_up"] > before
 
 
-    def test_dropped_equalities_prove_only_no(self, monkeypatch):
-        from repro.polyhedral import omega
-
-        # the equality guard gives up at once: the inequalities left
-        # still prove "no", but a point they allow proves nothing
-        monkeypatch.setattr(omega, "_eliminate_equalities",
-                            lambda eqs, ineqs: (ineqs, not eqs))
-        clear_feasibility_cache()
-        assert is_feasible(rows(x == y * 2, x + y >= 3, x + y <= 1)) \
-            is False
-        assert is_feasible(rows(x == y * 2 + 1, x + y >= 0, x + y <= 3)) \
-            is UNKNOWN
-        clear_feasibility_cache()
+SPLIT_THEN_MERGE = """\
+func fuzz(a, b) -> y {
+  @input a: f32[5, 4] @cpu {
+    @input b: f32[5] @cpu {
+      @output y: f32[5, 4] @cpu {
+        y[1, 0] += a[3, 0] * b[0] * (a[1, 2] * 0.5 + b[4])
+        for i0_8 in 0:5 {
+          y[i0_8 % 5, i0_8 % 4] = a[4, (i0_8 + 1) % 4] * 0.5 + \
+(a[(i0_8 + 3) % 5, (i0_8 + 3) % 4] - a[(i0_8 + 1) % 5, i0_8 % 4])
+          y[3, 0] = (b[(i0_8 + 2) % 5] * 0.5 + a[0, (i0_8 + 2) % 4]) * 0.5 \
++ (a[(i0_8 + 2) % 5, 0] * 0.5 + a[(i0_8 + 3) % 5, 0])
+        }
+      }
+    }
+  }
+}
+"""
 
 
 class TestAffineBuilder:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro as ft
-from repro.analysis.cost import frontier_order, pareto_front
+from repro.analysis.cost import frontier_order
 from repro.autosched import StructuredTuner
 from repro.autosched.search.measure import MeasurementPool
 from repro.autosched.search.space import Knob, ScheduleSpace
@@ -368,17 +368,6 @@ class TestFrontier:
         ests = [None, E(3.0), None, E(1.0), E(3.0)]
         assert frontier_order(ests) == [3, 1, 4, 0, 2]
 
-    def test_pareto_front_keeps_incomparable(self):
-        base = Schedule(_mm_program()).func
-        from repro.analysis.cost import estimate_cost
-        from repro.pipeline import lowering_pipeline
-
-        est = estimate_cost(lowering_pipeline().run(base),
-                            backend="pycode")
-        # a duplicate never knocks its twin off the front
-        assert pareto_front([est, est]) == [0, 1]
-        assert pareto_front([None, est]) == [0, 1]
-
 
 # ---------------------------------------------------------------------------
 # the structured tuner: determinism across worker counts
@@ -438,9 +427,10 @@ class TestDeterminism:
 
 class TestIsolation:
 
-    def test_crashing_candidate_is_counted_not_fatal(self, monkeypatch):
+    def test_crashing_candidate_is_counted_not_fatal(self, monkeypatch,
+                                                     faults):
         monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
-        monkeypatch.setenv("REPRO_TUNE_FAULT", "crash:*")
+        faults("crash:*")
         metrics.reset_pool_stats()
         prog, args = _gat()
         res = _structured(prog, args, workers=2, rounds=8,
@@ -453,9 +443,9 @@ class TestIsolation:
         assert st["worker_respawns"] >= 1
         assert st["tasks"] == st["task_failures"]
 
-    def test_hanging_candidate_times_out(self, monkeypatch):
+    def test_hanging_candidate_times_out(self, monkeypatch, faults):
         monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
-        monkeypatch.setenv("REPRO_TUNE_FAULT", "hang:*")
+        faults("hang:*")
         metrics.reset_pool_stats()
         prog, args = _gat()
         res = _structured(prog, args, workers=2, rounds=4,
@@ -485,7 +475,8 @@ class TestIsolation:
         # failure payloads carry the registry backend name
         assert out == [("failed", "pycode: TypeError: bad candidate")]
 
-    def test_selective_fault_spares_other_candidates(self, monkeypatch):
+    def test_selective_fault_spares_other_candidates(self, monkeypatch,
+                                                     faults):
         # crash only one specific candidate: the others still measure
         monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
         prog, args = _gat()
@@ -493,7 +484,7 @@ class TestIsolation:
                             timeout_s=20).tune()
         assert clean.measured >= 2
         victim = struct_hash(clean.best_func)
-        monkeypatch.setenv("REPRO_TUNE_FAULT", f"crash:{victim[:12]}")
+        faults(f"crash:{victim[:12]}")
         res = _structured(prog, args, workers=2, rounds=8,
                           timeout_s=20).tune()
         assert res.measured >= 1

@@ -2,7 +2,7 @@
 
 - batch-axis prepending and every batching strategy produce the same
   answers as per-request serial execution on all four workloads;
-- fault injection (``REPRO_SERVE_FAULT``) proves crashes and hangs cost
+- fault injection (the ``faults`` fixture) proves crashes and hangs cost
   exactly the affected batch — no request is dropped or run twice;
 - admission control rejects over-quota and over-capacity submissions
   synchronously;
@@ -166,8 +166,8 @@ def test_batch_axis_prepend_memoized_and_guarded():
 # fault injection: crashes and hangs cost one batch, never a request
 # ---------------------------------------------------------------------------
 
-def test_crash_isolated_to_failing_endpoint(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_FAULT", "crash:gat")
+def test_crash_isolated_to_failing_endpoint(faults):
+    faults("crash:gat")
     eps = default_endpoints(backend="pycode",
                             names=["gat", "subdivnet"])
     with Server(eps, mode="process", workers=2, max_batch=4,
@@ -187,8 +187,8 @@ def test_crash_isolated_to_failing_endpoint(monkeypatch):
     assert st["worker_respawns"] >= 1
 
 
-def test_hang_times_out_and_respawns(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_FAULT", "hang:gat")
+def test_hang_times_out_and_respawns(faults):
+    faults("hang:gat")
     eps = default_endpoints(backend="pycode", names=["gat"])
     with Server(eps, mode="process", workers=1, max_batch=4,
                 max_wait_s=0.01, timeout_s=1.0) as srv:
@@ -201,8 +201,8 @@ def test_hang_times_out_and_respawns(monkeypatch):
     assert st["worker_respawns"] >= 1
 
 
-def test_thread_mode_fault_degrades_to_failure(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_FAULT", "crash:subdivnet")
+def test_thread_mode_fault_degrades_to_failure(faults):
+    faults("crash:subdivnet")
     eps = default_endpoints(backend="pycode", names=["subdivnet"])
     with Server(eps, mode="thread", workers=1, max_batch=2,
                 max_wait_s=0.01) as srv:
@@ -213,10 +213,10 @@ def test_thread_mode_fault_degrades_to_failure(monkeypatch):
     assert all("injected" in r.error for r in responses)
 
 
-def test_no_request_lost_or_double_run_under_faults(monkeypatch):
+def test_no_request_lost_or_double_run_under_faults(faults):
     """Mixed healthy/crashing traffic: every admitted request resolves
     exactly once and belongs to exactly one executed batch."""
-    monkeypatch.setenv("REPRO_SERVE_FAULT", "crash:longformer")
+    faults("crash:longformer")
     eps = default_endpoints(backend="pycode",
                             names=["longformer", "subdivnet"])
     with Server(eps, mode="process", workers=2, max_batch=3,

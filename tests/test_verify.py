@@ -83,7 +83,7 @@ class TestBounds:
         assert "negative" in d.message
 
     def test_solver_give_up_is_ft102_not_ft101(self, monkeypatch):
-        # with the solver's safety valve forced, every bounds query is
+        # with the solver's work budget at zero, every bounds query is
         # given up on: that proves no access out of bounds
         from repro.polyhedral import clear_feasibility_cache, omega
 
@@ -94,7 +94,7 @@ class TestBounds:
                 y[i] = x[i] * 2.0
             return y
 
-        monkeypatch.setattr(omega, "_MAX_CONSTRAINTS", 0)
+        monkeypatch.setattr(omega, "_BUDGET", 0)
         clear_feasibility_cache()
         try:
             before = omega.feasibility_stats()["gave_up"]
