@@ -14,7 +14,7 @@ __all__ = [
     "Dependence", "DepAnalyzer", "DirItem", "analysis_cache_stats",
     "analyze", "analyzer_for",
     "Diagnostic", "Diagnostics", "verify",
-    "CostEstimate", "analyze_cost", "estimate_cost", "perf_lint",
+    "CostEstimate", "analyze_cost", "perf_lint",
 ]
 
 
@@ -22,8 +22,8 @@ def __getattr__(name):
     # the cost model loads lazily: it pulls in the access/bounds layers
     # plus the scheduler's target table, none of which `import
     # repro.analysis` itself should pay for
-    if name in ("CostEstimate", "Counts", "analyze_cost", "estimate_cost",
-                "perf_lint", "infer_scalar_env", "clear_cost_memo"):
+    if name in ("CostEstimate", "Counts", "analyze_cost", "perf_lint",
+                "infer_scalar_env"):
         from . import cost
 
         return getattr(cost, name)

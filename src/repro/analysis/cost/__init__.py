@@ -16,8 +16,7 @@ on first use so ``import repro.analysis`` stays cheap.
 from .model import (COUNT_FIELDS, CostEstimate, Counts, LoopCost,
                     TensorTraffic, op_category)
 
-_LAZY = ("analyze_cost", "estimate_cost", "perf_lint", "clear_cost_memo",
-         "infer_scalar_env")
+_LAZY = ("analyze_cost", "perf_lint", "infer_scalar_env")
 
 _LAZY_FRONTIER = ("frontier_order",)
 

@@ -1,11 +1,8 @@
 """Public entry points of the cost analysis.
 
-``analyze_cost``/``estimate_cost`` wrap the static walker with an
-in-process memo; every invocation is counted (analyses, memo hits,
-seconds) in the ``cost`` table, ``runtime.metrics.cost_stats()``. The
-memo key is sid-inclusive — two structurally identical funcs with
-different sids get separate entries so the loop/stride rows always point
-at real statements of the analyzed tree.
+``analyze_cost`` runs the static walker; every call is counted
+(analyses, seconds) in the ``cost`` table,
+``runtime.metrics.cost_stats()``.
 """
 
 from __future__ import annotations
@@ -18,13 +15,8 @@ import numpy as np
 from ...ir import AccessType, defined_tensors
 from ...ir import expr as E
 from ...ir import stmt as S
-from ...ir.hashing import struct_hash
-from ...state import BoundedMemo
 from .count import analyze
 from .model import CostEstimate
-
-_MEMO = BoundedMemo("cost", 512)
-clear_cost_memo = _MEMO.clear
 
 
 def _resolve_target(backend: str, target):
@@ -46,41 +38,24 @@ def _as_func(func_or_program) -> S.Func:
         f"{type(func_or_program).__name__}")
 
 
-def estimate_cost(func: S.Func, backend: str = "pycode", target=None,
-                  scalar_env: Optional[Dict[str, int]] = None,
-                  assumed_trip: int = 8) -> CostEstimate:
-    """Memoized static cost estimate of one lowered/staged ``Func``."""
-    from ...runtime import metrics
-
-    target = _resolve_target(backend, target)
-    env = {k: int(v) for k, v in (scalar_env or {}).items()}
-    key = (struct_hash(func, include_sids=True), backend,
-           target.cache_key(), tuple(sorted(env.items())), assumed_trip)
-    t0 = time.perf_counter()
-    est = _MEMO.get(key)
-    if est is None:
-        est = analyze(func, backend, target, env, assumed_trip)
-        _MEMO.put(key, est)
-    else:
-        metrics.COST.add("memo_hits")
-    metrics.COST.add("analyses")
-    metrics.COST.add("time_s", time.perf_counter() - t0)
-    return est
-
-
 def analyze_cost(func_or_program, backend: str = "pycode", target=None,
-                 scalar_env: Optional[Dict[str, int]] = None,
-                 assumed_trip: int = 8) -> CostEstimate:
+                 scalar_env: Optional[Dict[str, int]] = None) -> CostEstimate:
     """Cost-analyze a staged program or IR function (``ft.analyze_cost``).
 
     ``scalar_env`` maps shape variables / scalar parameters to concrete
     ints (see :func:`infer_scalar_env`); without it, symbolic loops fall
-    back to ``assumed_trip`` iterations and the estimate is approximate
-    rather than sound.
+    back to ``count.ASSUMED_TRIP`` iterations and the estimate is
+    approximate rather than sound.
     """
-    return estimate_cost(_as_func(func_or_program), backend=backend,
-                         target=target, scalar_env=scalar_env,
-                         assumed_trip=assumed_trip)
+    from ...runtime import metrics
+
+    t0 = time.perf_counter()
+    env = {k: int(v) for k, v in (scalar_env or {}).items()}
+    est = analyze(_as_func(func_or_program), backend,
+                  _resolve_target(backend, target), env)
+    metrics.COST.add("analyses")
+    metrics.COST.add("time_s", time.perf_counter() - t0)
+    return est
 
 
 def perf_lint(func_or_program, backend: str = "pycode", target=None):

@@ -7,7 +7,7 @@ without executing anything:
   ``end - begin`` is bounded symbolically under the enclosing iterator
   ranges plus the caller's scalar environment; when no constant bound
   exists (CSR neighbour loops — the extent lives in ``indptr`` data) an
-  interval fallback of ``assumed_trip`` iterations is used and the
+  interval fallback of ``ASSUMED_TRIP`` iterations is used and the
   estimate is demoted from *sound* to *approximate*;
 - **op counts** mirror the interpreter's dynamic semantics node for node
   (same ``op_category``, branch maxima for ``If``/``IfExpr``, an
@@ -54,6 +54,11 @@ VEC_KERNEL_SEQ = 80.0
 #: with the trip count — so vectorization is a constant-factor discount,
 #: not a free pass (dispatch overhead is VEC_KERNEL_SEQ on top).
 VEC_WHOLE_WIDTH = 16
+
+#: iterations assumed for a loop whose trip count has no constant bound
+#: (CSR neighbour loops: the extent lives in data); the estimate is then
+#: approximate, not sound
+ASSUMED_TRIP = 8
 
 
 def count_expr(e: E.Expr, c: Counts) -> bool:
@@ -108,10 +113,8 @@ def count_expr(e: E.Expr, c: Counts) -> bool:
 class _Walker:
     """Statement walk producing per-execution :class:`Counts`."""
 
-    def __init__(self, func: S.Func, caps, scalar_env: Dict[str, int],
-                 assumed_trip: int):
+    def __init__(self, func: S.Func, caps, scalar_env: Dict[str, int]):
         self.caps = caps
-        self.assumed_trip = assumed_trip
         self.params = set(func.params)
         self.trips: Dict[str, Tuple[int, bool]] = {}
         #: iterator name -> trip count of the *currently open* loops,
@@ -128,7 +131,7 @@ class _Walker:
         lo, up = const_bounds(makeSub(s.end, s.begin), ctx)
         if up is None:
             self.sound = False
-            return self.assumed_trip, False
+            return ASSUMED_TRIP, False
         up = max(0, up)
         return up, (lo is not None and max(0, lo) == up)
 
@@ -464,12 +467,11 @@ def _traffic_pass(func: S.Func, trips, base_ctx: BoundsCtx):
 
 
 def analyze(func: S.Func, backend: str, target,
-            scalar_env: Optional[Dict[str, int]] = None,
-            assumed_trip: int = 8) -> CostEstimate:
+            scalar_env: Optional[Dict[str, int]] = None) -> CostEstimate:
     """Compute the :class:`CostEstimate` of ``func`` for ``backend`` on
-    ``target``. Pure and deterministic; callers memoize (see ``api``)."""
+    ``target``. Pure and deterministic."""
     caps = target.capabilities(backend)
-    w = _Walker(func, caps, scalar_env or {}, assumed_trip)
+    w = _Walker(func, caps, scalar_env or {})
     totals, exact = w.walk(func.body, w.base_ctx, 1)
     traffic, penalty, stride_sites, footprint = _traffic_pass(
         func, w.trips, w.base_ctx)
@@ -477,6 +479,5 @@ def analyze(func: S.Func, backend: str, target,
         name=func.name, backend=backend, target_name=target.name,
         counts=totals, loops=w.loops, traffic=traffic,
         stride_penalty=penalty, footprint_bytes=footprint,
-        exact=exact and w.sound, sound=w.sound,
-        assumed_trip=assumed_trip, stride_sites=stride_sites,
+        exact=exact and w.sound, sound=w.sound, stride_sites=stride_sites,
         stride_weight=0.25 if caps.stride_matters else 0.0)

@@ -41,9 +41,9 @@ INVARIANT_MIN_TRIP = 8
 def check_perf(func: S.Func, backend: str = "pycode",
                target=None) -> List[Diagnostic]:
     """All performance-lint findings for one function."""
-    from .api import estimate_cost
+    from .api import analyze_cost
 
-    est = estimate_cost(func, backend=backend, target=target)
+    est = analyze_cost(func, backend=backend, target=target)
     diags: List[Diagnostic] = []
     diags.extend(_check_parallelizable(func, est))
     diags.extend(_check_strides(func, est))

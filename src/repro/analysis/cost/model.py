@@ -225,7 +225,7 @@ class CostEstimate:
 
     __slots__ = ("name", "backend", "target_name", "counts", "loops",
                  "traffic", "stride_penalty", "footprint_bytes", "exact",
-                 "sound", "assumed_trip", "stride_sites",
+                 "sound", "stride_sites",
                  "_stride_weight")
 
     #: axes of the dominance partial order, as (label, getter) pairs
@@ -236,8 +236,8 @@ class CostEstimate:
                  counts: Counts, loops: List[LoopCost],
                  traffic: Dict[str, TensorTraffic],
                  stride_penalty: float, footprint_bytes: int,
-                 exact: bool, sound: bool, assumed_trip: int,
-                 stride_sites=(), stride_weight: float = 0.25):
+                 exact: bool, sound: bool, stride_sites=(),
+                 stride_weight: float = 0.25):
         self.name = name
         self.backend = backend
         self.target_name = target_name
@@ -250,7 +250,6 @@ class CostEstimate:
         self.footprint_bytes = footprint_bytes
         self.exact = exact
         self.sound = sound
-        self.assumed_trip = assumed_trip
         #: (access, class, elem_stride, execs) rows backing FT502
         self.stride_sites = tuple(stride_sites)
         self._stride_weight = stride_weight

@@ -15,12 +15,8 @@ from ..errors import InvalidSchedule
 from ..ir import For, Func, IntConst, StmtSeq, VarDef, collect_stmts
 from ..schedule import Schedule
 from ..schedule.common import only_stmt_of, parent_of
-from ..state import BoundedMemo
-from .target import CPU, Target, default_target
-
-#: whole auto-scheduler runs: (raw input, backend, target, enabled rules)
-#: -> the compiled Func
-_MEMO = BoundedMemo("autosched", 512)
+from .target import (BLOCK_SIZE, MAX_LOCAL_ELEMS, MAX_SHARED_ELEMS,
+                     UNROLL_LIMIT, Target, default_target)
 
 
 def auto_schedule(program_or_func, target: Optional[Target] = None,
@@ -36,11 +32,7 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
     ``REPRO_VERIFY_EACH_PASS`` cover every rule individually. ``times``,
     when given, accumulates per-pass wall-clock seconds.
     """
-    import time
-
-    from ..ir.hashing import struct_hash
     from ..pipeline import Pass, Pipeline, build_pipeline
-    from ..pipeline.manager import instrumentation
 
     if target is None:
         target = default_target(backend or "pycode")
@@ -48,41 +40,14 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
         "fuse", "vectorize", "parallelize", "mem_type", "use_lib",
         "unroll",
     ]
-
-    # Rule passes mint fresh sids in a shared session, but the whole run
-    # is deterministic in (raw input, backend, target, enabled rules):
-    # memoize it so every optimized compile of a program in this
-    # process — build(), the tuner, the verify CLI — sees the identical
-    # Func (same sids, same struct_hash). Keyed on the *raw*
-    # (pre-Schedule) tree so a memo hit skips Schedule construction and
-    # its pre-lowering outright. Skipped under the instrumentation env
-    # vars, which want every pass to really run.
-    instrumented = any(instrumentation())
-    raw = getattr(program_or_func, "func", program_or_func)
-    # the backend discriminator is the registry cache tag
-    # (name@caps_version): bumping a Backend's declared version
-    # invalidates memoized schedules that ran its legalization
-    from ..backend import backend_cache_tag
-
-    btag = backend_cache_tag(backend or "pycode")
-    memo_key = "|".join((struct_hash(raw, include_sids=True), btag,
-                         repr(target.cache_key()), ",".join(enabled)))
-    if not instrumented:
-        t0 = time.perf_counter()
-        cached = _MEMO.get(memo_key)
-        if cached is not None:
-            if times is not None:
-                times["autosched"] = times.get("autosched", 0.0) + \
-                    time.perf_counter() - t0
-            return cached
     s = Schedule(program_or_func)
     rules = (
         ("fuse", auto_fuse, ()),
-        ("vectorize", auto_vectorize, (target,)),
+        ("vectorize", auto_vectorize, ()),
         ("parallelize", auto_parallelize, (target,)),
         ("mem_type", auto_mem_type, (target,)),
         ("use_lib", auto_use_lib, ()),
-        ("unroll", auto_unroll, (target,)),
+        ("unroll", auto_unroll, ()),
     )
 
     def rule_pass(fn, args):
@@ -98,10 +63,7 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
                    for key, fn, args in rules if key in enabled]
     tail = build_pipeline(backend=backend or "pycode", target=target)
     pipe = Pipeline(rule_passes + tail.passes, name="autosched")
-    out = pipe.run(s.func, times=times)
-    if not instrumented:
-        _MEMO.put(memo_key, out)
-    return out
+    return pipe.run(s.func, times=times)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +127,7 @@ def _innermost_loops(func) -> List[For]:
     return out
 
 
-def auto_vectorize(s: Schedule, target: Target):
+def auto_vectorize(s: Schedule):
     """Vectorize dependence-free innermost loops (pass 2).
 
     Very short constant loops are left alone — ``auto_unroll`` (pass 6)
@@ -173,7 +135,7 @@ def auto_vectorize(s: Schedule, target: Target):
     vector op."""
     for l in _innermost_loops(s.func):
         if isinstance(l.begin, IntConst) and isinstance(l.end, IntConst) \
-                and l.end.val - l.begin.val <= target.unroll_limit:
+                and l.end.val - l.begin.val <= UNROLL_LIMIT:
             continue
         try:
             s.vectorize(l.sid)
@@ -207,7 +169,7 @@ def auto_parallelize(s: Schedule, target: Target):
         if target.kind == "cpu":
             _parallelize_cpu(s, outer)
         else:
-            _parallelize_gpu(s, outer, target)
+            _parallelize_gpu(s, outer)
 
 
 def _merge_chain(s: Schedule, outer: For,
@@ -251,7 +213,7 @@ def _parallelize_cpu(s: Schedule, outer: For):
             pass
 
 
-def _parallelize_gpu(s: Schedule, outer: For, target: Target):
+def _parallelize_gpu(s: Schedule, outer: For):
     sid = _merge_chain(s, outer, const_only=True)
     loop = s.find(sid)
     inner = only_stmt_of(loop)
@@ -269,7 +231,7 @@ def _parallelize_gpu(s: Schedule, outer: For, target: Target):
             pass
     # Otherwise tile the (possibly merged) loop into (blocks, threads).
     try:
-        blk, thr = s.split(sid, factor=target.block_size)
+        blk, thr = s.split(sid, factor=BLOCK_SIZE)
     except InvalidSchedule:
         return
     try:
@@ -311,9 +273,9 @@ def auto_mem_type(s: Schedule, target: Target):
         in_block = any(k and k.startswith("cuda.blockIdx")
                        for k in kinds)
         try:
-            if in_thread and size <= target.max_local_elems:
+            if in_thread and size <= MAX_LOCAL_ELEMS:
                 s.set_mtype(vd.name, "gpu/local")
-            elif in_block and size <= target.max_shared_elems:
+            elif in_block and size <= MAX_SHARED_ELEMS:
                 s.set_mtype(vd.name, "gpu/shared")
         except InvalidSchedule:  # pragma: no cover - defensive
             continue
@@ -335,7 +297,7 @@ def auto_use_lib(s: Schedule):
             continue
 
 
-def auto_unroll(s: Schedule, target: Target):
+def auto_unroll(s: Schedule):
     """Unroll very short loops (pass 6)."""
     changed = True
     while changed:
@@ -345,7 +307,7 @@ def auto_unroll(s: Schedule, target: Target):
                     and isinstance(l.end, IntConst)):
                 continue
             trip = l.end.val - l.begin.val
-            if not (0 < trip <= target.unroll_limit):
+            if not (0 < trip <= UNROLL_LIMIT):
                 continue
             if l.property.parallel or l.property.vectorize:
                 continue

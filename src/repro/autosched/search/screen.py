@@ -78,7 +78,7 @@ class CandidateScreen:
         # feasibility (BackendCaps.vec_feasible) depends on those forms.
         # The lowering memo shares this lowering with the subsequent
         # build of any candidate that survives screening.
-        from ...analysis.cost import estimate_cost
+        from ...analysis.cost import analyze_cost
         from ...errors import FreeTensorError
         from ...pipeline import lowering_pipeline
 
@@ -86,9 +86,8 @@ class CandidateScreen:
             func = lowering_pipeline().run(func)
         except FreeTensorError:  # pragma: no cover - fails in measure too
             pass
-        return estimate_cost(func, backend=self.backend,
-                             target=self.target,
-                             scalar_env=self.scalar_env())
+        return analyze_cost(func, backend=self.backend, target=self.target,
+                            scalar_env=self.scalar_env())
 
     def screen(self, cand: Func) -> Tuple[str, object]:
         """Decide a candidate's fate before compiling it.

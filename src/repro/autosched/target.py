@@ -1,7 +1,8 @@
 """Target descriptions for the auto-scheduler.
 
 ``Target.capabilities`` delegates to the backend registry, where each
-backend declares its :class:`~repro.backend.BackendCaps`.
+backend declares its :class:`~repro.backend.BackendCaps`. What ``CPU``
+and ``GPU`` share is a module constant below.
 """
 
 from __future__ import annotations
@@ -10,32 +11,30 @@ from ..backend.caps import BackendCaps
 
 __all__ = ["CPU", "GPU", "Target", "default_target"]
 
+#: threads per block when mapping loops onto a GPU grid
+BLOCK_SIZE = 256
+#: largest constant-size tensor placed in per-thread registers (elements)
+MAX_LOCAL_ELEMS = 64
+#: largest constant-size tensor placed in per-block shared memory
+MAX_SHARED_ELEMS = 4096
+#: constant trip counts up to this are unrolled, not vectorized
+UNROLL_LIMIT = 4
+#: SIMD lanes per vector op on native backends (8 × f32 = AVX2)
+VECTOR_WIDTH = 8
+
 
 class Target:
     """Hardware the auto-scheduler optimises for."""
 
-    def __init__(self, kind: str, name: str, num_threads: int = 1,
-                 block_size: int = 256, max_local_elems: int = 64,
-                 max_shared_elems: int = 4096, unroll_limit: int = 4,
-                 vector_width: int = 8):
+    def __init__(self, kind: str, name: str, num_threads: int = 1):
         assert kind in ("cpu", "gpu")
         self.kind = kind
         self.name = name
         self.num_threads = num_threads
-        #: threads per block when mapping loops onto a GPU grid
-        self.block_size = block_size
-        self.max_local_elems = max_local_elems
-        self.max_shared_elems = max_shared_elems
-        self.unroll_limit = unroll_limit
-        #: SIMD lanes per vector op on native backends (8 × f32 = AVX2)
-        self.vector_width = vector_width
 
     def cache_key(self) -> tuple:
-        """Full-content key for the build cache (repr omits tunables)."""
-        return ("Target", self.kind, self.name, self.num_threads,
-                self.block_size, self.max_local_elems,
-                self.max_shared_elems, self.unroll_limit,
-                self.vector_width)
+        """Full-content key for the build cache."""
+        return ("Target", self.kind, self.name, self.num_threads)
 
     def capabilities(self, backend: str = "pycode") -> BackendCaps:
         """The cost model's view of what ``backend`` does with schedule
@@ -53,7 +52,7 @@ class Target:
 
 
 CPU = Target("cpu", "generic-cpu", num_threads=24)
-GPU = Target("gpu", "sim-v100", num_threads=0, block_size=256)
+GPU = Target("gpu", "sim-v100", num_threads=0)
 
 
 def default_target(backend: str = "pycode") -> Target:

@@ -98,12 +98,13 @@ def _build_c(func, **opts):
 
 
 def _caps_c(target):
+    from ..autosched.target import VECTOR_WIDTH
     from ..pipeline import simd_body_ok
 
     return BackendCaps(
         "c",
         {"openmp": target.num_threads},
-        vector_width=target.vector_width,
+        vector_width=VECTOR_WIDTH,
         stride_matters=True,
         vec_feasible=lambda s: simd_body_ok(s.body),
         parallel_ann_kind="openmp")
@@ -144,10 +145,12 @@ def _build_gpusim(func, device=None, metrics=None, **_opts):
 
 
 def _caps_gpusim(target, _name="gpusim"):
+    from ..autosched.target import BLOCK_SIZE
+
     return BackendCaps(
         _name,
         {"cuda.blockIdx": None,
-         "cuda.threadIdx": target.block_size,
+         "cuda.threadIdx": BLOCK_SIZE,
          "openmp": target.num_threads},
         vector_width=32,
         stride_matters=True,

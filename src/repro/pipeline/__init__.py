@@ -116,8 +116,8 @@ def compile_ir(func: Func, backend: str = "pycode", target=None,
 
     This is the single authoritative optimize/lower path: ``build()``
     calls it, and the verify CLI calls it with the same defaults, so
-    CLI-verified IR is bit-identical (same ``struct_hash``) to what a
-    build compiles.
+    CLI-verified IR is what a build compiles, up to sid numbering (same
+    ``cache.serial.canonical_key``).
 
     The output is deterministic in (input tree, backend, target,
     ``optimize``): one ``"compile"`` record in the persistent store (an

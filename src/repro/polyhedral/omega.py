@@ -26,17 +26,20 @@ query goes through, expands sparse rows into dense tuples ``(const, c1,
 ``prune``, ``loop_trans`` and the bounds checker.
 
 Work budget: a query (one system :func:`feasible_rows` solves) may build
-``_BUDGET`` rows. A shadow is charged ``len(others) + len(lows) *
-len(ups)`` before it is built, an equality-substitution round ``len(eqs) +
-len(ineqs)``. Split-then-merge schedules of small programs leave nested
-``//`` / ``%`` indices whose shadows grow to tens of thousands of rows. A
-give-up is all or nothing: the query is :data:`UNKNOWN`, counted in
-``gave_up`` and memoized like any other, so ``True`` and ``False`` are
-always proofs. ``UNKNOWN`` is truthy, so the callers that ask "may it be
-feasible?" — dependences, ``prune`` and ``loop_trans``'s equality proof —
-read it as feasible and refuse the transformation or keep the branch. The
-bounds checker, for which feasible means a *proven* out-of-bounds access,
-reports it as "cannot prove" instead.
+``_BUDGET`` rows. A shadow is charged as it is built: ``len(others)``
+up front, then ``len(ups)`` before each lower bound's combinations, so a
+shadow an early pair refutes is charged for the lower bounds it reached,
+not for all of them. An equality-substitution round is charged
+``len(eqs) + len(ineqs)``. Split-then-merge schedules of small programs
+leave nested ``//`` / ``%`` indices whose shadows grow to tens of
+thousands of rows. A give-up is all or nothing: the query is
+:data:`UNKNOWN`, counted in ``gave_up`` and memoized like any other, so
+``True`` and ``False`` are always proofs. ``UNKNOWN`` is truthy, so the
+callers that ask "may it be feasible?" — dependences, ``prune`` and
+``loop_trans``'s equality proof — read it as feasible and refuse the
+transformation or keep the branch. The bounds checker, for which
+feasible means a *proven* out-of-bounds access, reports it as "cannot
+prove" instead.
 """
 
 from __future__ import annotations
@@ -352,10 +355,12 @@ def _shadow(left: List[int], others: List[Row], lows: List[Row],
     """``others`` plus ``a*L + b*U`` for every lower bound ``L = b*x + ...``
     and upper bound ``U = -a*x + ...`` of column ``j`` (the real shadow);
     the dark shadow lowers each constant by ``(a-1)*(b-1)``. Tightened and
-    deduplicated, charged to ``left`` first; raises :class:`_Infeasible`."""
-    _charge(left, len(others) + len(lows) * len(ups))
+    deduplicated, charged to ``left`` as it is built (never less than it
+    computes); raises :class:`_Infeasible`."""
+    _charge(left, len(others))
     out, seen = list(others), set(others)
     for low in lows:
+        _charge(left, len(ups))
         b = low[j]
         for up in ups:
             a = -up[j]

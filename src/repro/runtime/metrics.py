@@ -78,8 +78,7 @@ def record_verifier_run(n_errors: int, n_warnings: int):
 #: "Cost model & tuner pruning")
 COST = Counters(
     "cost",
-    analyses=0,     # estimate_cost calls
-    memo_hits=0,    # ... served from the in-process memo
+    analyses=0,     # analyze_cost calls
     time_s=0.0,
 )
 cost_stats = COST.snapshot

@@ -19,9 +19,8 @@ batch. By-value scalar parameters (``ft.Size``) stay shared across the
 batch — requests batched together must agree on them, which the serving
 bucketer guarantees by keying buckets on scalars.
 
-The transform is memoized on the input Func's structural hash so repeat
-requests reuse one batched Func object (and therefore hit the in-memory
-and on-disk build caches).
+Each call builds a fresh Func; the serving endpoint
+(``ServedWorkload``) builds its batched variant once and keeps it.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ from typing import List
 from ..errors import InvalidProgram
 from ..ir import (AccessType, Assert, Expr, For, Func, LibCall, Load,
                   Mutator, Stmt, Store, Var, VarDef, fresh_name,
-                  struct_hash, used_names)
+                  used_names)
 from ..ir import stmt as S
-from ..state import BoundedMemo
 
 __all__ = ["BatchingUnsupported", "batch_axis_prepend"]
 
@@ -41,10 +39,6 @@ __all__ = ["BatchingUnsupported", "batch_axis_prepend"]
 class BatchingUnsupported(InvalidProgram):
     """The Func cannot be batch-transformed (the serving layer falls
     back to serial per-request execution)."""
-
-
-#: struct_hash(func) -> batched Func; bounded like the build cache
-_MEMO = BoundedMemo("batching", 256)
 
 
 class _AccessRewriter(Mutator):
@@ -116,8 +110,7 @@ def _strip_interface_defs(s: Stmt, iface: set,
     return s
 
 
-def batch_axis_prepend(func: Func, batch_var: str = "bsz",
-                       iter_var: str = "bi") -> Func:
+def batch_axis_prepend(func: Func) -> Func:
     """Return the batched variant of ``func`` (see module docstring).
 
     The result is a fresh Func named ``<name>_batched`` with the same
@@ -127,15 +120,10 @@ def batch_axis_prepend(func: Func, batch_var: str = "bsz",
     express (LibCalls over interface tensors, shadowed interfaces).
     """
     func = getattr(func, "func", func)  # unwrap a frontend Program
-    memo_key = struct_hash(func)
-    hit = _MEMO.get(memo_key)
-    if hit is not None:
-        return hit
-
     iface = set(func.interface_tensors())
     taken = used_names(func.body) | set(func.scalar_params) | iface
-    bsz = fresh_name(batch_var, taken)
-    bi = fresh_name(iter_var, taken | {bsz})
+    bsz = fresh_name("bsz", taken)
+    bi = fresh_name("bi", taken | {bsz})
 
     defs: List[VarDef] = []
     compute = _strip_interface_defs(func.body, iface, defs)
@@ -155,8 +143,6 @@ def batch_axis_prepend(func: Func, batch_var: str = "bsz",
         out.sid, out.label, out.init_data = d.sid, d.label, d.init_data
         body = out
 
-    batched = Func(func.name + "_batched", list(func.params),
-                   list(func.returns), body,
-                   scalar_params=list(func.scalar_params) + [bsz])
-    _MEMO.put(memo_key, batched)
-    return batched
+    return Func(func.name + "_batched", list(func.params),
+                list(func.returns), body,
+                scalar_params=list(func.scalar_params) + [bsz])

@@ -69,16 +69,16 @@ class ServedWorkload:
         self.optimize = optimize
         self._funcs: Dict[str, object] = {}
         self._exes: Dict[str, object] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def _func(self, kind: str):
-        with self._lock:
+        with self._lock:  # re-entrant: "batched" asks for "base" first
             if kind not in self._funcs:
                 if kind == "base":
                     self._funcs[kind] = self.make_func()
                 elif kind == "batched":
                     self._funcs[kind] = batch_axis_prepend(
-                        self._func_unlocked("base"))
+                        self._func("base"))
                 elif kind == "pad":
                     if self.make_pad_func is None:
                         raise ValueError(
@@ -87,11 +87,6 @@ class ServedWorkload:
                 else:
                     raise KeyError(kind)
             return self._funcs[kind]
-
-    def _func_unlocked(self, kind: str):
-        if kind not in self._funcs:
-            self._funcs[kind] = self.make_func()
-        return self._funcs[kind]
 
     def base_func(self):
         return self._func("base")

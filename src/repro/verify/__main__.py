@@ -169,8 +169,8 @@ def main(argv=None) -> int:
         try:
             if args.optimize:
                 # the same Pipeline construction build(optimize=True)
-                # uses, so CLI-verified IR is bit-identical (same
-                # struct_hash) to what a build compiles
+                # uses, so CLI-verified IR is what a build compiles (same
+                # canonical_key)
                 from ..pipeline import compile_ir
 
                 func = compile_ir(func, optimize=True)

@@ -292,6 +292,22 @@ class TestGiveUp:
         assert any_feasible(system, [[]])
         clear_feasibility_cache()
 
+    def test_shadow_is_charged_as_it_is_built(self, monkeypatch):
+        # x has 10 lower and 10 upper bounds, but its first pair (x + y
+        # >= 5, x + y <= 3) is already contradictory: a budget below the
+        # 100 combinations still decides the system, without a give-up
+        from repro.polyhedral import omega
+
+        bands = [x - y + k >= 0 for k in range(1, 10)] \
+            + [y - x + k >= 0 for k in range(1, 10)]
+        system = rows(x + y >= 5, x + y <= 3, *bands)
+        monkeypatch.setattr(omega, "_BUDGET", 50)
+        clear_feasibility_cache()
+        before = feasibility_stats()["gave_up"]
+        assert is_feasible(system) is False
+        assert feasibility_stats()["gave_up"] == before
+        clear_feasibility_cache()
+
     @pytest.mark.parametrize("prim", ["parallelize", "vectorize"])
     def test_split_then_merge_is_refused_in_bounded_time(self, prim):
         # split(factor=3) then merge leaves nested // and % indices whose

@@ -61,10 +61,10 @@ def test_auto_schedule_rules_record_a_replayable_trace(name, backend):
     target = default_target(backend)
     s = Schedule(prog)
     for rule in RULES:
-        if rule in (auto_fuse, auto_use_lib):
-            rule(s)
-        else:
+        if rule in (auto_parallelize, auto_mem_type):
             rule(s, target)
+        else:
+            rule(s)
     assert len(s.trace) > 0
     assert_replays(prog, s)
 

@@ -347,15 +347,15 @@ class TestFrontier:
     def test_frontier_order_sorts_by_proxy(self):
         base = Schedule(_mm_program()).func
         space = ScheduleSpace.extract(base, backend="pycode")
-        from repro.analysis.cost import estimate_cost
+        from repro.analysis.cost import analyze_cost
         from repro.pipeline import lowering_pipeline
 
         rng = random.Random(5)
         ests = []
         for _ in range(5):
             f, _tr = space.realize(space.random_assignment(rng))
-            ests.append(estimate_cost(lowering_pipeline().run(f),
-                                      backend="pycode"))
+            ests.append(analyze_cost(lowering_pipeline().run(f),
+                                     backend="pycode"))
         order = frontier_order(ests)
         proxies = [ests[i].time_proxy for i in order]
         assert proxies == sorted(proxies)

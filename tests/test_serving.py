@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from repro.runtime import metrics
-from repro.serving import (BatchingUnsupported, Server, StackStrategy,
-                           batch_axis_prepend, default_endpoints)
+from repro.serving import (BatchingUnsupported, ServedWorkload, Server,
+                           StackStrategy, batch_axis_prepend,
+                           default_endpoints)
 from repro.workloads import gat, longformer, softras, subdivnet
 
 WORKLOADS = ("subdivnet", "longformer", "softras", "gat")
@@ -147,8 +148,12 @@ def test_batch_axis_prepend_memoized_and_guarded():
 
     batched = batch_axis_prepend(prog)
     assert batched.name.endswith("_batched")
-    # memoized: same Func object on repeat calls (keeps build caches hot)
-    assert batch_axis_prepend(prog) is batched
+    # the endpoint keeps one batched Func: the Server names a variant by
+    # identity (kind_of) when it ships the kind to pool workers
+    ep = ServedWorkload("double", lambda: prog, StackStrategy(),
+                        gen_requests=None)
+    assert ep.batched_func() is ep.batched_func()
+    assert ep.kind_of(ep.batched_func()) == "batched"
     # the new batch-size scalar is threaded through the driver
     assert len(batched.scalar_params) == len(prog.func.scalar_params) + 1
 
