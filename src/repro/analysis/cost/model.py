@@ -12,8 +12,10 @@ dominated candidate can only be pruned, never preferred — while the
 scalar :attr:`CostEstimate.time_proxy` gives a total order for ranking.
 
 ``op_category`` is the single classification shared by the static walker
-(`count.py`) and the interpreter's dynamic ``OpCounts`` oracle,
-so the two sides count the same events by construction.
+(`count.py`) and the interpreter, which classifies every expression node
+it evaluates with it (its ``OpCounts`` oracle and the simulated device's
+FLOP counter both read the result), so the two sides count the same
+events by construction.
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ def op_category(e: E.Expr) -> Optional[str]:
     (children are counted separately), or None for free nodes (constants,
     variables, casts, ``IfExpr`` selection).
 
-    This mirrors the interpreter's flop accounting exactly: float
-    add/sub/mul/min/max and every real-division/intrinsic are flops;
-    integer/boolean arithmetic, comparisons and logic are int ops.
+    This *is* the interpreter's classification, not a copy of it:
+    ``Interpreter.eval_expr`` calls it on every node, counting the axis
+    in ``OpCounts`` and charging a ``"flops"`` node to the device's
+    ``on_flop``. Float add/sub/mul/min/max and every real
+    division/intrinsic are flops; integer/boolean arithmetic,
+    comparisons and logic are int ops.
     """
     if isinstance(e, E.Load):
         return "loads"

@@ -10,10 +10,13 @@ the same accounting class. This module holds:
   reports for Longformer baselines in Figures 16(b) and 18. It is the
   measurement substrate of Figure 17 (kernel invocations, DRAM bytes, L2
   bytes, FLOP count);
-- :class:`GPUSimulator`, which executes the IR with the reference
-  interpreter, counting one **kernel launch** per outermost parallel
-  region (a loop bound to ``cuda.blockIdx.*`` / ``cuda.threadIdx.*``, or
-  a library call);
+- :class:`GPUSimulator`, the reference interpreter plus one **launch
+  rule**: at host level, a ``StmtSeq``, a ``VarDef`` and a loop not
+  bound to ``cuda.*`` run on the host; every other host statement (a
+  ``cuda.blockIdx.*`` / ``cuda.threadIdx.*`` loop, a library call, or
+  any other statement as an implicit kernel) is one kernel launch, and
+  everything inside it, library calls included, is that kernel's body.
+  The rule is the only code that charges a launch for the IR;
 - :func:`static_peak_bytes`, the footprint of a program computed without
   running it, and :class:`DeviceModel` (``V100``, ``XEON``), which turns
   a Device's counters into modelled time.
@@ -264,40 +267,26 @@ XEON = DeviceModel("Xeon-E5-2670v3-x2",
 # ---------------------------------------------------------------------------
 
 
-class _SuppressKernels:
-    """Device proxy that drops kernel-launch events (in-kernel work)."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def on_kernel(self, name: str):
-        pass
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def _is_kernel_root(s: Stmt) -> bool:
-    if isinstance(s, LibCall):
-        return True
-    return isinstance(s, For) and (s.property.parallel or "").startswith(
-        "cuda")
-
-
-class GPUSimulator:
+class GPUSimulator(Interpreter):
     """Executes a Func as a sequence of simulated kernel launches on
     ``device`` (a :class:`DeviceModel`), charging ``metrics`` (a
     :class:`Device`; one is made if none is given). A ``metrics`` without
-    a capacity takes the model's."""
+    a capacity takes the model's.
+
+    It is the interpreter with one override, the launch rule of
+    :meth:`exec_stmt`; a kernel's body runs on one plain kernel-body
+    :class:`Interpreter` sharing ``metrics``, so nested statements and
+    library calls are device code, never launches of their own."""
 
     def __init__(self, device: Optional[DeviceModel] = None,
                  metrics: Optional[Device] = None):
         self.device = device if device is not None else V100
-        self.metrics = metrics if metrics is not None else \
-            Device(self.device.name)
-        if self.metrics.capacity_bytes is None:
-            self.metrics.capacity_bytes = self.device.capacity_bytes
-        self._interp = Interpreter(metrics=self.metrics)
+        if metrics is None:
+            metrics = Device(self.device.name)
+        if metrics.capacity_bytes is None:
+            metrics.capacity_bytes = self.device.capacity_bytes
+        super().__init__(metrics=metrics)
+        self._kernel = Interpreter(metrics=metrics)
 
     def run(self, func: Func, env: Dict[str, object]):
         """Execute ``func`` over NumPy buffers bound in ``env``."""
@@ -315,61 +304,20 @@ class GPUSimulator:
         for v in params:
             self.metrics.on_alloc(v, MemType.GPU_GLOBAL)
         try:
-            self._exec(func.body, env, in_kernel=False)
+            self.exec_stmt(func.body, env)
         finally:
             for v in params:
                 self.metrics.on_free(v, MemType.GPU_GLOBAL)
         return env
 
-    def _exec(self, s: Stmt, env, in_kernel: bool):
-        if not in_kernel and _is_kernel_root(s):
-            self.metrics.on_kernel(self._kernel_name(s))
-            if isinstance(s, LibCall):
-                self._interp.exec_stmt(s, env)
-                return
-            # library calls nested inside this kernel are fused device
-            # code, not separate launches: suppress their kernel events
-            suppressed = _SuppressKernels(self.metrics)
-            inner = Interpreter(metrics=suppressed)
-            inner.exec_stmt(s, env)
+    def exec_stmt(self, s: Stmt, env: Dict[str, object]):
+        """Host level: sequences, definitions and sequential loops recurse
+        here; any other statement is one kernel launch."""
+        if isinstance(s, (StmtSeq, VarDef)) or (
+                isinstance(s, For)
+                and not (s.property.parallel or "").startswith("cuda")):
+            super().exec_stmt(s, env)
             return
-        if isinstance(s, StmtSeq):
-            for c in s.stmts:
-                self._exec(c, env, in_kernel)
-            return
-        if isinstance(s, VarDef):
-            if s.name in env:
-                self._exec(s.body, env, in_kernel)
-                return
-            shape = tuple(int(self._interp.eval_expr(d, env))
-                          for d in s.shape)
-            buf = np.empty(shape, dtype=s.dtype.to_numpy())
-            if s.init_data is not None:
-                buf[...] = s.init_data
-            self.metrics.on_alloc(buf, s.mtype)
-            env[s.name] = buf
-            try:
-                self._exec(s.body, env, in_kernel)
-            finally:
-                self.metrics.on_free(buf, s.mtype)
-                del env[s.name]
-            return
-        if isinstance(s, For) and not in_kernel:
-            # a sequential host-side loop around kernels
-            begin = int(self._interp.eval_expr(s.begin, env))
-            end = int(self._interp.eval_expr(s.end, env))
-            for i in range(begin, end):
-                env[s.iter_var] = i
-                self._exec(s.body, env, in_kernel)
-            env.pop(s.iter_var, None)
-            return
-        # anything else at host level: treat as one implicit kernel
-        if not in_kernel:
-            self.metrics.on_kernel(self._kernel_name(s))
-        self._interp.exec_stmt(s, env)
-
-    @staticmethod
-    def _kernel_name(s: Stmt) -> str:
-        if isinstance(s, LibCall):
-            return f"lib.{s.kind}"
-        return f"kernel@{s.sid}"
+        self.metrics.on_kernel(f"lib.{s.kind}" if isinstance(s, LibCall)
+                               else f"kernel@{s.sid}")
+        self._kernel.exec_stmt(s, env)

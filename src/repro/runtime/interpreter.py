@@ -17,6 +17,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..analysis.cost.model import COUNT_FIELDS, op_category
 from ..errors import InvalidProgram
 from ..ir import expr as E
 from ..ir import stmt as S
@@ -26,38 +27,31 @@ class OpCounts:
     """Dynamic operation counter — the cost model's ground-truth oracle.
 
     Counts every event the static analysis (``repro.analysis.cost``)
-    claims to predict, using the *same* ``op_category`` classification,
-    so static-vs-dynamic comparisons are apples to apples: on an exact
-    estimate the two agree to the operation; on a sound one the static
-    side is an upper bound. Pass an instance as
+    claims to predict, on the *same* axes (``COUNT_FIELDS``) and with the
+    interpreter's one ``op_category`` classification of each expression
+    node, so static-vs-dynamic comparisons are apples to apples: on an
+    exact estimate the two agree to the operation; on a sound one the
+    static side is an upper bound. Pass an instance as
     ``Interpreter(op_counts=...)`` to enable it.
     """
 
-    FIELDS = ("flops", "int_ops", "loads", "stores", "reduces",
-              "lib_calls", "iters")
-
-    __slots__ = FIELDS + ("_category",)
+    __slots__ = COUNT_FIELDS
 
     def __init__(self):
-        from ..analysis.cost.model import op_category
-
-        self._category = op_category
         self.reset()
 
     def reset(self):
-        for f in self.FIELDS:
+        for f in COUNT_FIELDS:
             setattr(self, f, 0)
 
-    def note(self, e: E.Expr):
-        cat = self._category(e)
-        if cat is not None:
-            setattr(self, cat, getattr(self, cat) + 1)
+    def note(self, category: str):
+        setattr(self, category, getattr(self, category) + 1)
 
     def as_dict(self) -> Dict[str, int]:
-        return {f: getattr(self, f) for f in self.FIELDS}
+        return {f: getattr(self, f) for f in COUNT_FIELDS}
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        body = ", ".join(f"{f}={getattr(self, f)}" for f in self.FIELDS
+        body = ", ".join(f"{f}={getattr(self, f)}" for f in COUNT_FIELDS
                          if getattr(self, f))
         return f"OpCounts({body})"
 
@@ -91,8 +85,8 @@ class Interpreter:
     # -- expressions ------------------------------------------------------
     def eval_expr(self, e: E.Expr, env: Dict[str, object]):
         ev = self.eval_expr
-        if self.ops is not None:
-            self.ops.note(e)
+        if self.metrics is not None or self.ops is not None:
+            self._count(e)
         if isinstance(e, E.Const):
             return e.val
         if isinstance(e, E.Var):
@@ -109,32 +103,20 @@ class Interpreter:
                 return buf[idx]
             return buf[()] if isinstance(buf, np.ndarray) else buf
         if isinstance(e, E.Add):
-            if self.metrics is not None and e.dtype.is_float:
-                self.metrics.on_flop(1)
             return ev(e.lhs, env) + ev(e.rhs, env)
         if isinstance(e, E.Sub):
-            if self.metrics is not None and e.dtype.is_float:
-                self.metrics.on_flop(1)
             return ev(e.lhs, env) - ev(e.rhs, env)
         if isinstance(e, E.Mul):
-            if self.metrics is not None and e.dtype.is_float:
-                self.metrics.on_flop(1)
             return ev(e.lhs, env) * ev(e.rhs, env)
         if isinstance(e, E.RealDiv):
-            if self.metrics is not None:
-                self.metrics.on_flop(1)
             return ev(e.lhs, env) / ev(e.rhs, env)
         if isinstance(e, E.FloorDiv):
             return ev(e.lhs, env) // ev(e.rhs, env)
         if isinstance(e, E.Mod):
             return ev(e.lhs, env) % ev(e.rhs, env)
         if isinstance(e, E.Min):
-            if self.metrics is not None and e.dtype.is_float:
-                self.metrics.on_flop(1)
             return min(ev(e.lhs, env), ev(e.rhs, env))
         if isinstance(e, E.Max):
-            if self.metrics is not None and e.dtype.is_float:
-                self.metrics.on_flop(1)
             return max(ev(e.lhs, env), ev(e.rhs, env))
         if isinstance(e, E.LT):
             return ev(e.lhs, env) < ev(e.rhs, env)
@@ -166,12 +148,21 @@ class Interpreter:
                 return bool(v)
             return int(v)
         if isinstance(e, E.Intrinsic):
-            if self.metrics is not None:
-                self.metrics.on_flop(1)
             args = [ev(a, env) for a in e.args]
             return _INTRIN_IMPL[e.name](*args)
         raise InvalidProgram(
             f"cannot interpret {type(e).__name__}")  # pragma: no cover
+
+    def _count(self, e: E.Expr):
+        """Charge one evaluation of ``e``'s root node to the counting
+        axis ``op_category`` assigns it; a flop also goes to the device."""
+        cat = op_category(e)
+        if cat is None:
+            return
+        if self.ops is not None:
+            self.ops.note(cat)
+        if cat == "flops" and self.metrics is not None:
+            self.metrics.on_flop(1)
 
     def _shape(self, vardef: S.VarDef, env) -> tuple:
         return tuple(int(self.eval_expr(d, env)) for d in vardef.shape)

@@ -2,8 +2,9 @@
 
 On this reproduction's substrate the "vendor library" is NumPy's BLAS: a
 :class:`~repro.ir.stmt.LibCall` executes as a single whole-tensor kernel.
-The device charges it as one kernel launch streaming its operands once,
-which is exactly how the paper's baselines behave per operator.
+It streams its operands once through the device, which is exactly how
+the paper's baselines behave per operator; whether it is a kernel launch
+of its own is the simulator's launch rule, not the call's.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ def apply_libcall(kind: str, attrs: dict, outs, args, metrics=None):
     - ``fill``: ``outs[0][...] = attrs["value"]``.
     """
     if metrics is not None:
-        metrics.on_kernel(f"lib.{kind}")
         metrics.on_traffic(sum(buf.nbytes for buf in (*args, *outs)
                                if metrics.charges(buf)))
     if kind == "matmul":

@@ -192,13 +192,44 @@ class TestGPUSimulator:
         assert m.kernels == 1
 
     def test_sequential_fallback_counts_per_launch(self):
-        """An unparallelised statement at host level is its own launch."""
+        """An unparallelised statement at host level is its own launch:
+        the sequential loop runs on the host, each store is a kernel."""
         f = self._prog()
         m = Device("sim")
         exe = build(f, backend="gpusim", metrics=m)
         x = np.arange(10, dtype=np.float32)
         exe(x)
-        assert m.kernels >= 1
+        assert m.kernels == 10
+
+    def test_libcall_in_kernel_is_device_code(self, rng):
+        """A library call inside a ``cuda.blockIdx.x`` kernel is charged
+        its traffic and FLOPs, but no launch of its own."""
+        @ft.transform
+        def mm(a: ft.Tensor[(8, 8), "f32", "input"],
+               b: ft.Tensor[(8, 8), "f32", "input"]):
+            y = ft.empty((4,), "f32")
+            ft.label("B")
+            for n in range(4):
+                c = ft.zeros((8, 8), "f32")
+                ft.label("L")
+                for i in range(8):
+                    for j in range(8):
+                        for k in range(8):
+                            c[i, j] += a[i, k] * b[k, j]
+                y[n] = c[n, n]
+            return y
+
+        s = Schedule(mm)
+        s.as_lib("L")
+        s.parallelize("B", "cuda.blockIdx.x")
+        m = Device("sim")
+        exe = build(s.func, backend="gpusim", metrics=m)
+        A = rng.standard_normal((8, 8)).astype(np.float32)
+        B = rng.standard_normal((8, 8)).astype(np.float32)
+        np.testing.assert_allclose(exe(A, B), np.diag(A @ B)[:4], rtol=1e-4)
+        assert m.kernel_names == [f"kernel@{s.find('B').sid}"]
+        assert m.flops == 4 * 2 * 8 * 8 * 8  # the four matmuls, only
+        assert m.l2_bytes >= 4 * 3 * A.nbytes  # each streams c, a, b
 
     def test_capacity_oom(self):
         @ft.transform
@@ -245,7 +276,9 @@ class TestGPUSimulator:
         A = rng.standard_normal((8, 8)).astype(np.float32)
         B = rng.standard_normal((8, 8)).astype(np.float32)
         np.testing.assert_allclose(exe(A, B), A @ B, rtol=1e-4)
-        assert any(n.startswith("lib.") for n in m.kernel_names)
+        # one launch for the call, one per element of the 8x8 zero-fill
+        assert m.kernel_names.count("lib.matmul") == 1
+        assert m.kernels == 65
 
     def test_parameters_released_after_run(self):
         @ft.transform
