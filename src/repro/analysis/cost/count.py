@@ -28,6 +28,7 @@ from __future__ import annotations
 from math import ceil
 from typing import Dict, List, Optional, Tuple
 
+from ...backend import backend_caps
 from ...ir import AccessType, all_vars, defined_tensors, makeSub, wrap
 from ...ir import expr as E
 from ...ir import stmt as S
@@ -470,7 +471,7 @@ def analyze(func: S.Func, backend: str, target,
             scalar_env: Optional[Dict[str, int]] = None) -> CostEstimate:
     """Compute the :class:`CostEstimate` of ``func`` for ``backend`` on
     ``target``. Pure and deterministic."""
-    caps = target.capabilities(backend)
+    caps = backend_caps(backend, target)
     w = _Walker(func, caps, scalar_env or {})
     totals, exact = w.walk(func.body, w.base_ctx, 1)
     traffic, penalty, stride_sites, footprint = _traffic_pass(

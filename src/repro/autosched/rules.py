@@ -61,7 +61,7 @@ def auto_schedule(program_or_func, target: Optional[Target] = None,
 
     rule_passes = [Pass("auto_" + key, rule_pass(fn, args))
                    for key, fn, args in rules if key in enabled]
-    tail = build_pipeline(backend=backend or "pycode", target=target)
+    tail = build_pipeline(backend=backend or "pycode")
     pipe = Pipeline(rule_passes + tail.passes, name="autosched")
     return pipe.run(s.func, times=times)
 

@@ -68,15 +68,9 @@ def _injected_fault(func: Func) -> Optional[str]:
 
 
 def format_failure(backend: str, exc: BaseException) -> str:
-    """One consistent rendering of a candidate compile/run failure,
-    delegated to the registered :class:`~repro.backend.Backend` so the
-    serial path, the pool workers and the driver all agree on the
-    backend name (fault-injection logs vs ``pool_stats()``)."""
-    from ...backend import find_backend
-
-    b = find_backend(backend)
-    if b is not None:
-        return b.format_failure(exc)
+    """One consistent rendering of a candidate compile/run failure, so
+    the serial path and the pool workers agree on the backend name
+    (fault-injection logs vs ``pool_stats()``)."""
     return f"{backend}: {type(exc).__name__}: {exc}"
 
 
@@ -109,9 +103,9 @@ def _measure_task(backend: str, inputs: tuple, scalars: dict, repeats: int,
     worker; returns ``(ok, seconds | message, gcc_runs, native_hits)``.
 
     The worker receives only the backend *name*; the Backend object is
-    resolved from the registry inside the fork (``build()`` and
-    ``format_failure`` both query it), so whatever the parent registered
-    under that name is what the worker runs."""
+    resolved from the registry inside the fork (``build()`` queries
+    it), so whatever the parent registered under that name is what the
+    worker runs."""
     from ...runtime import metrics
 
     func, fake_time = task

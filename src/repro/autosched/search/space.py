@@ -31,6 +31,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from ...analysis import DepAnalyzer, DirItem
+from ...backend import backend_caps
 from ...errors import FreeTensorError
 from ...ir import For, Func, IntConst, collect_stmts
 from ...schedule import Schedule, ScheduleTrace
@@ -123,7 +124,7 @@ class ScheduleSpace:
         from ..target import default_target
 
         target = target or default_target(backend)
-        caps = target.capabilities(backend)
+        caps = backend_caps(backend, target)
         # the annotation kind a `parallel` knob binds to, straight from
         # the backend's declared capability table (None when the backend
         # would ignore the annotation: no knob)

@@ -1,13 +1,11 @@
 """Target descriptions for the auto-scheduler.
 
-``Target.capabilities`` delegates to the backend registry, where each
-backend declares its :class:`~repro.backend.BackendCaps`. What ``CPU``
-and ``GPU`` share is a module constant below.
+What a backend does on a target is the capability table it declares in
+the backend registry (``repro.backend.backend_caps``). What ``CPU`` and
+``GPU`` share is a module constant below.
 """
 
 from __future__ import annotations
-
-from ..backend.caps import BackendCaps
 
 __all__ = ["CPU", "GPU", "Target", "default_target"]
 
@@ -36,17 +34,6 @@ class Target:
         """Full-content key for the build cache."""
         return ("Target", self.kind, self.name, self.num_threads)
 
-    def capabilities(self, backend: str = "pycode") -> BackendCaps:
-        """The cost model's view of what ``backend`` does with schedule
-        annotations when compiling for this target — the capability
-        table the backend's registered :class:`~repro.backend.Backend`
-        declares (``repro.backend.backend_caps``); unknown backend names
-        get the sequential-scalar fallback where every annotation is a
-        no-op."""
-        from ..backend import backend_caps
-
-        return backend_caps(backend, self)
-
     def __repr__(self):  # pragma: no cover
         return f"Target({self.kind}:{self.name})"
 
@@ -57,8 +44,7 @@ GPU = Target("gpu", "sim-v100", num_threads=0)
 
 def default_target(backend: str = "pycode") -> Target:
     """The default scheduling target for ``backend``, per its registered
-    ``target_kind`` declaration (CPU for unknown names)."""
-    from ..backend import find_backend
+    ``target_kind`` declaration."""
+    from ..backend import get_backend
 
-    b = find_backend(backend)
-    return b.default_target() if b is not None else CPU
+    return GPU if get_backend(backend).target_kind == "gpu" else CPU

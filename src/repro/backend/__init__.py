@@ -11,12 +11,11 @@ strings. See ``repro.backend.registry`` for the object model and
 from .caps import BackendCaps
 from .registry import (Backend, ScopeRule, available_backends,
                        backend_cache_tag, backend_caps, find_backend,
-                       get_backend, legalization_impl, register_backend,
-                       scope_violation, unregister_backend)
+                       get_backend, register_backend, scope_violation,
+                       unregister_backend)
 
 __all__ = [
     "Backend", "BackendCaps", "ScopeRule", "available_backends",
     "backend_cache_tag", "backend_caps", "find_backend", "get_backend",
-    "legalization_impl", "register_backend", "scope_violation",
-    "unregister_backend",
+    "register_backend", "scope_violation", "unregister_backend",
 ]

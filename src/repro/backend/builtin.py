@@ -1,16 +1,15 @@
 """Built-in backend declarations.
 
 Each block below is the *entire* statement of one backend: builder
-(codegen entry), capability table, legalization requirements, default
-target kind and memory-scope rules. The declarations that used to be
-scattered across ``runtime/driver.py`` (builders), ``pipeline/
-legalize.py`` (legalization table) and ``autosched/target.py`` (the
-capability if/elif ladder) all live here now, behind one
-``register_backend`` call per backend.
+(codegen entry), capability table, legalization passes, default target
+kind and memory-scope rules, behind one ``register_backend`` call per
+backend.
 """
 
 from __future__ import annotations
 
+from ..ir import For, Func, Mutator, ReduceTo, Stmt, collect_stmts
+from ..pipeline import Pass
 from .caps import BackendCaps
 from .registry import Backend, ScopeRule, register_backend
 
@@ -30,18 +29,12 @@ def _build_interp(func, metrics=None, **_opts):
     return run
 
 
-def _caps_interp(target, _name="interp"):
-    # sequential scalar evaluation; every annotation is a no-op
-    return BackendCaps(_name, {}, vector_width=1, stride_matters=False)
-
-
 INTERP = register_backend(Backend(
     name="interp",
     build=_build_interp,
-    caps=_caps_interp,
+    caps=None,  # sequential scalar evaluation: every annotation a no-op
     target_kind="cpu",
     caps_version="1",
-    description="reference interpreter (scalar, sequential)",
 ))
 
 
@@ -82,13 +75,47 @@ PYCODE = register_backend(Backend(
     legalization=(),  # interprets vectorize markings itself
     target_kind="cpu",
     caps_version="1",
-    description="generated Python with NumPy vector kernels",
 ))
 
 
 # ---------------------------------------------------------------------------
 # c: native code via gcc (OpenMP + simd)
 # ---------------------------------------------------------------------------
+
+
+def simd_body_ok(body: Stmt) -> bool:
+    """Whether a vectorized loop body stays legal under ``omp simd``.
+
+    gcc only allows ``ordered simd``/``simd``/``loop``/``atomic``
+    constructs inside a simd region; a nested ``parallel for`` or the
+    ``critical`` a min/max atomic lowers to must instead drop the simd
+    marking (it is an optimization hint — a plain loop is always correct).
+    """
+    for x in collect_stmts(body, lambda _x: True):
+        if isinstance(x, For) and x.property.parallel:
+            return False
+        if isinstance(x, ReduceTo) and x.atomic and x.op in ("min", "max"):
+            return False
+    return True
+
+
+class _SuppressIllegalSimd(Mutator):
+
+    def mutate_For(self, s: For) -> Stmt:
+        out = self.generic_mutate_stmt(s)
+        if out.property.vectorize and not simd_body_ok(out.body):
+            return out.with_property(vectorize=False)
+        return out
+
+
+def suppress_illegal_simd(func: Func) -> Func:
+    """Clear ``vectorize`` on loops whose bodies are illegal inside an
+    ``omp simd`` region (nested parallel loops, atomic min/max), so the
+    code generators emit every remaining marking as-is."""
+    return _SuppressIllegalSimd()(func)
+
+
+SIMD_SUPPRESS = Pass("simd_suppress", suppress_illegal_simd)
 
 
 def _build_c(func, **opts):
@@ -99,7 +126,6 @@ def _build_c(func, **opts):
 
 def _caps_c(target):
     from ..autosched.target import VECTOR_WIDTH
-    from ..pipeline import simd_body_ok
 
     return BackendCaps(
         "c",
@@ -114,10 +140,9 @@ C = register_backend(Backend(
     name="c",
     build=_build_c,
     caps=_caps_c,
-    legalization=("simd_suppress",),
+    legalization=(SIMD_SUPPRESS,),
     target_kind="cpu",
     caps_version="1",
-    description="native C via gcc (OpenMP parallel, omp simd)",
 ))
 
 
@@ -165,7 +190,6 @@ GPUSIM = register_backend(Backend(
     target_kind="gpu",
     scope_rules=_GPU_SCOPE_RULES,
     caps_version="1",
-    description="simulated CUDA device (interprets cuda.* annotations)",
 ))
 
 
@@ -177,9 +201,8 @@ CUDA = register_backend(Backend(
     name="cuda",
     build=None,  # no GPU/nvcc here: source is golden-tested, not run
     caps=lambda t: _caps_gpusim(t, "cuda"),
-    legalization=("simd_suppress",),
+    legalization=(SIMD_SUPPRESS,),
     target_kind="gpu",
     scope_rules=_GPU_SCOPE_RULES,
     caps_version="1",
-    description="CUDA C++ source generator (codegen-only)",
 ))

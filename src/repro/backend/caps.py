@@ -2,8 +2,8 @@
 
 A capability table is *declared* by a :class:`~repro.backend.Backend`
 object (one per registered backend, see ``repro.backend.registry``) and
-*queried* by every stage that must reason about what a backend actually
-does with scheduled IR:
+*queried* through ``backend_caps(name, target)`` by every stage that
+must reason about what a backend actually does with scheduled IR:
 
 - the cost model (``repro.analysis.cost``) discounts sequential work by
   the parallel lane counts and vector widths declared here, and charges
@@ -15,10 +15,6 @@ does with scheduled IR:
   backend's :class:`~repro.backend.Backend` declares;
 - the persistent caches fold ``caps_version`` (on the Backend object)
   into their keys, so changing a declaration invalidates stale entries.
-
-This class used to live in ``repro.autosched.target`` (which still
-re-exports it); it moved here when the backend registry became the one
-source of backend truth.
 """
 
 from __future__ import annotations

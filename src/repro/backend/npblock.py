@@ -33,6 +33,7 @@ from typing import Dict
 
 from ..ir import For, Func, Mutator, collect_stmts
 from ..ir import stmt as S
+from ..pipeline import Pass
 from .caps import BackendCaps
 from .registry import Backend, register_backend
 
@@ -192,9 +193,7 @@ NPBLOCK = register_backend(Backend(
     name="npblock",
     build=_build_npblock,
     caps=_caps_npblock,
-    legalization=("npblock_vectorize",),
-    legalization_impls={"npblock_vectorize": npblock_vectorize},
+    legalization=(Pass("npblock_vectorize", npblock_vectorize),),
     target_kind="cpu",
     caps_version="1",
-    description="blocked NumPy kernels (auto-vectorizing legalization)",
 ))

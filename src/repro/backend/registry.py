@@ -1,27 +1,24 @@
 """The unified backend registry: one capability-declaring object per
 backend, one ``register_backend`` call to make it real.
 
-Before this module existed, backend knowledge lived in four parallel
-registries that had to be updated in lockstep: the ``_BACKENDS`` builder
-map in ``runtime/driver.py``, the legalization-declaration table in
-``pipeline/legalize.py``, the if/elif capability ladder in
-``autosched/target.py`` and stray string dispatch in the searcher. A
-:class:`Backend` object now declares everything at once, and every
-consumer — codegen dispatch, legalization, the cost model, the verifier,
-the structured searcher, the measurement pool and the CLIs — *queries*
-the registry instead of special-casing names (the MLIR/TensorIR
-retargetability recipe; see PAPERS.md and docs/ARCHITECTURE.md).
+A :class:`Backend` object declares everything backend-specific at once,
+and every consumer — codegen dispatch, legalization, the cost model, the
+verifier, the structured searcher, the measurement pool and the CLIs —
+asks the registry, by one :func:`get_backend` lookup that raises
+:class:`~repro.errors.BackendError` on an unknown name, instead of
+special-casing names (the MLIR/TensorIR retargetability recipe; see
+PAPERS.md and docs/ARCHITECTURE.md).
 
 Registering a new target is one call against this public API::
 
     from repro.backend import Backend, BackendCaps, register_backend
+    from repro.pipeline import Pass
 
     register_backend(Backend(
         name="mytarget",
-        build=my_builder,              # (func, **opts) -> run(env)
-        caps=my_caps,                  # (target) -> BackendCaps
-        legalization=("my_pass",),     # pass names codegen requires
-        legalization_impls={"my_pass": my_pass_fn},
+        build=my_builder,                         # (func, **opts) -> run(env)
+        caps=my_caps,                             # (target) -> BackendCaps
+        legalization=(Pass("my_pass", my_fn),),   # passes codegen requires
         target_kind="cpu",
         caps_version="1",
     ))
@@ -36,6 +33,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import BackendError
+from .caps import BackendCaps
 
 
 class ScopeRule:
@@ -75,42 +73,40 @@ class Backend:
       (None for codegen-only backends such as ``cuda``, whose IR is
       executed by the simulator instead). **Input contract:** ``func``
       is legalized IR — the output of ``repro.pipeline.compile_ir`` for
-      this backend, i.e. standard lowering plus every pass named in
+      this backend, i.e. standard lowering plus every pass in
       ``legalization`` has already run. The driver is the only caller
       and always goes through ``compile_ir``; a builder must not
       legalize again (it would re-probe and re-decode a tree the
       pipeline just produced), and whoever calls ``build`` directly owes
       it the same input;
     - ``caps`` — ``caps(target) -> BackendCaps``, the capability table
-      the cost model / searcher / verifier consult;
-    - ``legalization`` — ordered names of the IR-legalization passes the
-      code generator requires (appended to standard lowering by
-      ``repro.pipeline``);
-    - ``legalization_impls`` — implementations for legalization passes
-      this backend brings along (merged into the global pass table at
-      registration; built-in pass names may be referenced without one);
+      the cost model / searcher / verifier consult (None: sequential
+      scalar evaluation, every annotation a no-op);
+    - ``legalization`` — the ordered :class:`~repro.pipeline.Pass`
+      objects the code generator requires (appended to standard
+      lowering by ``repro.pipeline``);
     - ``target_kind`` — ``"cpu"`` / ``"gpu"``: which default
       :class:`~repro.autosched.target.Target` to schedule for;
     - ``scope_rules`` — declared :class:`ScopeRule` memory-scope privacy
       facts (drives the verifier's FT203 check);
     - ``caps_version`` — bump when any declaration above changes
       meaning: it is folded into the build cache key and the persistent
-      disk-cache discriminators, so stale artifacts self-invalidate.
+      disk-cache discriminators (``backend_cache_tag``), so stale
+      artifacts self-invalidate. The schema tag's source digest covers
+      the package's own backends; for one registered from outside the
+      package this is the only invalidation.
     """
 
-    __slots__ = ("name", "build", "caps", "legalization",
-                 "legalization_impls", "target_kind", "scope_rules",
-                 "caps_version", "description")
+    __slots__ = ("name", "build", "caps", "legalization", "target_kind",
+                 "scope_rules", "caps_version")
 
     def __init__(self, name: str,
                  build: Optional[Callable] = None,
                  caps: Optional[Callable] = None,
-                 legalization: Tuple[str, ...] = (),
-                 legalization_impls: Optional[Dict[str, Callable]] = None,
+                 legalization: Tuple = (),
                  target_kind: str = "cpu",
                  scope_rules: Tuple[ScopeRule, ...] = (),
-                 caps_version: str = "1",
-                 description: str = ""):
+                 caps_version: str = "1"):
         if not name or not isinstance(name, str):
             raise ValueError("Backend.name must be a non-empty string")
         if target_kind not in ("cpu", "gpu"):
@@ -121,52 +117,15 @@ class Backend:
         self.build = build
         self.caps = caps
         self.legalization = tuple(legalization)
-        self.legalization_impls = dict(legalization_impls or {})
         self.target_kind = target_kind
         self.scope_rules = tuple(scope_rules)
         self.caps_version = str(caps_version)
-        self.description = description
 
-    # -- queries -----------------------------------------------------------
     @property
     def runnable(self) -> bool:
         """Whether ``build()`` can execute this backend (codegen-only
         backends emit source but cannot run it here)."""
         return self.build is not None
-
-    def capabilities(self, target=None):
-        """The :class:`~repro.backend.caps.BackendCaps` for ``target``
-        (default: this backend's default target)."""
-        from .caps import BackendCaps
-
-        if target is None:
-            target = self.default_target()
-        if self.caps is not None:
-            return self.caps(target)
-        # sequential scalar fallback: every annotation is a no-op
-        return BackendCaps(self.name, {}, vector_width=1,
-                           stride_matters=False)
-
-    def default_target(self):
-        """The default scheduling :class:`~repro.autosched.target.Target`
-        for this backend (by declared ``target_kind``)."""
-        from ..autosched.target import CPU, GPU
-
-        return GPU if self.target_kind == "gpu" else CPU
-
-    def cache_tag(self) -> str:
-        """The content-key discriminator caches fold in for this
-        backend: name plus ``caps_version``, so bumping the version
-        invalidates every cached artifact built under the old
-        declarations."""
-        return f"{self.name}@{self.caps_version}"
-
-    def format_failure(self, exc: BaseException) -> str:
-        """One consistent rendering of a compile/run failure on this
-        backend — used by the driver, the serial measurement path and
-        the pool workers alike, so fault-injection logs and metrics
-        agree on the backend name."""
-        return f"{self.name}: {type(exc).__name__}: {exc}"
 
     def __repr__(self):  # pragma: no cover
         run = "" if self.runnable else ", codegen-only"
@@ -210,18 +169,6 @@ def register_backend(backend: Backend, replace: bool = False) -> Backend:
         raise BackendError(
             f"backend {backend.name!r} is already registered; pass "
             f"replace=True to override")
-    # validate declared legalization names against the combined table
-    # (built-in passes + the impls this backend brings along)
-    from ..pipeline.legalize import known_legalization_passes
-
-    known = set(known_legalization_passes()) | set(
-        backend.legalization_impls)
-    for n in backend.legalization:
-        if n not in known:
-            raise ValueError(
-                f"backend {backend.name!r} declares unknown legalization "
-                f"pass {n!r}; known: {sorted(known)} (pass an "
-                f"implementation via legalization_impls)")
     _REGISTRY[backend.name] = backend
     return backend
 
@@ -258,23 +205,28 @@ def available_backends(runnable_only: bool = True) -> List[str]:
 
 
 def backend_caps(name: str, target=None):
-    """Capability table for ``name`` on ``target`` — the query behind
-    ``Target.capabilities``. Unknown names get the sequential-scalar
-    fallback (every annotation a no-op), preserving the cost model's
-    historical behaviour for ad-hoc backend strings."""
-    from .caps import BackendCaps
+    """The :class:`~repro.backend.caps.BackendCaps` of backend ``name``
+    on ``target`` (default: the backend's default target) — the one
+    capability query the cost model, the searcher and the verifier
+    make."""
+    b = get_backend(name)
+    if b.caps is None:
+        # sequential scalar evaluation: every annotation is a no-op
+        return BackendCaps(b.name, {}, vector_width=1, stride_matters=False)
+    if target is None:
+        from ..autosched.target import default_target
 
-    b = find_backend(name)
-    if b is None:
-        return BackendCaps(name, {}, vector_width=1, stride_matters=False)
-    return b.capabilities(target)
+        target = default_target(name)
+    return b.caps(target)
 
 
 def backend_cache_tag(name: str) -> str:
-    """``name@caps_version`` for cache keys (plain ``name`` when the
-    backend is not registered — nothing declared, nothing to version)."""
-    b = find_backend(name)
-    return b.cache_tag() if b is not None else name
+    """The content-key discriminator caches fold in for backend
+    ``name``: the name plus ``caps_version``, so bumping the version
+    invalidates every cached artifact built under the old
+    declarations."""
+    b = get_backend(name)
+    return f"{b.name}@{b.caps_version}"
 
 
 def scope_violation(kind: str, mtype) -> str:
@@ -288,14 +240,3 @@ def scope_violation(kind: str, mtype) -> str:
             if rule.matches(kind, mtype):
                 return rule.reason
     return ""
-
-
-def legalization_impl(name: str) -> Optional[Callable]:
-    """A legalization pass implementation contributed by a registered
-    backend (``legalization_impls``), or None."""
-    _ensure_builtins()
-    for b in _REGISTRY.values():
-        fn = b.legalization_impls.get(name)
-        if fn is not None:
-            return fn
-    return None

@@ -541,7 +541,7 @@ class CCodegen:
             self.line(indent, pragma)
         elif s.property.vectorize:
             # vectorize markings gcc cannot honour were cleared by the
-            # simd_suppress legalization pass (repro.pipeline.legalize)
+            # simd_suppress legalization pass (repro.backend.builtin)
             self.line(indent, "#pragma omp simd")
         elif s.property.unroll:
             self.line(indent, "#pragma GCC unroll 8")

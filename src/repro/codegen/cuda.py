@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 from ..errors import BackendError
 from ..ir import (DataType, For, Func, MemType, Stmt, VarDef)
 from ..ir import stmt as S
-from ..pipeline.legalize import legalize
+from ..pipeline import legalize
 from .ccode import CCodegen, _CTYPE
 
 # nvcc shares gcc's restrictions on what may appear inside a simd

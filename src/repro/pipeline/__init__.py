@@ -10,7 +10,7 @@ entry points (``repro.runtime.build``, ``repro.autosched.auto_schedule``,
       ▼
     flatten → make_reduction → simplify → cleanup      (standard lowering)
       ▼
-    <backend legalization>                              (repro.pipeline.legalize)
+    <backend legalization>                              (Backend.legalization)
       ▼
     codegen_prep                                        (final normalization)
       ▼
@@ -25,12 +25,9 @@ from __future__ import annotations
 
 import time
 from importlib import import_module
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..ir import Func
-from .legalize import (LEGALIZATION_PASSES, declared_legalization,
-                       legalization_passes, legalize, simd_body_ok,
-                       suppress_illegal_simd)
 from .manager import (STANDARD_LOWERING, Pass, Pipeline, clear_pass_cache,
                       pass_cache_stats)
 
@@ -55,15 +52,11 @@ def _pass_fn(name: str):
 
 def named_pass(name: str) -> Pass:
     """Construct a standard pass by name (``flatten``, ``make_reduction``,
-    ``simplify``, ``cleanup``, ``codegen_prep``, or any registered
-    legalization pass)."""
-    if name in _PASS_FNS:
-        return Pass(name, _pass_fn(name))
-    if name in LEGALIZATION_PASSES:
-        return Pass(name, LEGALIZATION_PASSES[name])
-    raise ValueError(
-        f"unknown pass {name!r}; known: "
-        f"{sorted(set(_PASS_FNS) | set(LEGALIZATION_PASSES))}")
+    ``simplify``, ``cleanup``, ``codegen_prep``)."""
+    if name not in _PASS_FNS:
+        raise ValueError(
+            f"unknown pass {name!r}; known: {sorted(_PASS_FNS)}")
+    return Pass(name, _pass_fn(name))
 
 
 def lowering_passes() -> List[Pass]:
@@ -88,7 +81,29 @@ def lowering_pipeline(name: str = "lower") -> Pipeline:
     return pipe
 
 
-def build_pipeline(backend: str = "pycode", target=None,
+def legalization_passes(backend: str) -> List[Pass]:
+    """The :class:`Pass` objects ``backend`` declared on its registered
+    :class:`~repro.backend.Backend`, in order."""
+    from ..backend import get_backend
+
+    return list(get_backend(backend).legalization)
+
+
+def declared_legalization(backend: str) -> Tuple[str, ...]:
+    """The names of ``backend``'s declared legalization passes."""
+    return tuple(p.name for p in legalization_passes(backend))
+
+
+def legalize(func: Func, backend: str) -> Func:
+    """Apply ``backend``'s declared legalization directly (for code
+    generators invoked outside a Pipeline; idempotent)."""
+    passes = legalization_passes(backend)
+    if not passes:
+        return func
+    return Pipeline(passes, name=f"legalize-{backend}").run(func)
+
+
+def build_pipeline(backend: str = "pycode",
                    name: Optional[str] = None) -> Pipeline:
     """The full non-scheduling compile pipeline for ``backend``: standard
     lowering, then — when the backend declared legalization passes —
@@ -155,17 +170,15 @@ def compile_ir(func: Func, backend: str = "pycode", target=None,
         out = auto_schedule(func, target=target, backend=backend,
                             times=times)
     else:
-        out = build_pipeline(backend=backend, target=target).run(
-            func, times=times)
+        out = build_pipeline(backend=backend).run(func, times=times)
     if disk is not None:
         disk.store("compile", key, lambda: encode_entry(out, sids, func))
     return out
 
 
 __all__ = [
-    "LEGALIZATION_PASSES", "Pass", "Pipeline", "STANDARD_LOWERING",
-    "build_pipeline", "clear_pass_cache", "compile_ir",
-    "declared_legalization", "legalization_passes", "legalize",
-    "lowering_passes", "lowering_pipeline", "named_pass",
-    "pass_cache_stats", "simd_body_ok", "suppress_illegal_simd",
+    "Pass", "Pipeline", "STANDARD_LOWERING", "build_pipeline",
+    "clear_pass_cache", "compile_ir", "declared_legalization",
+    "legalization_passes", "legalize", "lowering_passes",
+    "lowering_pipeline", "named_pass", "pass_cache_stats",
 ]

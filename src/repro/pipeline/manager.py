@@ -17,7 +17,7 @@ sequence buys three things at once:
   verification that attributes any *new* error diagnostic to the pass
   that introduced it (``REPRO_VERIFY_EACH_PASS=1``);
 - **target-aware composition**: backends declare the legalization passes
-  their code generators require (see ``repro.pipeline.legalize``) and
+  their code generators require (``Backend.legalization``) and
   the builders in ``repro.pipeline`` append them, so codegen never
   special-cases IR shapes it cannot emit.
 

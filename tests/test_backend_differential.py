@@ -8,8 +8,8 @@ registry's retargetability claim."""
 import numpy as np
 import pytest
 
-from repro.autosched import auto_schedule
-from repro.backend import available_backends, get_backend
+from repro.autosched import auto_schedule, default_target
+from repro.backend import available_backends
 from repro.runtime import build
 from repro.workloads import gat, longformer, softras, subdivnet
 
@@ -46,8 +46,7 @@ def _check(name, backend, optimize):
     args, kwargs = _ft_args(name, data)
     prog = mod.make_program()
     if optimize:
-        b = get_backend(backend)
-        func = auto_schedule(prog, target=b.default_target(),
+        func = auto_schedule(prog, target=default_target(backend),
                              backend=backend)
     else:
         func = prog

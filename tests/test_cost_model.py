@@ -25,6 +25,7 @@ from repro.autosched import CPU, auto_schedule
 from repro.autosched.search import StructuredTuner
 from repro.autosched.search.screen import CandidateScreen
 from repro.autosched.target import Target, default_target
+from repro.backend import backend_caps
 from repro.ir import (DataType, IntConst, Load, Var, makeIfExpr, makeMax,
                       makeMin)
 from repro.ir.hashing import struct_hash
@@ -233,10 +234,10 @@ class TestEstimate:
         s.parallelize(s.loops()[0].sid, "openmp")
         assert analyze_cost(s.func, backend="pycode").counts.seq == \
             analyze_cost(_axpy.func, backend="pycode").counts.seq
-        caps = default_target("c").capabilities("c")
+        caps = backend_caps("c", default_target("c"))
         assert caps.capacity("openmp") > 1
         assert caps.stride_matters
-        gpu = default_target("gpusim").capabilities("gpusim")
+        gpu = backend_caps("gpusim", default_target("gpusim"))
         assert gpu.capacity("cuda.blockIdx.x") is None  # unbounded
 
     def test_memo_and_metrics(self):

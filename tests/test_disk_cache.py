@@ -333,10 +333,10 @@ class TestIdentityEntries:
         # that retyping: whatever is written, it is no marker
         from repro.backend import (Backend, get_backend, register_backend,
                                    unregister_backend)
+        from repro.pipeline import Pass
 
         register_backend(Backend(
-            name="retyping", legalization=("retype",),
-            legalization_impls={"retype": Retype()}))
+            name="retyping", legalization=(Pass("retype", Retype()),)))
         try:
             before = set(_entries(disk_env))
             compile_ir(lowered, backend="retyping")

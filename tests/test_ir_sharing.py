@@ -31,8 +31,8 @@ from repro.ir import stmt as S
 from repro.ir.hashing import fingerprint
 from repro.ir.visitor import Mutator
 from repro.passes import flatten_stmt_seq, simplify_pass
-from repro.pipeline import (compile_ir, legalization_passes, lowering_passes,
-                            suppress_illegal_simd)
+from repro.backend.builtin import suppress_illegal_simd
+from repro.pipeline import compile_ir, legalization_passes, lowering_passes
 from repro.schedule import (Schedule, common, loop_trans, mem_trans,
                             misc_trans, parallel_trans)
 from repro.workloads import ALL

@@ -15,11 +15,12 @@ from repro.ir import For, Func, collect_stmts, struct_hash
 from repro.ir import expr as E
 from repro.ir import stmt as S
 from repro.ir.visitor import Mutator
+from repro.backend.builtin import suppress_illegal_simd
 from repro.pipeline import (Pass, Pipeline, STANDARD_LOWERING,
                             build_pipeline, clear_pass_cache, compile_ir,
                             declared_legalization, legalize,
                             lowering_passes, lowering_pipeline, named_pass,
-                            pass_cache_stats, suppress_illegal_simd)
+                            pass_cache_stats)
 from repro.runtime.driver import build
 from repro.workloads import ALL
 
