@@ -31,10 +31,8 @@ Environment knob (see docs/PERFORMANCE.md):
   Used by the determinism tests and the shared-store test, where real
   timings would be noise.
 
-Fault injection for the isolation tests (``repro.runtime.pool.fault``,
-``crash:<hash-prefix|*>`` / ``hang:<prefix|*>``): a worker about to
-measure a candidate whose sid-less ``struct_hash`` matches the prefix
-exits without cleanup or hangs instead.
+With ``workers <= 1`` no process is forked: :func:`_measure_task`, the
+task the workers run, runs in-process instead.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from ...ir import Func
-from ...ir.hashing import struct_hash
-from ...runtime.pool import FAILED, OK, TIMEOUT, WorkerPool, fault_spec, inject
+from ...runtime.pool import FAILED, OK, TIMEOUT, WorkerPool, run_here
 
 DEFAULT_TIMEOUT_S = 60.0
 
@@ -60,17 +57,9 @@ def fake_measure_enabled() -> bool:
     return os.environ.get("REPRO_TUNE_FAKE_MEASURE") == "1"
 
 
-def _injected_fault(func: Func) -> Optional[str]:
-    kind, pattern = fault_spec()
-    if kind and (pattern == "*" or struct_hash(func).startswith(pattern)):
-        return kind
-    return None
-
-
 def format_failure(backend: str, exc: BaseException) -> str:
-    """One consistent rendering of a candidate compile/run failure, so
-    the serial path and the pool workers agree on the backend name
-    (fault-injection logs vs ``pool_stats()``)."""
+    """The rendering of a candidate compile/run failure: the registry
+    backend name, then the error."""
     return f"{backend}: {type(exc).__name__}: {exc}"
 
 
@@ -99,8 +88,9 @@ def measure_once(func: Func, backend: str, inputs: Sequence,
 
 def _measure_task(backend: str, inputs: tuple, scalars: dict, repeats: int,
                   task) -> Tuple[bool, object, int, int]:
-    """The pool handler: measure one ``(func, fake_time)`` task inside a
-    worker; returns ``(ok, seconds | message, gcc_runs, native_hits)``.
+    """The measurement task: measure one ``(func, fake_time)`` task inside
+    a worker (or in-process, without workers); returns ``(ok, seconds |
+    message, gcc_runs, native_hits)``.
 
     The worker receives only the backend *name*; the Backend object is
     resolved from the registry inside the fork (``build()`` queries
@@ -109,7 +99,6 @@ def _measure_task(backend: str, inputs: tuple, scalars: dict, repeats: int,
     from ...runtime import metrics
 
     func, fake_time = task
-    inject(_injected_fault(func))
     before = metrics.disk_cache_stats()
     try:
         ok, payload = True, measure_once(func, backend, inputs, scalars,
@@ -125,8 +114,8 @@ class MeasurementPool:
     """``k`` persistent worker processes measuring candidates.
 
     With ``workers <= 1`` the pool degenerates to serial in-process
-    measurement (no subprocesses at all) — the honest 1-worker baseline
-    the speedup gate compares against.
+    measurement (no subprocesses at all, the same task) — the honest
+    1-worker baseline the speedup gate compares against.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -146,12 +135,13 @@ class MeasurementPool:
         self.repeats = repeats
         self.timeout_s = timeout_s if timeout_s is not None \
             else DEFAULT_TIMEOUT_S
+        self._task = functools.partial(_measure_task, self.backend,
+                                       self.inputs, self.scalars,
+                                       self.repeats)
         self._pool: Optional[WorkerPool] = None
         if self.workers >= 2:
             self._pool = WorkerPool(
-                functools.partial(_measure_task, self.backend, self.inputs,
-                                  self.scalars, self.repeats),
-                self.workers, self.timeout_s,
+                self._task, self.workers, self.timeout_s,
                 on_respawn=functools.partial(metrics.POOL.add,
                                              "worker_respawns"))
         metrics.POOL.add("sessions")
@@ -170,31 +160,24 @@ class MeasurementPool:
 
         t0 = time.perf_counter()
         if self._pool is None:
-            out = [self._measure_serial(func, fake) for func, fake in
-                   entries]
+            verdicts = [run_here(self._task, entry) for entry in entries]
         else:
-            out = []
-            for outcome, payload in self._pool.map(entries):
-                if outcome == OK:  # the handler's own verdict + deltas
-                    ok, payload, gcc, native = payload
+            verdicts = self._pool.map(entries)
+        out = []
+        for outcome, payload in verdicts:
+            if outcome == OK:  # the task's own verdict + deltas
+                ok, payload, gcc, native = payload
+                if self._pool is not None:  # only workers' deltas fold
                     metrics.POOL.add("worker_gcc_runs", gcc)
                     metrics.POOL.add("worker_native_hits", native)
-                    outcome = OK if ok else FAILED
-                out.append((outcome, payload))
+                outcome = OK if ok else FAILED
+            out.append((outcome, payload))
         outcomes = [outcome for outcome, _ in out]
         metrics.POOL.add("tasks", len(out))
         metrics.POOL.add("task_failures", outcomes.count(FAILED))
         metrics.POOL.add("task_timeouts", outcomes.count(TIMEOUT))
         metrics.POOL.add("measure_time_s", time.perf_counter() - t0)
         return out
-
-    def _measure_serial(self, func: Func, fake: Optional[float]
-                        ) -> Tuple[str, object]:
-        try:
-            return OK, measure_once(func, self.backend, self.inputs,
-                                    self.scalars, self.repeats, fake)
-        except Exception as e:  # noqa: BLE001 - match worker isolation
-            return FAILED, format_failure(self.backend, e)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self):

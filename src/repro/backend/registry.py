@@ -30,6 +30,7 @@ it up with zero further edits — proven in-tree by the blocked-NumPy
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import BackendError
@@ -137,18 +138,28 @@ class Backend:
 # ---------------------------------------------------------------------------
 
 _REGISTRY: Dict[str, Backend] = {}
-_BUILTINS_LOADED = False
+_BUILTINS_LOCK = threading.RLock()
+_builtins = "unloaded"  # -> "loading" (one thread) -> "loaded"
 
 
 def _ensure_builtins():
     """Import the built-in backend declarations exactly once (lazily, so
-    ``repro.backend`` never drags codegen modules in at import time)."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
+    ``repro.backend`` never drags codegen modules in at import time).
+
+    A thread that arrives while another is importing them (a thread-mode
+    server's dispatchers make their first builds at once) waits for the
+    whole set instead of reading a half-filled registry; the importing
+    thread's own registrations re-enter the lock and pass."""
+    global _builtins
+    if _builtins == "loaded":
         return
-    _BUILTINS_LOADED = True
-    from . import builtin  # noqa: F401  (registers interp/pycode/c/...)
-    from . import npblock  # noqa: F401  (registers the npblock target)
+    with _BUILTINS_LOCK:
+        if _builtins != "unloaded":
+            return
+        _builtins = "loading"
+        from . import builtin  # noqa: F401  (registers interp/pycode/c/...)
+        from . import npblock  # noqa: F401  (registers the npblock target)
+        _builtins = "loaded"
 
 
 def register_backend(backend: Backend, replace: bool = False) -> Backend:

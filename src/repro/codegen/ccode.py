@@ -12,13 +12,12 @@ from __future__ import annotations
 import ctypes
 import os
 from contextlib import suppress
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from ..errors import BackendError
-from ..ir import (AccessType, DataType, Func, Load, MemType, Stmt, VarDef,
-                  defined_tensors)
+from ..ir import DataType, Func, Load, Stmt, VarDef, defined_tensors
 from ..ir import expr as E
 from ..ir import stmt as S
 

@@ -11,10 +11,9 @@ simulated device (``repro.runtime.gpusim``), which interprets the same IR.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from ..errors import BackendError
-from ..ir import (DataType, For, Func, MemType, Stmt, VarDef)
+from ..ir import For, Func, MemType, Stmt, VarDef
 from ..ir import stmt as S
 from ..pipeline import legalize
 from .ccode import CCodegen, _CTYPE

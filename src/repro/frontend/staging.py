@@ -28,6 +28,7 @@ import copy
 import functools
 import inspect
 import textwrap
+import threading
 from typing import Dict, List, Optional
 
 from ..errors import StagingError
@@ -42,24 +43,37 @@ from .tensor import (Size, Tensor, TensorRef, _TensorAnnotation, as_expr,
 # The active-context stack (supports nested inlining)
 # ---------------------------------------------------------------------------
 
-_CTX_STACK: List[Builder] = []
+class _Staging(threading.local):
+    """What the calling thread is staging: the active-context,
+    symbol-table and parameter-spec stacks and the @inline depth. Per
+    thread, because threads stage at once (a server's dispatchers stage
+    endpoint variants on first use) and each must see only its own
+    program."""
 
-#: nesting depth of @inline helper calls (0 = the top @transform body)
-_INLINE_DEPTH = [0]
+    def __init__(self):
+        self.ctx: List[Builder] = []
+        self.symbols: List["_SymbolTable"] = []
+        self.specs: List[Dict[str, "ParamSpec"]] = []
+        #: nesting depth of @inline helper calls (0 = the top body)
+        self.inline_depth = 0
+
+
+_STAGING = _Staging()
 
 
 def cur_ctx() -> Builder:
     """The innermost active staging context."""
-    if not _CTX_STACK:
+    stack = _STAGING.ctx
+    if not stack:
         raise StagingError(
             "no active staging context; DSL constructs can only run inside "
             "a @transform-ed function")
-    return _CTX_STACK[0 + len(_CTX_STACK) - 1]
+    return stack[-1]
 
 
 def in_staging() -> bool:
     """Whether staging is currently active."""
-    return bool(_CTX_STACK)
+    return bool(_STAGING.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +96,10 @@ def _as_dim(s):
     if isinstance(s, TensorRef):
         return s.as_load()
     if isinstance(s, str):
-        if not _CUR_SYMBOLS:
+        if not _STAGING.symbols:
             raise StagingError(
                 f"named dimension {s!r} outside a @transform context")
-        return _CUR_SYMBOLS[-1].resolve(s)
+        return _STAGING.symbols[-1].resolve(s)
     return s
 
 
@@ -272,7 +286,7 @@ class _StagingRuntime:
 
     @staticmethod
     def ret(value):
-        if _INLINE_DEPTH[0] > 0:
+        if _STAGING.inline_depth > 0:
             # returning from an @inline helper: a plain value hand-off
             return value
         ctx = cur_ctx()
@@ -454,8 +468,6 @@ class _SymbolTable:
         raise StagingError(f"bad dimension spec: {dim!r}")
 
 
-_CUR_SYMBOLS: List[_SymbolTable] = []
-_CUR_SPECS: List[Dict[str, "ParamSpec"]] = []
 
 
 class ParamSpec:
@@ -477,17 +489,17 @@ class ParamSpec:
 
 def _declare_tensor_param(name: str, ann: _TensorAnnotation) -> TensorRef:
     ctx = cur_ctx()
-    if not _CUR_SYMBOLS:
+    if not _STAGING.symbols:
         raise StagingError("tensor parameters can only be declared while "
                            "staging a @transform-ed function")
-    symtab = _CUR_SYMBOLS[-1]
+    symtab = _STAGING.symbols[-1]
     shape = [symtab.resolve(d) for d in ann.shape]
     marker = ctx.define(name, shape, ann.dtype, ann.atype,
                         ann.mtype if ann.mtype is not None else None)
     if marker.name != name:
         raise StagingError(f"duplicate tensor parameter {name!r}")
     ctx.declare_param(marker)
-    _CUR_SPECS[-1][name] = ParamSpec(name, ann.shape, marker.dtype,
+    _STAGING.specs[-1][name] = ParamSpec(name, ann.shape, marker.dtype,
                                      marker.atype, marker.mtype)
     return TensorRef.full_view(ctx, marker)
 
@@ -830,9 +842,9 @@ def transform(fn=None, *, default_mtype: str = "cpu", name: Optional[str] = None
     ctx = Builder(default_mtype=default_mtype)
     symtab = _SymbolTable(ctx)
     specs: Dict[str, ParamSpec] = {}
-    _CTX_STACK.append(ctx)
-    _CUR_SYMBOLS.append(symtab)
-    _CUR_SPECS.append(specs)
+    _STAGING.ctx.append(ctx)
+    _STAGING.symbols.append(symtab)
+    _STAGING.specs.append(specs)
     ann_ns = dict(fn.__globals__)
     if fn.__closure__:
         for var, cell in zip(fn.__code__.co_freevars, fn.__closure__):
@@ -867,9 +879,9 @@ def transform(fn=None, *, default_mtype: str = "cpu", name: Optional[str] = None
         staged(*call_args)
         body = ctx.finish()
     finally:
-        _CTX_STACK.pop()
-        _CUR_SYMBOLS.pop()
-        _CUR_SPECS.pop()
+        _STAGING.ctx.pop()
+        _STAGING.symbols.pop()
+        _STAGING.specs.pop()
 
     func = Func(name or fn.__name__,
                 params=ctx.params,
@@ -896,11 +908,11 @@ def inline(fn):
             raise StagingError(
                 f"@inline function {fn.__name__!r} can only be called from "
                 f"staged code")
-        _INLINE_DEPTH[0] += 1
+        _STAGING.inline_depth += 1
         try:
             return staged(*args, **kwargs)
         finally:
-            _INLINE_DEPTH[0] -= 1
+            _STAGING.inline_depth -= 1
 
     wrapper.__ft_inline__ = True
     # Make self-recursion resolve to the rewritten function even when the

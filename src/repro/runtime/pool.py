@@ -4,7 +4,9 @@
 workers, each running ``handler(task)`` for one task at a time. The
 tuner's ``MeasurementPool`` (compile + time a schedule candidate) and the
 server's process mode (run one collated batch) are task definitions over
-it; nothing else in ``src/`` forks, kills or exits a process.
+it; nothing else in ``src/`` forks, kills or exits a process. Without
+workers (one measurement worker, the server's thread mode) a client runs
+the same task function in-process, through :func:`run_here`.
 
 The protocol, stated once:
 
@@ -30,17 +32,14 @@ anything. Not ``multiprocessing.Pool`` / ``concurrent.futures``: neither
 can kill one hung task without tearing the pool down, and a worker that
 dies there breaks the whole pool instead of failing one task.
 
-Fault injection for the isolation tests is written once here: they set
-:data:`fault` (through the ``faults`` fixture) before the workers fork,
-:func:`fault_spec` parses it and :func:`inject` acts on it inside a
-worker. Each task definition keeps its own match rule (the tuner matches
-a hash prefix, the server an endpoint name).
+Nothing here injects faults: the isolation tests register a backend
+whose kernels exit or hang inside a forked worker, and the workers
+inherit it like any other.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import queue
 import threading
 import time
@@ -56,35 +55,25 @@ OK, FAILED, TIMEOUT = "ok", "failed", "timeout"
 _FORK_LOCK = threading.Lock()
 
 
-#: the fault the isolation tests inject, ``crash:<pattern>`` or
-#: ``hang:<pattern>``; None injects nothing
-fault: Optional[str] = None
+def _failed(e: BaseException) -> Tuple[str, str]:
+    return FAILED, f"{type(e).__name__}: {e}"
 
 
-def fault_spec() -> Tuple[Optional[str], str]:
-    """``(kind, pattern)`` of :data:`fault`; ``(None, "")`` when it is
-    unset or malformed. What ``pattern`` is matched against is the
-    caller's rule (``*`` conventionally matches everything)."""
-    kind, sep, pattern = (fault or "").partition(":")
-    if not sep or kind not in ("crash", "hang"):
-        return None, ""
-    return kind, pattern
-
-
-def inject(kind: Optional[str]):
-    """Act on an injected fault inside a worker: ``crash`` exits the
-    process at once, without cleanup (what a segfaulting kernel does),
-    ``hang`` sleeps until the parent kills it, None does nothing."""
-    if kind == "crash":
-        os._exit(17)
-    elif kind == "hang":  # pragma: no cover - killed by the parent
-        time.sleep(3600)
+def run_here(handler: Callable, task) -> Tuple[str, object]:
+    """Run one task in the calling process, resolved as a worker resolves
+    it: ``("ok", result)``, or ``("failed", "<Type>: <message>")`` when
+    ``handler`` raised. A pool client's in-process mode calls the very
+    handler its workers run through this."""
+    try:
+        return OK, handler(task)
+    except Exception as e:  # noqa: BLE001 - isolation is the point
+        return _failed(e)
 
 
 def _worker_main(handler: Callable, conn):
     """Worker loop: answer ``(task,)`` messages on this worker's own pipe
-    with ``(ok, result | message)`` until the ``None`` sentinel (or the
-    parent going away)."""
+    with :func:`run_here`'s ``(outcome, payload)`` until the ``None``
+    sentinel (or the parent going away)."""
     while True:
         try:
             msg = conn.recv()
@@ -93,9 +82,9 @@ def _worker_main(handler: Callable, conn):
         if msg is None:
             return
         try:
-            conn.send((True, handler(msg[0])))
-        except Exception as e:  # noqa: BLE001 - isolation is the point
-            conn.send((False, f"{type(e).__name__}: {e}"))
+            conn.send(run_here(handler, msg[0]))
+        except Exception as e:  # noqa: BLE001 - the result does not pickle
+            conn.send(_failed(e))
 
 
 class WorkerPool:
@@ -160,12 +149,11 @@ class WorkerPool:
                 pass  # the worker died idle; its sentinel says so below
             except Exception as e:  # noqa: BLE001 - does not pickle:
                 # nothing was written, the worker is still good
-                return FAILED, f"{type(e).__name__}: {e}"
+                return _failed(e)
             ready = wait([conn, p.sentinel], timeout=budget)
             if conn in ready:
                 try:
-                    ok, payload = conn.recv()
-                    return (OK if ok else FAILED), payload
+                    return conn.recv()
                 except (EOFError, OSError):
                     pass  # end of file: the worker died before replying
             worker = self._replace(p, conn)

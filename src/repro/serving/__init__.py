@@ -14,7 +14,7 @@ Layering::
       endpoints.ServedWorkload   program variants + build config
         strategies / ragged      stack | pad | concat collation
         batching.batch_axis_prepend   the IR-level batched variant
-      executor               thread mode, or a task on runtime.pool
+      runtime.pool           process mode: the batch task on workers
 
 ``python -m repro.serve`` runs a load-generator demo;
 ``runtime.metrics.serving_stats()`` exposes the counters.
@@ -22,7 +22,6 @@ Layering::
 
 from .batching import BatchingUnsupported, batch_axis_prepend
 from .endpoints import SERVE_SIZES, ServedWorkload, default_endpoints
-from .executor import injected_faults, run_batch_guarded
 from .ragged import (ConcatCSRStrategy, PadStrategy,
                      make_batched_longformer_program)
 from .server import PendingResponse, Request, Response, Server
@@ -33,6 +32,5 @@ __all__ = [
     "PadStrategy", "PendingResponse", "Request", "Response",
     "SERVE_SIZES", "ServedWorkload", "Server", "StackStrategy",
     "batch_axis_prepend", "default_endpoints",
-    "injected_faults", "make_batched_longformer_program",
-    "run_batch_guarded",
+    "make_batched_longformer_program",
 ]

@@ -21,7 +21,6 @@ gat         concat     variable graph size (ragged)
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -67,26 +66,29 @@ class ServedWorkload:
         self.gen_requests = gen_requests
         self.backend = backend
         self.optimize = optimize
+        # no lock guards these two: a pool worker forked while another
+        # thread held it (staging a variant takes milliseconds) would
+        # wait on it forever. First callers that race may both stage or
+        # build; setdefault keeps one object, which kind_of relies on.
         self._funcs: Dict[str, object] = {}
         self._exes: Dict[str, object] = {}
-        self._lock = threading.RLock()
 
     def _func(self, kind: str):
-        with self._lock:  # re-entrant: "batched" asks for "base" first
-            if kind not in self._funcs:
-                if kind == "base":
-                    self._funcs[kind] = self.make_func()
-                elif kind == "batched":
-                    self._funcs[kind] = batch_axis_prepend(
-                        self._func("base"))
-                elif kind == "pad":
-                    if self.make_pad_func is None:
-                        raise ValueError(
-                            f"endpoint {self.name!r} has no pad program")
-                    self._funcs[kind] = self.make_pad_func()
-                else:
-                    raise KeyError(kind)
-            return self._funcs[kind]
+        func = self._funcs.get(kind)
+        if func is None:
+            if kind == "base":
+                func = self.make_func()
+            elif kind == "batched":
+                func = batch_axis_prepend(self._func("base"))
+            elif kind == "pad":
+                if self.make_pad_func is None:
+                    raise ValueError(
+                        f"endpoint {self.name!r} has no pad program")
+                func = self.make_pad_func()
+            else:
+                raise KeyError(kind)
+            func = self._funcs.setdefault(kind, func)
+        return func
 
     def base_func(self):
         return self._func("base")
@@ -104,10 +106,9 @@ class ServedWorkload:
         """Which variant a func returned by this endpoint's accessors
         is — lets the server ship the (picklable) kind name to pool
         workers instead of the Func object itself."""
-        with self._lock:
-            for kind, f in self._funcs.items():
-                if f is func:
-                    return kind
+        for kind, f in list(self._funcs.items()):
+            if f is func:
+                return kind
         raise KeyError(f"func {getattr(func, 'name', func)!r} is not a "
                        f"variant of endpoint {self.name!r}")
 
@@ -118,11 +119,8 @@ class ServedWorkload:
         exe = self._exes.get(key)
         if exe is None:
             from ..runtime.driver import build
-            exe = build(func, backend=self.backend,
-                        optimize=self.optimize)
-            with self._lock:
-                self._exes.setdefault(key, exe)
-                exe = self._exes[key]
+            exe = self._exes.setdefault(key, build(
+                func, backend=self.backend, optimize=self.optimize))
         return exe
 
     def warm(self):

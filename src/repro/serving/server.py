@@ -20,12 +20,27 @@ Guarantees:
   exactly once: with its output slice, or ``failed`` (batch raised or
   worker crashed), or ``timeout`` (deadline passed while queued, or the
   batch was killed at its deadline). Crash/timeout handling is the
-  worker pool's job (see ``executor``); the server only ever resolves
-  requests it has popped from a bucket.
+  worker pool's job (see ``runtime.pool``); the server only ever
+  resolves requests it has popped from a bucket.
 - **determinism** — with an injected ``clock`` and ``start=False``
   (manual mode: the test calls :meth:`poll`), batch composition is a
   pure function of the submission sequence; responses carry
   ``batch_id``/``batch_size`` so tests can assert it.
+
+Both execution modes run one task function, :func:`run_batch`:
+
+- **thread** — on the dispatcher thread, through
+  :func:`~repro.runtime.pool.run_here`. Safe because
+  ``Executable.__call__`` is thread-safe (see its concurrency contract)
+  and the native backends release the GIL during kernel execution; zero
+  IPC cost, but a segfaulting or hanging kernel takes the server down
+  with it;
+- **process** — on a :class:`~repro.runtime.pool.WorkerPool` (whose
+  docstring states the protocol): a crash fails that one batch, a batch
+  past its deadline times out with its worker killed, and a replacement
+  is forked either way. Workers inherit the endpoint registry and the
+  ``REPRO_CACHE_DIR`` artifact store by fork, so each program is
+  natively compiled at most once per host.
 """
 
 from __future__ import annotations
@@ -38,12 +53,23 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence
 
 from ..runtime import metrics
+from ..runtime.pool import FAILED, OK, TIMEOUT, WorkerPool, run_here
 from .endpoints import ServedWorkload
-from ..runtime.pool import FAILED, OK, TIMEOUT, WorkerPool
-from .executor import (DEFAULT_TIMEOUT_S, _run_task, injected_faults,
-                       run_batch_guarded)
 
 __all__ = ["PendingResponse", "Request", "Response", "Server"]
+
+DEFAULT_TIMEOUT_S = 30.0
+
+
+def run_batch(endpoints: Dict[str, ServedWorkload], task):
+    """The batch task of both modes: run one collated ``(endpoint, kind,
+    arrays, scalars)`` batch and return the raw outputs. ``kind`` names
+    which of the endpoint's program variants to run
+    (``base``/``batched``/``pad``); a raised error is resolved by the
+    caller (``run_here`` or the worker loop) as the batch's failure."""
+    name, kind, arrays, scalars = task
+    ep = endpoints[name]
+    return ep.executable(ep.func_of_kind(kind))(*arrays, **scalars)
 
 
 class Response:
@@ -175,7 +201,6 @@ class Server:
         self.default_quota = default_quota
         self.timeout_s = float(timeout_s)
         self.clock = clock
-        self._faults = injected_faults(self.endpoints)
 
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
@@ -186,9 +211,9 @@ class Server:
         self._batch_id = itertools.count()
         self._closed = False
 
+        self._task = functools.partial(run_batch, self.endpoints)
         self._pool = (WorkerPool(
-            functools.partial(_run_task, self.endpoints, self._faults),
-            self.workers, self.timeout_s,
+            self._task, self.workers, self.timeout_s,
             on_respawn=metrics.record_serving_respawn)
             if mode == "process" else None)
         self._threads: List[threading.Thread] = []
@@ -405,13 +430,12 @@ class Server:
             return
         metrics.record_serving_batch(len(live), pad_elements)
         budget = min(r.timeout_s - (now - r.submitted_at) for r in live)
+        task = (live[0].endpoint, kind, arrays, scalars)
         if self._pool is not None:
             outcome, payload = self._pool.run(
-                (ep.name, kind, arrays, scalars),
-                timeout_s=max(0.05, budget))
+                task, timeout_s=max(0.05, budget))
         else:
-            outcome, payload = run_batch_guarded(
-                ep, kind, arrays, scalars, self._faults.get(ep.name))
+            outcome, payload = run_here(self._task, task)
         if outcome == OK:
             try:
                 parts = ep.strategy.split(ep, payload, live)

@@ -1,6 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
 
+import itertools
 import os
+import time
 
 import numpy as np
 import pytest
@@ -23,14 +25,60 @@ def memos_off(monkeypatch):
     return lambda: monkeypatch.setattr(state, "memos_on", False)
 
 
-@pytest.fixture
-def faults(monkeypatch):
-    """Call it with ``crash:<pattern>`` or ``hang:<pattern>`` to inject
-    that fault into pool workers (``repro.runtime.pool.fault``) for the
-    rest of the test; workers forked later inherit it."""
-    from repro.runtime import pool
+_FAULTY = itertools.count()
 
-    return lambda spec: monkeypatch.setattr(pool, "fault", spec)
+
+@pytest.fixture
+def faulty_backend():
+    """Call it as ``faulty_backend(fault, matches, at="build")`` to
+    register a backend that builds like ``pycode`` but misbehaves on each
+    func ``matches(func)`` accepts (the legalized IR, so match its name
+    or its ``struct_hash``). In a forked pool worker ``"crash"`` exits
+    without cleanup, as a segfaulting kernel does, and ``"hang"`` sleeps
+    until the parent kills it; in the registering process both raise.
+    ``at="run"`` misbehaves in the kernel call after a successful build.
+    Returns the backend's name (a fresh one per call, so no memo holds
+    an earlier registration's build); unregistered on teardown."""
+    from repro.backend import (Backend, get_backend, register_backend,
+                               unregister_backend)
+
+    names = []
+
+    def register(fault, matches, at="build"):
+        pycode = get_backend("pycode")
+        home = os.getpid()
+
+        def misbehave(func):
+            if not matches(func):
+                return
+            if os.getpid() == home:
+                raise RuntimeError(f"{fault} in {func.name}")
+            if fault == "crash":
+                os._exit(17)
+            time.sleep(3600)
+
+        def build(func, **opts):
+            if at == "build":
+                misbehave(func)
+                return pycode.build(func, **opts)
+            run = pycode.build(func, **opts)
+
+            def faulty_run(env):
+                misbehave(func)
+                run(env)
+
+            return faulty_run
+
+        name = f"faulty{next(_FAULTY)}"
+        register_backend(Backend(name, build=build, caps=pycode.caps,
+                                 legalization=pycode.legalization,
+                                 target_kind=pycode.target_kind))
+        names.append(name)
+        return name
+
+    yield register
+    for name in names:
+        unregister_backend(name)
 
 
 @pytest.fixture

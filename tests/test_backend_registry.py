@@ -66,6 +66,32 @@ class TestRegistry:
             unregister_backend("toy")
         assert find_backend("toy") is None
 
+    def test_first_lookups_racing_see_every_builtin(self):
+        # a fresh interpreter, four threads' first registry lookups at
+        # once (a thread-mode server's dispatchers do this): none may
+        # see the registry while the built-ins are still loading
+        import subprocess
+        import sys
+
+        import repro
+
+        code = ("import threading\n"
+                "from repro.backend import available_backends\n"
+                "go = threading.Barrier(4)\n"
+                "seen = []\n"
+                "def look():\n"
+                "    go.wait()\n"
+                "    seen.append(available_backends())\n"
+                "ts = [threading.Thread(target=look) for _ in range(4)]\n"
+                "[t.start() for t in ts]\n"
+                "[t.join() for t in ts]\n"
+                "print(sorted(map(len, seen)))\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.split() == ["[5,", "5,", "5,", "5]"]
+
     def test_cache_tag_folds_caps_version(self):
         assert backend_cache_tag("pycode") == "pycode@1"
         assert backend_cache_tag("c") == "c@1"

@@ -135,15 +135,22 @@ class TestBuildCache:
         assert e2 is e1
 
     def test_hit_is_fast(self):
-        clear_build_cache()
-        p = make_program()
-        t0 = time.perf_counter()
-        e1 = build(p, backend="pycode")
-        cold = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        e2 = build(p, backend="pycode")
-        warm = time.perf_counter() - t0
-        assert e2 is e1
+        # best of three on each side: one preemption or GC pause inside
+        # a single ~40 us hit was the whole margin on a loaded host.
+        # Each cold build stages a fresh program with every memo empty,
+        # so no memo serves it.
+        cold = warm = float("inf")
+        for _ in range(3):
+            ft.clear_compile_caches()
+            p = make_program()
+            t0 = time.perf_counter()
+            e1 = build(p, backend="pycode")
+            cold = min(cold, time.perf_counter() - t0)
+            for _ in range(3):
+                t0 = time.perf_counter()
+                e2 = build(p, backend="pycode")
+                warm = min(warm, time.perf_counter() - t0)
+                assert e2 is e1
         assert warm < cold / 10  # acceptance: >= 10x faster
         # the cold build carries its phase timings; they sum to the total
         assert e1.compile_times

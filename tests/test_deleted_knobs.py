@@ -3,9 +3,9 @@ the default behaviour holds.
 
 ``build(verify=True)``, ``Interpreter(op_counts=...)`` and a spy on
 ``CandidateScreen.screen`` are the explicit switches; source spans are
-always captured, and only tests disable the memos
-(``repro.state.memos_on``) or inject worker faults
-(``repro.runtime.pool.fault``).
+always captured, only tests disable the memos
+(``repro.state.memos_on``), and a worker fault takes a registered
+faulty backend (the ``faulty_backend`` fixture).
 """
 
 import numpy as np
@@ -52,10 +52,23 @@ def test_memos_stay_on():
 
 
 def test_environment_injects_no_fault(monkeypatch):
-    from repro.serving import injected_faults
+    from repro.autosched import StructuredTuner
+    from repro.serving import Server, default_endpoints
+    from repro.workloads import gat
 
     monkeypatch.setenv("REPRO_SERVE_FAULT", "crash:*")
-    assert injected_faults(["gat"]) == {}
+    monkeypatch.setenv("REPRO_TUNE_FAULT", "crash:*")
+    monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
+    eps = default_endpoints(backend="pycode", names=["gat"])
+    with Server(eps, mode="process", workers=1) as srv:
+        (arrays, scalars), = eps["gat"].gen_requests(1, seed=0)
+        assert srv.submit("gat", arrays, scalars).result(timeout=120).ok
+    data = gat.make_data(n_nodes=24, avg_degree=3, feats=4, out_feats=4)
+    args = (data["indptr"], data["indices"], data["h"], data["wmat"],
+            data["att_s"], data["att_d"])
+    res = StructuredTuner(gat.make_program(), make_inputs=lambda: args,
+                          rounds=4, workers=2, timeout_s=20).tune()
+    assert res.measured >= 1
 
 
 def test_interpreter_counts_nothing():

@@ -220,3 +220,40 @@ class TestDriverConveniences:
                 y[i] = 1.0
 
         assert "Program" in repr(f) and "func f" in repr(f)
+
+
+def test_threads_stage_at_once():
+    # a server's dispatchers stage endpoint variants on first use: each
+    # thread's program must come out as if staged alone
+    import sys
+    import threading
+
+    from repro.ir import struct_hash
+    from repro.workloads import gat, longformer, softras, subdivnet
+
+    makers = [subdivnet.make_program, longformer.make_program,
+              softras.make_program, gat.make_program]
+    alone = [struct_hash(make().func) for make in makers]
+    go = threading.Barrier(len(makers))
+    seen = [[] for _ in makers]
+
+    def stage(i):
+        go.wait()
+        for _ in range(10):
+            try:
+                seen[i].append(struct_hash(makers[i]().func))
+            except StagingError as e:
+                seen[i].append(str(e))
+
+    threads = [threading.Thread(target=stage, args=(i,))
+               for i in range(len(makers))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-staging, often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [[h] * 10 for h in alone]

@@ -18,6 +18,7 @@ from repro.autosched.search.space import Knob, ScheduleSpace
 from repro.errors import FreeTensorError
 from repro.ir import For, collect_stmts
 from repro.ir.hashing import struct_hash
+from repro.pipeline import compile_ir
 from repro.runtime import metrics
 from repro.schedule import Schedule, ScheduleTrace
 
@@ -374,9 +375,10 @@ class TestFrontier:
 # ---------------------------------------------------------------------------
 
 
-def _structured(prog, inputs, workers, rounds=16, seed=0, **kw):
+def _structured(prog, inputs, workers, rounds=16, seed=0,
+                backend="pycode", **kw):
     return StructuredTuner(prog, make_inputs=lambda: inputs,
-                           backend="pycode", rounds=rounds, seed=seed,
+                           backend=backend, rounds=rounds, seed=seed,
                            workers=workers, **kw)
 
 
@@ -428,13 +430,13 @@ class TestDeterminism:
 class TestIsolation:
 
     def test_crashing_candidate_is_counted_not_fatal(self, monkeypatch,
-                                                     faults):
+                                                     faulty_backend):
         monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
-        faults("crash:*")
+        crash = faulty_backend("crash", lambda f: True)
         metrics.reset_pool_stats()
         prog, args = _gat()
         res = _structured(prog, args, workers=2, rounds=8,
-                          timeout_s=20).tune()
+                          backend=crash, timeout_s=20).tune()
         # every measurement crashed a worker; the session survived
         assert res.measured == 0
         assert res.best_time == float("inf")
@@ -443,13 +445,14 @@ class TestIsolation:
         assert st["worker_respawns"] >= 1
         assert st["tasks"] == st["task_failures"]
 
-    def test_hanging_candidate_times_out(self, monkeypatch, faults):
+    def test_hanging_candidate_times_out(self, monkeypatch,
+                                         faulty_backend):
         monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
-        faults("hang:*")
+        hang = faulty_backend("hang", lambda f: True)
         metrics.reset_pool_stats()
         prog, args = _gat()
-        res = _structured(prog, args, workers=2, rounds=4,
-                          batch=4, topk=2, timeout_s=2).tune()
+        res = _structured(prog, args, workers=2, rounds=4, batch=4,
+                          topk=2, backend=hang, timeout_s=2).tune()
         assert res.measured == 0
         assert res.timeouts >= 1
         st = metrics.pool_stats()
@@ -476,7 +479,7 @@ class TestIsolation:
         assert out == [("failed", "pycode: TypeError: bad candidate")]
 
     def test_selective_fault_spares_other_candidates(self, monkeypatch,
-                                                     faults):
+                                                     faulty_backend):
         # crash only one specific candidate: the others still measure
         monkeypatch.setenv("REPRO_TUNE_FAKE_MEASURE", "1")
         prog, args = _gat()
@@ -484,11 +487,35 @@ class TestIsolation:
                             timeout_s=20).tune()
         assert clean.measured >= 2
         victim = struct_hash(clean.best_func)
-        faults(f"crash:{victim[:12]}")
-        res = _structured(prog, args, workers=2, rounds=8,
+        # the backend sees the candidate as lowered for it
+        lowered = struct_hash(compile_ir(clean.best_func))
+        crash = faulty_backend("crash", lambda f: struct_hash(f) == lowered)
+        metrics.reset_pool_stats()
+        res = _structured(prog, args, workers=2, rounds=8, backend=crash,
                           timeout_s=20).tune()
+        assert metrics.pool_stats()["task_failures"] >= 1  # the victim
         assert res.measured >= 1
         assert struct_hash(res.best_func) != victim
+
+    def test_crash_inside_the_kernel_call_is_counted(self, faulty_backend):
+        # the worker builds the candidate, then dies in the kernel: a
+        # fake-timed entry (built, never called) still measures
+        crash = faulty_backend("crash", lambda f: True, at="run")
+        metrics.reset_pool_stats()
+        prog, args = _gat()
+        base = Schedule(prog).func
+        with MeasurementPool(workers=2, backend=crash,
+                             inputs=args, timeout_s=20) as pool:
+            out = pool.measure_batch([(base, 0.5), (base, None)])
+        assert out == [("ok", 0.5), ("failed", "worker crashed")]
+        # a whole session on real timings survives it
+        res = _structured(prog, args, workers=2, rounds=8, backend=crash,
+                          timeout_s=20).tune()
+        assert res.measured == 0
+        assert res.best_time == float("inf")
+        st = metrics.pool_stats()
+        assert st["tasks"] == st["task_failures"] + 1
+        assert st["worker_respawns"] >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 - batch-axis prepending and every batching strategy produce the same
   answers as per-request serial execution on all four workloads;
-- fault injection (the ``faults`` fixture) proves crashes and hangs cost
-  exactly the affected batch — no request is dropped or run twice;
+- a registered faulty backend (the ``faulty_backend`` fixture) proves
+  crashes and hangs cost exactly the affected batch — no request is
+  dropped or run twice;
 - admission control rejects over-quota and over-capacity submissions
   synchronously;
 - batch composition is deterministic under a fixed clock.
@@ -168,13 +169,18 @@ def test_batch_axis_prepend_memoized_and_guarded():
 
 
 # ---------------------------------------------------------------------------
-# fault injection: crashes and hangs cost one batch, never a request
+# worker faults: crashes and hangs cost one batch, never a request
 # ---------------------------------------------------------------------------
 
-def test_crash_isolated_to_failing_endpoint(faults):
-    faults("crash:gat")
-    eps = default_endpoints(backend="pycode",
-                            names=["gat", "subdivnet"])
+def _program(prefix):
+    """A ``faulty_backend`` predicate: the endpoint's programs (its base
+    and batched variants share the name prefix)."""
+    return lambda func: func.name.startswith(prefix)
+
+
+def test_crash_isolated_to_failing_endpoint(faulty_backend):
+    crash = faulty_backend("crash", _program("gat"))
+    eps = default_endpoints(backend=crash, names=["gat", "subdivnet"])
     with Server(eps, mode="process", workers=2, max_batch=4,
                 max_wait_s=0.01) as srv:
         gps = [srv.submit("gat", a, s) for a, s in
@@ -192,9 +198,9 @@ def test_crash_isolated_to_failing_endpoint(faults):
     assert st["worker_respawns"] >= 1
 
 
-def test_hang_times_out_and_respawns(faults):
-    faults("hang:gat")
-    eps = default_endpoints(backend="pycode", names=["gat"])
+def test_hang_times_out_and_respawns(faulty_backend):
+    hang = faulty_backend("hang", _program("gat"))
+    eps = default_endpoints(backend=hang, names=["gat"])
     with Server(eps, mode="process", workers=1, max_batch=4,
                 max_wait_s=0.01, timeout_s=1.0) as srv:
         pendings = [srv.submit("gat", a, s) for a, s in
@@ -206,23 +212,49 @@ def test_hang_times_out_and_respawns(faults):
     assert st["worker_respawns"] >= 1
 
 
-def test_thread_mode_fault_degrades_to_failure(faults):
-    faults("crash:subdivnet")
-    eps = default_endpoints(backend="pycode", names=["subdivnet"])
+def test_thread_mode_fault_degrades_to_failure(faulty_backend):
+    # in the server's own process the kernel call raises instead of
+    # exiting: the batch fails, the server lives
+    crash = faulty_backend("crash", _program("subdivnet"), at="run")
+    eps = default_endpoints(backend=crash, names=["subdivnet"])
     with Server(eps, mode="thread", workers=1, max_batch=2,
                 max_wait_s=0.01) as srv:
         pendings = [srv.submit("subdivnet", a, s) for a, s in
                     eps["subdivnet"].gen_requests(2, seed=0)]
         responses = [p.result(timeout=120) for p in pendings]
     assert all(r.status == "failed" for r in responses)
-    assert all("injected" in r.error for r in responses)
 
 
-def test_no_request_lost_or_double_run_under_faults(faults):
+def test_thread_mode_build_error_loses_no_request(faulty_backend):
+    """A backend whose build raises for one endpoint, in thread mode:
+    that endpoint's requests resolve ``failed`` with the raised error,
+    the other's ``ok``, and each ran in exactly one batch."""
+    crash = faulty_backend("crash", _program("gat"))
+    eps = default_endpoints(backend=crash, names=["gat", "subdivnet"])
+    with Server(eps, mode="thread", workers=2, max_batch=3,
+                max_wait_s=0.01) as srv:
+        pendings = []
+        for name in ("gat", "subdivnet"):
+            pendings += [(name, srv.submit(name, a, s)) for a, s in
+                         eps[name].gen_requests(5, seed=2)]
+        responses = [(n, p.result(timeout=120)) for n, p in pendings]
+    for name, r in responses:
+        if name == "gat":
+            assert r.status == "failed"
+            assert r.error.startswith("RuntimeError: crash in gat")
+        else:
+            assert r.ok
+    st = metrics.serving_stats()
+    assert st["admitted"] == 10
+    assert st["completed"] + st["failed"] == 10
+    assert st["batched_requests"] == 10
+
+
+def test_no_request_lost_or_double_run_under_faults(faulty_backend):
     """Mixed healthy/crashing traffic: every admitted request resolves
     exactly once and belongs to exactly one executed batch."""
-    faults("crash:longformer")
-    eps = default_endpoints(backend="pycode",
+    crash = faulty_backend("crash", _program("longformer"))
+    eps = default_endpoints(backend=crash,
                             names=["longformer", "subdivnet"])
     with Server(eps, mode="process", workers=2, max_batch=3,
                 max_wait_s=0.01) as srv:
@@ -233,6 +265,9 @@ def test_no_request_lost_or_double_run_under_faults(faults):
         responses = [(n, p.result(timeout=120)) for n, p in pendings]
     assert len(responses) == 12
     assert all(p.done() for _n, p in pendings)
+    wrong = [(n, r.status, r.error, r.latency_s) for n, r in responses
+             if r.ok != (n == "subdivnet")]
+    assert not wrong
     # each request appears in exactly one batch (ids unique per request)
     seen = [r.request_id for _n, r in responses]
     assert len(set(seen)) == len(seen)
